@@ -36,7 +36,7 @@ print(f"loss before training: {start:.4f}  "
 
 params = train(params, data, kbc, train_cfg)
 end, parts = loss(params, data, kbc, train_cfg)
-print(f"loss after {train_cfg.epochs} epochs: {end:.6f}  "
+print(f"loss after training (at most {train_cfg.epochs} epochs): {end:.6f}  "
       f"(init {parts[0]:.6f}, unsafe {parts[1]:.6f}, "
       f"1-step {parts[2]:.6f}, k-step {parts[3]:.6f})")
 

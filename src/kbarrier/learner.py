@@ -9,6 +9,17 @@ two evolution terms average over the whole sample set, because the sub-level
 sets they would ideally be restricted to are not known until a candidate
 exists.  Everything is deterministic given the seeds, which keeps
 counterexample-guided runs replayable.
+
+The network is evaluated along one path, `_forward`: one matmul per batch
+of states, then the activations, with their derivatives alongside when a
+gradient needs them.  `forward_batch`, `loss` and `gradient` all go through
+it, and `gradient` returns the loss it computed on the way.  A training
+epoch is therefore one call to `gradient`: one forward pass per evaluation
+site (S, S+, Sk) and one backward pass.  The three sites keep their own
+matmuls and reductions, because stacking them into one array changes the
+BLAS path and with it the last bits of the result.  Training stops at the
+first epoch with a loss of exactly zero, which cannot change the parameters
+it returns (see `train`).
 """
 
 from __future__ import annotations
@@ -123,8 +134,7 @@ class NetworkParams:
         return float(self.forward_batch(np.asarray(x, dtype=float)[None, :])[0])
 
     def forward_batch(self, states: np.ndarray) -> np.ndarray:
-        z = np.asarray(states, dtype=float) @ self.weights.T + self.biases
-        return _activate(z, self.activations) @ self.out_weights + self.out_bias
+        return _forward(self, np.asarray(states, dtype=float))[2]
 
     def to_expr(self) -> Expr:
         """Export the candidate as a closed-form expression."""
@@ -149,20 +159,38 @@ _ACT_EXPR = {
 }
 
 
-def _activate(z: np.ndarray, activations: tuple[str, ...]) -> np.ndarray:
-    out = np.empty_like(z)
-    for j, a in enumerate(activations):
-        col = z[:, j]
-        out[:, j] = col * col if a == "square" else (np.sin(col) if a == "sin" else np.cos(col))
-    return out
+# elementwise activation and its derivative, per kind
+_ACT_NUMPY = {
+    "square": (lambda z: z * z, lambda z: 2.0 * z),
+    "sin": (np.sin, np.cos),
+    "cos": (np.cos, lambda z: -np.sin(z)),
+}
 
 
-def _activate_grad(z: np.ndarray, activations: tuple[str, ...]) -> np.ndarray:
-    out = np.empty_like(z)
+def _activate(z: np.ndarray, activations: tuple[str, ...],
+              with_grad: bool = False) -> tuple[np.ndarray, np.ndarray | None]:
+    """Activations of the columns of z and, with_grad, their derivatives (else None).
+
+    One column at a time: the time goes into the element-wise sin and cos,
+    and numpy runs those more slowly on a block of a few strided columns,
+    where its inner loop is only as long as the block is wide.
+    """
+    g = np.empty_like(z)
+    gp = np.empty_like(z) if with_grad else None
     for j, a in enumerate(activations):
+        f, df = _ACT_NUMPY[a]
         col = z[:, j]
-        out[:, j] = 2.0 * col if a == "square" else (np.cos(col) if a == "sin" else -np.sin(col))
-    return out
+        g[:, j] = f(col)
+        if with_grad:
+            gp[:, j] = df(col)
+    return g, gp
+
+
+def _forward(params: NetworkParams, states: np.ndarray, with_grad: bool = False):
+    """Activations, their derivatives (or None) and B at a batch of states."""
+    z = states @ params.weights.T + params.biases
+    g, gp = _activate(z, params.activations, with_grad)
+    return g, gp, g @ params.out_weights + params.out_bias
 
 
 def init_params(n: int, width: int, activations: Sequence[str], seed: int) -> NetworkParams:
@@ -179,12 +207,16 @@ def init_params(n: int, width: int, activations: Sequence[str], seed: int) -> Ne
 
 @dataclass(frozen=True, eq=False)
 class NetworkGradient:
-    """Gradient of the training loss with the same layout as NetworkParams."""
+    """Gradient of the training loss with the same layout as NetworkParams.
+
+    `loss` is the total loss at the same parameters, computed on the way.
+    """
 
     weights: np.ndarray
     biases: np.ndarray
     out_weights: np.ndarray
     out_bias: float
+    loss: float
 
 
 @dataclass(frozen=True)
@@ -210,6 +242,12 @@ class TrainConfig:
             raise ValueError("epochs must be >= 0")
         if self.learning_rate <= 0:
             raise ValueError("learning rate must be > 0")
+        # a bias correction 1 - beta**t of 0 divides by zero in the Adam step
+        for name in ("beta1", "beta2"):
+            if not 0.0 <= getattr(self, name) < 1.0:
+                raise ValueError(f"{name} must be in [0, 1)")
+        if not self.adam_epsilon > 0:
+            raise ValueError("adam_epsilon must be > 0")
 
     @property
     def etas(self) -> tuple[float, float, float, float]:
@@ -276,12 +314,13 @@ def sample_dataset(spec: SafetySpec, model: DataDrivenModel, kbc: KBCSpec,
 
 
 def _loss_pieces(params: NetworkParams, data: DatasetTriple, kbc: KBCSpec,
-                 cfg: TrainConfig):
+                 cfg: TrainConfig, with_grad: bool = False):
+    """Loss breakdown, hinge arguments, and the `_forward` result at S, S+, Sk."""
     if not data.mask_init.any() or not data.mask_unsafe.any():
         raise ValueError("region mask empty; increase quota sampling")
-    B_s = params.forward_batch(data.S)
-    B_1 = params.forward_batch(data.S_plus)
-    B_k = params.forward_batch(data.S_kplus)
+    sites = [_forward(params, states, with_grad)
+             for states in (data.S, data.S_plus, data.S_kplus)]
+    B_s, B_1, B_k = (site[2] for site in sites)
     arg_i = B_s[data.mask_init] + cfg.eta1
     arg_u = -B_s[data.mask_unsafe] + kbc.lam + cfg.eta2
     arg_1 = B_1 - B_s - kbc.epsilon + cfg.eta3
@@ -292,7 +331,7 @@ def _loss_pieces(params: NetworkParams, data: DatasetTriple, kbc: KBCSpec,
         float(np.maximum(arg_1, 0.0).mean()),
         float(np.maximum(arg_k, 0.0).mean()),
     )
-    return breakdown, (arg_i, arg_u, arg_1, arg_k), (B_s, B_1, B_k)
+    return breakdown, (arg_i, arg_u, arg_1, arg_k), sites
 
 
 def loss(params: NetworkParams, data: DatasetTriple, kbc: KBCSpec,
@@ -304,8 +343,9 @@ def loss(params: NetworkParams, data: DatasetTriple, kbc: KBCSpec,
 
 def gradient(params: NetworkParams, data: DatasetTriple, kbc: KBCSpec,
              cfg: TrainConfig) -> NetworkGradient:
-    """Analytic gradient of the total loss (hinge subgradient at 0 is 0)."""
-    _, (arg_i, arg_u, arg_1, arg_k), _ = _loss_pieces(params, data, kbc, cfg)
+    """Analytic gradient of the total loss (hinge subgradient at 0 is 0), with the loss."""
+    breakdown, (arg_i, arg_u, arg_1, arg_k), sites = _loss_pieces(
+        params, data, kbc, cfg, with_grad=True)
     m = data.size
     n_i = int(data.mask_init.sum())
     n_u = int(data.mask_unsafe.sum())
@@ -322,21 +362,33 @@ def gradient(params: NetworkParams, data: DatasetTriple, kbc: KBCSpec,
     gb = np.zeros_like(params.biases)
     gv = np.zeros_like(params.out_weights)
     gc = 0.0
-    for states, coef in ((data.S, coef_s), (data.S_plus, act_1), (data.S_kplus, act_k)):
-        z = states @ params.weights.T + params.biases
-        g = _activate(z, params.activations)
-        gp = _activate_grad(z, params.activations)
+    # one accumulation per site, in this order: merging them changes the rounding
+    for states, coef, (g, gp, _) in zip((data.S, data.S_plus, data.S_kplus),
+                                        (coef_s, act_1, act_k), sites):
         gv += g.T @ coef
         gc += float(coef.sum())
         t = (coef[:, None] * gp) * params.out_weights[None, :]
         gb += t.sum(axis=0)
         gw += t.T @ states
-    return NetworkGradient(weights=gw, biases=gb, out_weights=gv, out_bias=gc)
+    return NetworkGradient(weights=gw, biases=gb, out_weights=gv, out_bias=gc,
+                           loss=float(sum(breakdown)))
 
 
 def train(p0: NetworkParams, data: DatasetTriple, kbc: KBCSpec,
           cfg: TrainConfig) -> NetworkParams:
-    """Full-batch Adam; returns the parameters with the lowest observed loss."""
+    """Full-batch Adam; returns the parameters with the lowest observed loss.
+
+    Each epoch calls the module-level `gradient` exactly once, with the
+    current `NetworkParams` and `data`, and takes the loss from its result:
+    one forward and one backward pass per epoch.  Code that wraps
+    `gradient`, such as a tracer counting epochs, relies on that.
+
+    Training stops at the first epoch whose loss is exactly 0.0.  This
+    changes no result: the best parameters are replaced only on a strict
+    improvement and the hinge loss is never negative, so no later epoch
+    could replace them.  The one difference is that a non-finite loss
+    those later epochs would have hit no longer raises TrainingDiverged.
+    """
     if cfg.epochs == 0:
         return p0
     W = p0.weights.copy()
@@ -351,15 +403,18 @@ def train(p0: NetworkParams, data: DatasetTriple, kbc: KBCSpec,
     def current() -> NetworkParams:
         return replace(p0, weights=W, biases=b, out_weights=v, out_bias=c)
 
+    def best_params() -> NetworkParams:
+        return replace(p0, weights=best[0], biases=best[1], out_weights=best[2], out_bias=best[3])
+
     for t in range(1, cfg.epochs + 1):
-        p = current()
-        total, _ = loss(p, data, kbc, cfg)
-        if not math.isfinite(total):
+        g = gradient(current(), data, kbc, cfg)
+        if not math.isfinite(g.loss):
             raise TrainingDiverged(f"training diverged at epoch {t - 1}")
-        if total < best_loss:
-            best_loss = total
+        if g.loss < best_loss:
+            best_loss = g.loss
             best = (W.copy(), b.copy(), v.copy(), c)
-        g = gradient(p, data, kbc, cfg)
+        if g.loss == 0.0:
+            return best_params()
         grads = (g.weights, g.biases, g.out_weights, g.out_bias)
         new = []
         bc1 = 1.0 - cfg.beta1 ** t
@@ -378,7 +433,7 @@ def train(p0: NetworkParams, data: DatasetTriple, kbc: KBCSpec,
         raise TrainingDiverged(f"training diverged at epoch {cfg.epochs}")
     if total < best_loss:
         best = (W, b, v, c)
-    return replace(p0, weights=best[0], biases=best[1], out_weights=best[2], out_bias=best[3])
+    return best_params()
 
 
 def export_certificate(params: NetworkParams, kbc: KBCSpec, cfg: TrainConfig,

@@ -1,14 +1,17 @@
 """Forward pass, loss arithmetic, analytic gradients and training behaviour."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+import kbarrier.learner
 from kbarrier import (
     Box, DatasetTriple, KBCSpec, NetworkParams, SafetySpec, TrainConfig,
     eval_point, gradient, init_params, loss, mixed_sin_cos, sample_dataset, train,
 )
+from kbarrier.learner import ACTIVATIONS, _activate
 from kbarrier.expr import Const, Pow, Sin, Cos, Exp
 from kbarrier.expr import _children  # structural walk for the export test
 
@@ -46,6 +49,15 @@ class TestSpecs:
     def test_mixed_activation_layout(self):
         assert mixed_sin_cos(4) == ("sin", "sin", "cos", "cos")
         assert mixed_sin_cos(5) == ("sin", "sin", "sin", "cos", "cos")
+
+    def test_adam_settings_validated(self):
+        # beta = 1 makes the bias correction 1 - beta**t zero, and train divides by it
+        for bad in ({"beta1": 1.0}, {"beta2": 1.0}, {"beta1": -0.1}, {"beta2": 1.5},
+                    {"beta1": math.nan}, {"adam_epsilon": 0.0}, {"adam_epsilon": -1e-8},
+                    {"adam_epsilon": math.nan}):
+            with pytest.raises(ValueError):
+                TrainConfig(**bad)
+        TrainConfig(beta1=0.0, beta2=0.0, adam_epsilon=1e-300)
 
 
 def toy_spec() -> SafetySpec:
@@ -90,6 +102,76 @@ def reference_loss(params, data, kbc, cfg):
         l1 += relu(b1 - b - kbc.epsilon + cfg.eta3)
         lk += relu(bk - b + cfg.eta4)
     return li / n_i + lu / n_u + l1 / data.size + lk / data.size
+
+
+def reference_activate(z, activations):
+    """The activations and their derivatives, evaluated one column at a time."""
+    g = np.empty_like(z)
+    gp = np.empty_like(z)
+    for j, a in enumerate(activations):
+        col = z[:, j]
+        g[:, j] = col * col if a == "square" else (np.sin(col) if a == "sin" else np.cos(col))
+        gp[:, j] = 2.0 * col if a == "square" else (np.cos(col) if a == "sin" else -np.sin(col))
+    return g, gp
+
+
+def reference_gradient(params, data, kbc, cfg):
+    """Straight-line gradient and loss: a separate forward pass per site for
+    the loss and again for the gradient, with the same operations in the
+    same order as `gradient`, so the results must agree bit for bit."""
+    W, bias, v, c = params.weights, params.biases, params.out_weights, params.out_bias
+    acts = params.activations
+    B_s = reference_activate(data.S @ W.T + bias, acts)[0] @ v + c
+    B_1 = reference_activate(data.S_plus @ W.T + bias, acts)[0] @ v + c
+    B_k = reference_activate(data.S_kplus @ W.T + bias, acts)[0] @ v + c
+    arg_i = B_s[data.mask_init] + cfg.eta1
+    arg_u = -B_s[data.mask_unsafe] + kbc.lam + cfg.eta2
+    arg_1 = B_1 - B_s - kbc.epsilon + cfg.eta3
+    arg_k = B_k - B_s + cfg.eta4
+    total = float(sum((
+        float(np.maximum(arg_i, 0.0).mean()),
+        float(np.maximum(arg_u, 0.0).mean()),
+        float(np.maximum(arg_1, 0.0).mean()),
+        float(np.maximum(arg_k, 0.0).mean()),
+    )))
+
+    m = data.size
+    coef_s = np.zeros(m)
+    coef_s[data.mask_init] += (arg_i > 0).astype(float) / int(data.mask_init.sum())
+    coef_s[data.mask_unsafe] -= (arg_u > 0).astype(float) / int(data.mask_unsafe.sum())
+    act_1 = (arg_1 > 0).astype(float) / m
+    act_k = (arg_k > 0).astype(float) / m
+    coef_s -= act_1 + act_k
+
+    gw, gb, gv, gc = np.zeros_like(W), np.zeros_like(bias), np.zeros_like(v), 0.0
+    for states, coef in ((data.S, coef_s), (data.S_plus, act_1), (data.S_kplus, act_k)):
+        g, gp = reference_activate(states @ W.T + bias, acts)
+        gv += g.T @ coef
+        gc += float(coef.sum())
+        t = (coef[:, None] * gp) * v[None, :]
+        gb += t.sum(axis=0)
+        gw += t.T @ states
+    return gw, gb, gv, gc, total
+
+
+def cube_spec(n: int) -> SafetySpec:
+    return SafetySpec(X=Box.from_bounds([(-2, 2)] * n),
+                      X_I=Box.from_bounds([(0.5, 1.5)] * n),
+                      X_U=Box.from_bounds([(-1.5, -0.5)] * n))
+
+
+def region_triple(spec: SafetySpec, rng: np.random.Generator, others: int) -> DatasetTriple:
+    """Exactly one sample in each of X_I and X_U, plus `others` outside both."""
+    S = spec.X.sample(rng, 4 * others + 8)
+    in_i = np.all((S >= spec.X_I.lo()) & (S <= spec.X_I.hi()), axis=1)
+    in_u = np.all((S >= spec.X_U.lo()) & (S <= spec.X_U.hi()), axis=1)
+    S = np.vstack([S[~in_i & ~in_u][:others], spec.X_I.sample(rng, 1), spec.X_U.sample(rng, 1)])
+    mask_init = np.zeros(len(S), bool)
+    mask_unsafe = np.zeros(len(S), bool)
+    mask_init[-2] = mask_unsafe[-1] = True
+    drift = rng.normal(0.0, 0.1, S.shape[1])
+    return DatasetTriple(S=S, S_plus=S + drift, S_kplus=S + 3 * drift,
+                         mask_init=mask_init, mask_unsafe=mask_unsafe, spec=spec)
 
 
 class TestForward:
@@ -228,6 +310,42 @@ class TestGradient:
         assert loss(moved, data, kbc, cfg)[0] < base
 
 
+class TestSinglePass:
+    """The shared forward/backward pass against the straight-line reference."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("width", [1, 4, 8])
+    @pytest.mark.parametrize("others", [0, 1, 40])
+    def test_gradient_and_loss_bitwise(self, n, width, others):
+        rng = np.random.default_rng(100 * n + 10 * width + others)
+        spec = cube_spec(n)
+        kbc = KBCSpec(k=3, epsilon=0.05)
+        cfg = TrainConfig(eta1=0.02, eta2=0.01, eta3=0.005, eta4=0.005)
+        for trial in range(3):
+            data = region_triple(spec, rng, others)
+            acts = tuple(str(a) for a in rng.choice(ACTIVATIONS, width))
+            net = init_params(n, width, acts, seed=int(rng.integers(1 << 30)))
+            gw, gb, gv, gc, total = reference_gradient(net, data, kbc, cfg)
+            g = gradient(net, data, kbc, cfg)
+            assert np.array_equal(g.weights, gw)
+            assert np.array_equal(g.biases, gb)
+            assert np.array_equal(g.out_weights, gv)
+            assert g.out_bias == gc
+            assert g.loss == total == loss(net, data, kbc, cfg)[0]
+
+    @pytest.mark.parametrize("width", [1, 4, 8])
+    def test_activate_matches_per_column(self, width):
+        rng = np.random.default_rng(width)
+        for m in (1, 2, 37):
+            z = rng.normal(0.0, 3.0, (m, width))
+            acts = tuple(str(a) for a in rng.choice(ACTIVATIONS, width))
+            g_ref, gp_ref = reference_activate(z, acts)
+            g, gp = _activate(z, acts, with_grad=True)
+            assert np.array_equal(g, g_ref) and np.array_equal(gp, gp_ref)
+            g_only, none = _activate(z, acts)
+            assert np.array_equal(g_only, g_ref) and none is None
+
+
 def _flatten(net):
     return np.concatenate([net.weights.ravel(), net.biases, net.out_weights, [net.out_bias]])
 
@@ -255,6 +373,68 @@ def _near_kink(net, data, kbc, cfg, tol):
         bk - b + cfg.eta4,
     ])
     return bool(np.abs(args).min() < tol)
+
+
+def reference_train(p0, data, kbc, cfg):
+    """Adam over every epoch, with a separate loss evaluation per epoch and
+    no early exit; returns the best parameters and the first zero-loss epoch."""
+    W, b, v, c = p0.weights.copy(), p0.biases.copy(), p0.out_weights.copy(), p0.out_bias
+    mom = [np.zeros_like(W), np.zeros_like(b), np.zeros_like(v), 0.0]
+    sec = [np.zeros_like(W), np.zeros_like(b), np.zeros_like(v), 0.0]
+    best_loss, best, first_zero = math.inf, (W.copy(), b.copy(), v.copy(), c), None
+
+    def current():
+        return replace(p0, weights=W, biases=b, out_weights=v, out_bias=c)
+
+    for t in range(1, cfg.epochs + 1):
+        p = current()
+        total, _ = loss(p, data, kbc, cfg)
+        if total < best_loss:
+            best_loss, best = total, (W.copy(), b.copy(), v.copy(), c)
+        if total == 0.0 and first_zero is None:
+            first_zero = t
+        g = gradient(p, data, kbc, cfg)
+        new = []
+        for i, (param, grad) in enumerate(zip((W, b, v, c), (g.weights, g.biases,
+                                                             g.out_weights, g.out_bias))):
+            mom[i] = cfg.beta1 * mom[i] + (1.0 - cfg.beta1) * grad
+            sec[i] = cfg.beta2 * sec[i] + (1.0 - cfg.beta2) * grad * grad
+            m_hat = mom[i] / (1.0 - cfg.beta1 ** t)
+            v_hat = sec[i] / (1.0 - cfg.beta2 ** t)
+            new.append(param - cfg.learning_rate * m_hat / (np.sqrt(v_hat) + cfg.adam_epsilon))
+        W, b, v, c = new[0], new[1], new[2], float(new[3])
+    if loss(current(), data, kbc, cfg)[0] < best_loss:
+        best = (W, b, v, c)
+    return replace(p0, weights=best[0], biases=best[1], out_weights=best[2],
+                   out_bias=best[3]), first_zero
+
+
+def zero_loss_instance():
+    """A small instance that training drives to exactly zero loss."""
+    data = manual_triple(toy_spec(), np.random.default_rng(12), m=30)
+    kbc = KBCSpec(k=2, epsilon=0.1)
+    cfg = TrainConfig(eta1=0.01, eta2=0.001, eta3=0.001, eta4=0.001,
+                      epochs=800, learning_rate=0.1, seed=2)
+    return init_params(2, 4, mixed_sin_cos(4), seed=2), data, kbc, cfg
+
+
+def assert_same_params(a: NetworkParams, b: NetworkParams) -> None:
+    assert np.array_equal(a.weights, b.weights)
+    assert np.array_equal(a.biases, b.biases)
+    assert np.array_equal(a.out_weights, b.out_weights)
+    assert a.out_bias == b.out_bias
+
+
+def count_gradient_calls(monkeypatch) -> list[int]:
+    calls = [0]
+    real = kbarrier.learner.gradient
+
+    def counted(params, data, kbc, cfg):
+        calls[0] += 1
+        return real(params, data, kbc, cfg)
+
+    monkeypatch.setattr(kbarrier.learner, "gradient", counted)
+    return calls
 
 
 class TestTrain:
@@ -300,12 +480,8 @@ class TestTrain:
 
     def test_zero_loss_implies_strict_sample_conditions(self):
         # drive a small instance to exactly zero loss, then check every sample
-        spec = toy_spec()
-        data = manual_triple(spec, np.random.default_rng(12), m=30)
-        kbc = KBCSpec(k=2, epsilon=0.1)
-        cfg = TrainConfig(eta1=0.01, eta2=0.001, eta3=0.001, eta4=0.001,
-                          epochs=800, learning_rate=0.1, seed=2)
-        net = train(init_params(2, 4, mixed_sin_cos(4), seed=2), data, kbc, cfg)
+        p0, data, kbc, cfg = zero_loss_instance()
+        net = train(p0, data, kbc, cfg)
         total, _ = loss(net, data, kbc, cfg)
         assert total == 0.0
         b = net.forward_batch(data.S)
@@ -315,6 +491,24 @@ class TestTrain:
         assert np.all(b[data.mask_unsafe] > kbc.lam)
         assert np.all(b1 - b < kbc.epsilon)
         assert np.all(bk - b < 0.0)
+
+    def test_zero_loss_exit_is_exact_and_early(self, monkeypatch):
+        p0, data, kbc, cfg = zero_loss_instance()
+        expected, first_zero = reference_train(p0, data, kbc, cfg)
+        calls = count_gradient_calls(monkeypatch)
+        assert_same_params(train(p0, data, kbc, cfg), expected)
+        assert first_zero is not None and calls[0] == first_zero < cfg.epochs
+
+    def test_one_gradient_call_per_epoch_without_zero_loss(self, monkeypatch):
+        data, kbc, cfg, net = self._setup()
+        # with S_kplus = S the k-step hinge is eta4 > 0 for every candidate
+        data = replace(data, S_kplus=data.S)
+        cfg = replace(cfg, eta4=0.01)
+        expected, first_zero = reference_train(net, data, kbc, cfg)
+        assert first_zero is None
+        calls = count_gradient_calls(monkeypatch)
+        assert_same_params(train(net, data, kbc, cfg), expected)
+        assert calls[0] == cfg.epochs
 
 
 class TestToExpr:
