@@ -11,10 +11,14 @@ Two evaluation modes are provided:
 
 * point evaluation (`eval_point`, `Tape.eval_points`) -- ordinary float
   arithmetic, vectorised over sample batches;
-* interval evaluation (`eval_interval`, `Tape.eval_boxes`) -- returns a
-  guaranteed enclosure of the expression's range over a box.  Results of
-  the transcendental ops are widened by a couple of ulps so the enclosure
-  stays sound despite last-bit rounding differences between code paths.
+* interval evaluation (`eval_interval`, `Tape.eval_boxes`) -- returns an
+  enclosure of the expression's range over a box.  Results of sin, cos,
+  exp and pow are widened by two ulps so the enclosure holds despite
+  last-bit rounding differences between code paths; the step is taken on
+  the IEEE bit pattern read as int64 (`_pad_out`), which gives exactly
+  what two chained `np.nextafter` calls give at a few integer passes.
+  add, sub and mul still round to nearest, so an enclosure can miss the
+  exact real range by an ulp.
 """
 
 from __future__ import annotations
@@ -400,12 +404,40 @@ class Box:
 # Tape compilation and evaluation
 # ---------------------------------------------------------------------------
 
-def _pad_out(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    # two ulps outward: shields against non-monotone last-bit rounding in the
-    # vectorised libm kernels
-    lo = np.nextafter(np.nextafter(lo, -np.inf), -np.inf)
-    hi = np.nextafter(np.nextafter(hi, np.inf), np.inf)
-    return lo, hi
+_MAG_MASK = np.int64(0x7FFF_FFFF_FFFF_FFFF)     # every bit but the sign
+_INF_BITS = np.int64(0x7FF0_0000_0000_0000)     # +inf; larger magnitudes are NaN
+_NEG_ZERO_BITS = np.int64(-0x8000_0000_0000_0000)
+# 2*|bits| - 4, read unsigned, is at least this for 0, 5e-324, max, inf and NaN
+_EDGE = np.uint64(2 * 0x7FF0_0000_0000_0000 - 6)
+_STEP = np.array([[-2], [2]])                   # row 0 (lo) steps down, row 1 (hi) up
+_PAST_INF = np.array([-np.inf, np.inf]).view(np.int64)
+
+
+def _pad_out(lo, hi) -> tuple[np.ndarray, np.ndarray]:
+    """Two ulps outward: nextafter(nextafter(lo, -inf), -inf) and the same for
+    hi towards +inf, bit for bit, stepped on the IEEE bit pattern.
+
+    Shields against non-monotone last-bit rounding in the vectorised libm
+    kernels.  Doubles of one sign are ordered like their bit patterns read
+    as int64, so an ulp is one integer step: `((bits >> 63) << 2) ^ step`
+    is -2/+2 for lo and +2/-2 for hi, by sign.  Only 0 and 5e-324 (which
+    cross zero), max and inf (which run past infinity) and NaN need another
+    answer; they are rare and patched after the integer pass.
+    """
+    both = np.array((lo, hi), dtype=np.float64)
+    bits = both.reshape(2, -1).view(np.int64)
+    out = bits + (((bits >> 63) << 2) ^ _STEP)
+    edge = ((bits << 1) - 4).view(np.uint64) >= _EDGE
+    if np.count_nonzero(edge):
+        rows, cols = np.nonzero(edge)
+        b, o = bits[rows, cols], out[rows, cols]
+        mag = b & _MAG_MASK
+        fixed = np.where((o & _MAG_MASK) <= _INF_BITS, o,            # the step was right
+                         np.where(mag <= 1, (_NEG_ZERO_BITS + 2) - b,  # crossed zero
+                                  _PAST_INF[rows]))                  # ran past infinity
+        out[rows, cols] = np.where(mag > _INF_BITS, b, fixed)        # NaN stays NaN
+    out = out.view(np.float64).reshape(both.shape)
+    return out[0], out[1]
 
 
 def _contains_center(lo: np.ndarray, hi: np.ndarray, offset: float) -> np.ndarray:
@@ -463,11 +495,20 @@ def _pow_range(lo: np.ndarray, hi: np.ndarray, p: int) -> tuple[np.ndarray, np.n
     return _pad_out(out_lo, out_hi)
 
 
+def _column(register, m: int) -> np.ndarray:
+    """A root's register as an (m,) array; a constant one is materialised afresh."""
+    return register if np.ndim(register) == 1 else np.full(m, register)
+
+
 class Tape:
     """Flat evaluation program for a set of expressions over a shared DAG.
 
     Compiling once and evaluating over batches of points (or boxes) is the
-    workhorse behind the verifier and the dense-grid tooling.
+    workhorse behind the verifier and the dense-grid tooling.  `ops` holds
+    one instruction per DAG node.  Constants stay Python floats in both
+    evaluation modes and numpy broadcasts them; only a root that is constant
+    is materialised as an (m,) array.  A product with a constant operand
+    compiles to "scale" (c, register), which needs two products, not four.
     """
 
     def __init__(self, roots: Sequence[Expr]):
@@ -484,7 +525,13 @@ class Tape:
             elif isinstance(e, Const):
                 instr = ("const", e.value, None)
             elif isinstance(e, (Add, Sub, Mul)):
-                instr = (type(e).__name__.lower(), walk(e.left), walk(e.right))
+                a, b = walk(e.left), walk(e.right)
+                instr = (type(e).__name__.lower(), a, b)
+                if isinstance(e, Mul) and a != b:
+                    if isinstance(e.left, Const):
+                        instr = ("scale", e.left.value, b)
+                    elif isinstance(e.right, Const):
+                        instr = ("scale", e.right.value, a)
             elif isinstance(e, Pow):
                 instr = ("pow", walk(e.base), e.exponent)
             elif isinstance(e, Neg):
@@ -513,13 +560,14 @@ class Tape:
             raise ValueError("points must be a 2-D array (m, n)")
         if points.shape[1] < self.n_vars:
             raise ValueError("variable index out of range")
-        m = points.shape[0]
-        regs: list[np.ndarray] = []
+        regs: list = []
         for op, a, b in self.ops:
             if op == "var":
                 regs.append(points[:, a])
             elif op == "const":
-                regs.append(np.full(m, a))
+                regs.append(a)
+            elif op == "scale":
+                regs.append(a * regs[b])
             elif op == "add":
                 regs.append(regs[a] + regs[b])
             elif op == "sub":
@@ -536,7 +584,8 @@ class Tape:
                 regs.append(np.exp(regs[a]))
             else:  # pow
                 regs.append(np.power(regs[a], b))
-        return [regs[i] for i in self.outputs]
+        m = points.shape[0]
+        return [_column(regs[i], m) for i in self.outputs]
 
     def eval_boxes(self, lo: np.ndarray, hi: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
         """Enclosures of every root over each box (rows of lo/hi, shape (m, n)).
@@ -544,7 +593,8 @@ class Tape:
         Subtraction and multiplication of a register with itself are resolved
         exactly (x - x = 0, x * x = x^2): composed dynamics repeat subtrees,
         and this keeps those enclosures from collapsing to the naive
-        dependency-blind bound.
+        dependency-blind bound.  For c * [l, h] the four-product rule gives
+        min/max over {c*l, c*h} twice over, so "scale" takes them once.
         """
         lo = np.asarray(lo, dtype=float)
         hi = np.asarray(hi, dtype=float)
@@ -552,20 +602,20 @@ class Tape:
             raise ValueError("lo/hi must be matching 2-D arrays")
         if lo.shape[1] < self.n_vars:
             raise ValueError("variable index out of range")
-        m = lo.shape[0]
-        regs: list[tuple[np.ndarray, np.ndarray]] = []
+        regs: list[tuple] = []
         for op, a, b in self.ops:
             if op == "var":
                 regs.append((lo[:, a], hi[:, a]))
             elif op == "const":
-                c = np.full(m, a)
-                regs.append((c, c))
+                regs.append((a, a))
+            elif op == "scale":
+                p1, p2 = a * regs[b][0], a * regs[b][1]
+                regs.append((np.minimum(p1, p2), np.maximum(p1, p2)))
             elif op == "add":
                 regs.append((regs[a][0] + regs[b][0], regs[a][1] + regs[b][1]))
             elif op == "sub":
                 if a == b:
-                    z = np.zeros(m)
-                    regs.append((z, z))
+                    regs.append((0.0, 0.0))
                 else:
                     regs.append((regs[a][0] - regs[b][1], regs[a][1] - regs[b][0]))
             elif op == "mul":
@@ -589,7 +639,8 @@ class Tape:
                 regs.append(_pad_out(np.exp(regs[a][0]), np.exp(regs[a][1])))
             else:  # pow
                 regs.append(_pow_range(regs[a][0], regs[a][1], b))
-        return [regs[i] for i in self.outputs]
+        m = lo.shape[0]
+        return [(_column(regs[i][0], m), _column(regs[i][1], m)) for i in self.outputs]
 
 
 def eval_point(e: Expr, x: Sequence[float]) -> float:
@@ -611,7 +662,9 @@ def eval_interval(e: Expr, box: Box) -> Interval:
     tape = Tape([e])
     if box.n < tape.n_vars:
         raise ValueError("variable index out of range")
-    (lo, hi), = tape.eval_boxes(box.lo()[None, :], box.hi()[None, :])
+    # an overflow surfaces as the ValueError below, not as a numpy warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        (lo, hi), = tape.eval_boxes(box.lo()[None, :], box.hi()[None, :])
     return Interval(float(lo[0]), float(hi[0]))
 
 
@@ -679,7 +732,10 @@ def parse_expr(text: str) -> Expr:
         pos += 1
         return node
 
-    result = parse()
+    try:
+        result = parse()
+    except IndexError:  # only the token reads index, and only past the end
+        raise ValueError("unexpected end of expression text") from None
     if pos != len(tokens):
         raise ValueError("trailing tokens after expression")
     return result

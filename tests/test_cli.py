@@ -140,6 +140,12 @@ class TestSynthesizeAndVerify:
         cert.write_text("(frobnicate (var 0))")
         assert main(["verify", "polynomial", str(cert)]) == 2
 
+    def test_verify_truncated_certificate(self, tmp_path, capsys):
+        cert = tmp_path / "truncated.expr"
+        cert.write_text("(add (var 0)")
+        assert main(["verify", "highly-nonlinear", str(cert)]) == 2
+        assert "unexpected end of expression text" in capsys.readouterr().err
+
     def test_verify_wrong_dimension_certificate(self, tmp_path):
         cert = tmp_path / "threedee.expr"
         cert.write_text("(var 2)")

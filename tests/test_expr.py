@@ -1,14 +1,16 @@
 """Expression evaluation, interval soundness, substitution and text form."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 
+import kbarrier.expr
 from kbarrier import eval_interval, eval_point, format_expr, parse_expr, substitute
 from kbarrier.expr import (
-    Add, Box, Const, Cos, Exp, Interval, Neg, Pow, Sin, Sub, Tape, Var,
-    lin_comb, max_var_index, node_count,
+    Add, Box, Const, Cos, Exp, Interval, Mul, Neg, Pow, Sin, Sub, Tape, Var,
+    lin_comb, max_var_index, node_count, _pad_out,
 )
 
 from conftest import random_expr, random_finite_pair
@@ -57,6 +59,16 @@ class TestEvalInterval:
     def test_cos_full_period(self):
         iv = eval_interval(Cos(X1), Box.from_bounds([(0.0, 7.0)]))
         assert iv.lo == -1.0 and iv.hi == 1.0
+
+    def test_overflow_raises_only_value_error(self):
+        box = Box.from_bounds([(0.0, 10.0), (0.0, 1.0)])
+        # exp(e^10) overflows, and 0 * inf then gives NaN bounds
+        overflowing = [Exp(Exp(X1)), Mul(Exp(Exp(X1)), Sub(X2, X2))]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for e in overflowing:
+                with pytest.raises(ValueError, match="must be finite"):
+                    eval_interval(e, box)
 
     def test_odd_power_monotone(self):
         iv = eval_interval(X1 ** 3, Box.from_bounds([(-2.0, 1.5)]))
@@ -176,6 +188,9 @@ class TestTextForm:
             parse_expr("(add (var 0) (var 1)) trailing")
         with pytest.raises(ValueError):
             parse_expr("")
+        for truncated in ("(add (var 0)", "(var", "(", "(pow (var 0)", "(const"):
+            with pytest.raises(ValueError, match="unexpected end of expression text"):
+                parse_expr(truncated)
 
 
 class TestGrammar:
@@ -210,3 +225,229 @@ class TestGrammar:
                 sv = eval_point(e, p)
                 if math.isfinite(sv):
                     assert sv == v
+
+
+# ---------------------------------------------------------------------------
+# Tape parity with the straight-line evaluator it replaced
+# ---------------------------------------------------------------------------
+
+def reference_pad_out(lo, hi):
+    lo = np.nextafter(np.nextafter(lo, -np.inf), -np.inf)
+    hi = np.nextafter(np.nextafter(hi, np.inf), np.inf)
+    return lo, hi
+
+
+def reference_ops(roots):
+    """Compile as Tape did before "scale": one ("mul", a, b) per product."""
+    ops, memo = [], {}
+
+    def walk(e):
+        if id(e) not in memo:
+            if isinstance(e, Var):
+                instr = ("var", e.index, None)
+            elif isinstance(e, Const):
+                instr = ("const", e.value, None)
+            elif isinstance(e, (Add, Sub, Mul)):
+                instr = (type(e).__name__.lower(), walk(e.left), walk(e.right))
+            elif isinstance(e, Pow):
+                instr = ("pow", walk(e.base), e.exponent)
+            else:
+                instr = (type(e).__name__.lower(), walk(e.operand), None)
+            ops.append(instr)
+            memo[id(e)] = len(ops) - 1
+        return memo[id(e)]
+
+    outputs = [walk(r) for r in roots]
+    return ops, outputs
+
+
+def reference_eval_points(roots, points):
+    ops, outputs = reference_ops(roots)
+    m = points.shape[0]
+    regs = []
+    for op, a, b in ops:
+        if op == "var":
+            regs.append(points[:, a])
+        elif op == "const":
+            regs.append(np.full(m, a))
+        elif op == "add":
+            regs.append(regs[a] + regs[b])
+        elif op == "sub":
+            regs.append(regs[a] - regs[b])
+        elif op == "mul":
+            regs.append(regs[a] * regs[b])
+        elif op == "neg":
+            regs.append(-regs[a])
+        elif op == "sin":
+            regs.append(np.sin(regs[a]))
+        elif op == "cos":
+            regs.append(np.cos(regs[a]))
+        elif op == "exp":
+            regs.append(np.exp(regs[a]))
+        else:
+            regs.append(np.power(regs[a], b))
+    return [regs[i] for i in outputs]
+
+
+def reference_eval_boxes(roots, lo, hi, monkeypatch):
+    """Box evaluation with nextafter padding (also inside the sin/cos/pow
+    range helpers), np.full constants and the four-product rule for every mul."""
+    ops, outputs = reference_ops(roots)
+    m = lo.shape[0]
+    regs = []
+    with monkeypatch.context() as patch:
+        patch.setattr(kbarrier.expr, "_pad_out", reference_pad_out)
+        for op, a, b in ops:
+            if op == "var":
+                regs.append((lo[:, a], hi[:, a]))
+            elif op == "const":
+                c = np.full(m, a)
+                regs.append((c, c))
+            elif op == "add":
+                regs.append((regs[a][0] + regs[b][0], regs[a][1] + regs[b][1]))
+            elif op == "sub" and a == b:
+                z = np.zeros(m)
+                regs.append((z, z))
+            elif op == "sub":
+                regs.append((regs[a][0] - regs[b][1], regs[a][1] - regs[b][0]))
+            elif op == "mul" and a == b:
+                regs.append(kbarrier.expr._pow_range(regs[a][0], regs[a][1], 2))
+            elif op == "mul":
+                al, ah = regs[a]
+                bl, bh = regs[b]
+                p1, p2, p3, p4 = al * bl, al * bh, ah * bl, ah * bh
+                regs.append((np.minimum(np.minimum(p1, p2), np.minimum(p3, p4)),
+                             np.maximum(np.maximum(p1, p2), np.maximum(p3, p4))))
+            elif op == "neg":
+                regs.append((-regs[a][1], -regs[a][0]))
+            elif op == "sin":
+                regs.append(kbarrier.expr._sin_range(*regs[a]))
+            elif op == "cos":
+                regs.append(kbarrier.expr._cos_range(*regs[a]))
+            elif op == "exp":
+                regs.append(reference_pad_out(np.exp(regs[a][0]), np.exp(regs[a][1])))
+            else:
+                regs.append(kbarrier.expr._pow_range(regs[a][0], regs[a][1], b))
+    return [regs[i] for i in outputs]
+
+
+def assert_bitwise_equal(got, want):
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.shape == want.shape and got.dtype == want.dtype == np.float64
+    nan = np.isnan(want)
+    np.testing.assert_array_equal(np.isnan(got), nan)
+    np.testing.assert_array_equal(got.view(np.int64)[~nan], want.view(np.int64)[~nan])
+
+
+# Bounds where the two-ulp step and the products' signs are delicate.
+EDGE_VALUES = [0.0, -0.0, 5e-324, -5e-324, 1e-323, -1e-323, 2.2250738585072014e-308,
+               -2.2250738585072014e-308, 1e-310, -1e-310, 1.0, -1.0, 2.0, -2.0,
+               1.7976931348623157e308, -1.7976931348623157e308, math.inf, -math.inf, math.nan]
+
+
+def parity_roots(rng):
+    x, y = Var(0), Var(1)
+    shared = Sin(x) + y
+    parsed = [parse_expr(t) for t in (
+        "(pow (const 1.1) 3)", "(sin (const 0.3))", "(mul (const 2.0) (const -0.0))",
+        "(cos (neg (const 0.0)))", "(exp (const -800.0))", "(mul (const 1.5) (var 1))",
+        "(add (var 0) (exp (const 0.5)))", "(mul (sin (const 0.3)) (var 0))",
+        "(sub (pow (const 1.1) 2) (const 3.0))",
+    )]
+    roots = [
+        Mul(Const(-0.75), x), Mul(y, Const(2.5)), Mul(Const(0.0), Exp(x)),
+        Mul(Const(-0.0), y), Mul(Const(3.0), Mul(Const(-2.0), shared)),
+        Sub(shared, shared), Mul(shared, shared), Mul(Const(1.5), Sub(x, x)),
+        Const(2.0), Const(-0.0), Sub(Const(1.0), Const(1.0)), *parsed,
+    ]
+    roots += [random_expr(rng, 2, 5) for _ in range(150)]
+    return roots
+
+
+def parity_boxes(rng):
+    pairs = [(-2.0, 3.0), (0.0, 0.0), (-0.0, -0.0), (-0.0, 0.0), (0.0, 1e-310),
+             (-5e-324, 5e-324), (5e-324, 1e-323), (-1e-323, -5e-324),
+             (1.5, 1.5), (-1.0, 0.0), (-0.0, 2.0), (-700.0, 720.0), (-3.0, -1.0)]
+    lo = [[a, c] for a, _ in pairs for c, _ in pairs]
+    hi = [[b, d] for _, b in pairs for _, d in pairs]
+    random_lo = rng.uniform(-4.0, 4.0, size=(200, 2))
+    random_hi = random_lo + rng.uniform(0.0, 2.0, size=(200, 2)) * (rng.uniform(size=(200, 2)) < 0.8)
+    return np.vstack([lo, random_lo]), np.vstack([hi, random_hi])
+
+
+class TestTapeParity:
+    """Tape gives bit for bit what the straight-line evaluator gave."""
+
+    def test_eval_boxes_bitwise(self, monkeypatch):
+        rng = np.random.default_rng(11)
+        roots = parity_roots(rng)
+        lo, hi = parity_boxes(rng)
+        tape = Tape(roots)
+        assert sum(op == "scale" for op, _, _ in tape.ops) >= 8
+        with np.errstate(all="ignore"):
+            got = tape.eval_boxes(lo, hi)
+            want = reference_eval_boxes(roots, lo, hi, monkeypatch)
+        for (gl, gh), (wl, wh) in zip(got, want):
+            assert_bitwise_equal(gl, wl)
+            assert_bitwise_equal(gh, wh)
+
+    def test_eval_points_bitwise(self):
+        rng = np.random.default_rng(12)
+        roots = parity_roots(rng)
+        edges = np.array([[a, b] for a in EDGE_VALUES for b in EDGE_VALUES[::3]])
+        points = np.vstack([edges, rng.uniform(-4.0, 4.0, size=(200, 2))])
+        with np.errstate(all="ignore"):
+            got = Tape(roots).eval_points(points)
+            want = reference_eval_points(roots, points)
+        for g, w in zip(got, want):
+            assert_bitwise_equal(g, w)
+
+    @pytest.mark.parametrize("m", [0, 1, 5])
+    def test_constant_roots_are_fresh_arrays(self, m):
+        x = Var(0)
+        tape = Tape([Const(2.0), x, Sub(x, x)])
+        lo = np.linspace(-1.0, 1.0, m)[:, None]
+        hi = lo + 1.0
+        (c_lo, c_hi), (x_lo, x_hi), (z_lo, z_hi) = tape.eval_boxes(lo, hi)
+        c_pt, x_pt, _ = tape.eval_points(lo)
+        for v in (c_lo, c_hi, x_lo, x_hi, z_lo, z_hi, c_pt, x_pt):
+            assert isinstance(v, np.ndarray) and v.shape == (m,) and v.dtype == np.float64
+            assert v.flags.writeable
+        for constant in (c_lo, c_hi, z_lo, z_hi, c_pt):
+            for other in (c_lo, c_hi, x_lo, x_hi, z_lo, z_hi, c_pt, x_pt, lo, hi):
+                assert other is constant or not np.shares_memory(constant, other)
+        c_lo += 1.0
+        z_lo -= 1.0
+        assert (c_hi == 2.0).all() and (z_hi == 0.0).all()
+        np.testing.assert_array_equal(tape.eval_points(lo)[0], np.full(m, 2.0))
+
+
+class TestPadOut:
+    def test_matches_two_nextafter_steps(self):
+        values = np.array(EDGE_VALUES + [-math.nan, 1.0000000000000002, 0.9999999999999999,
+                                         2.225073858507201e-308, 1.7976931348623155e308])
+        lo, hi = _pad_out(values, values)
+        with np.errstate(all="ignore"):
+            want_lo, want_hi = reference_pad_out(values, values)
+        assert_bitwise_equal(lo, want_lo)
+        assert_bitwise_equal(hi, want_hi)
+        for v in values:
+            got = _pad_out(np.float64(v), np.float64(v))
+            with np.errstate(all="ignore"):
+                want = reference_pad_out(np.float64(v), np.float64(v))
+            for g, w in zip(got, want):
+                assert np.shape(g) == ()
+                assert_bitwise_equal(g, w)
+
+    def test_random_bit_patterns_and_nan_payloads(self):
+        rng = np.random.default_rng(13)
+        bits = rng.integers(-2**63, 2**63, size=20_000, dtype=np.int64)
+        inf = 0x7FF0_0000_0000_0000
+        payloads = np.array([inf + 1, inf + 2, 2**63 - 2, 2**63 - 1], dtype=np.int64)
+        bits = np.concatenate([bits, payloads, payloads | np.int64(-2**63)])
+        values = bits.view(np.float64)
+        lo, hi = _pad_out(values, values[::-1])
+        with np.errstate(all="ignore"):
+            want_lo, want_hi = reference_pad_out(values, values[::-1])
+        assert_bitwise_equal(lo, want_lo)
+        assert_bitwise_equal(hi, want_hi)
