@@ -1,10 +1,12 @@
-"""Linear systems get a closed-form shortcut, and external data can be used.
+"""Linear systems are the identity dictionary, and external data can be used.
 
-For a linear system the k-step evolution is just a matrix power, so the
-verifier composes nothing: it checks the certificate against A x and A^k x
-directly.  This script recovers the system matrix from a handful of
-recorded states, verifies certificates against it, and shows the CSV path
-for trajectories recorded outside this toolkit.
+A linear system x+ = A x is the data-driven construction over the
+dictionary x0..x{n-1}: the model's coefficient matrix is the recovered A.
+Over that dictionary the k-step map is composed in closed form as A^k x,
+so the verifier checks the certificate against A x and A^k x directly.
+This script recovers the system matrix from a handful of recorded states,
+verifies certificates against it, and shows the CSV path for trajectories
+recorded outside this toolkit.
 """
 
 import tempfile
@@ -13,12 +15,13 @@ from pathlib import Path
 import numpy as np
 
 from kbarrier import (
-    Box, Dictionary, KBCSpec, SafetySpec, build_linear_model, build_model,
-    trajectory_from_csv, verify_linear,
+    Box, ExprMap, KBCSpec, SafetySpec, VerificationTask, build_model,
+    trajectory_from_csv, trajectory_from_states, verify,
 )
 from kbarrier.expr import Const, Var
 
 x1, x2 = Var(0), Var(1)
+identity = ExprMap((x1, x2), 2)
 
 # --- recover A from three recorded states -------------------------------
 A = np.array([[0.9, 0.2], [-0.1, 0.8]])
@@ -26,8 +29,8 @@ x = np.array([1.0, 1.0])
 states = [x]
 for _ in range(3):
     states.append(A @ states[-1])
-model = build_linear_model(np.column_stack(states[:3]), np.column_stack(states[1:4]))
-print("recovered A:", np.round(model.A_hat, 12).tolist())
+model = build_model(trajectory_from_states(states, identity), identity)
+print("recovered A:", np.round(model.coeff, 12).tolist())
 
 # --- verify certificates against the recovered dynamics -----------------
 spec = SafetySpec(
@@ -37,12 +40,24 @@ spec = SafetySpec(
 )
 circle = x1 ** 2 + x2 ** 2 - Const(1.0)
 
+# what touches its bound inside a box left undecided, by condition
+UNDECIDED = {
+    "I": "B touches 0 inside the initial region",
+    "U": "B touches lambda inside the unsafe region",
+    "E1": "the one-step difference B(f(x)) - B(x) - eps touches zero",
+    "E2": "the k-step difference B(f^k(x)) - B(x) touches zero",
+}
+
 for k, eps in ((2, 0.1), (1, 0.0)):
-    verdict = verify_linear(circle, model, spec, KBCSpec(k=k, epsilon=eps))
+    kbc = KBCSpec(k=k, epsilon=eps)
+    f1 = model.symbolic_step()
+    fk = model.symbolic_k_step(k) if k > 1 else f1
+    verdict = verify(VerificationTask(B=circle, f1_sym=f1, fk_sym=fk, spec=spec, kbc=kbc))
     extra = ""
     if verdict.kind == "delta_sat":
-        extra = (f" (box around {np.round(verdict.box.midpoint(), 4).tolist()};"
-                 " the one-step difference touches zero at the attractor,"
+        extra = (f" on {verdict.condition}"
+                 f" (box around {np.round(verdict.box.midpoint(), 4).tolist()}:"
+                 f" {UNDECIDED[verdict.condition]} there,"
                  " which no interval subdivision can strictly refute)")
     elif verdict.kind == "counterexample":
         extra = f" on {verdict.condition} at {verdict.point}"
@@ -54,8 +69,7 @@ with csv_path.open("w") as fh:
     fh.write("x1,x2\n")
     for s in states:
         fh.write(f"{float(s[0])!r},{float(s[1])!r}\n")
-dictionary = Dictionary(terms=(x1, x2), n=2)
-trajectory = trajectory_from_csv(csv_path, dictionary)
-imported = build_model(trajectory, dictionary)
+trajectory = trajectory_from_csv(csv_path, identity)
+imported = build_model(trajectory, identity)
 print("model rebuilt from CSV matches:",
-      bool(np.allclose(imported.coeff, model.A_hat, atol=1e-10)))
+      bool(np.allclose(imported.coeff, model.coeff, atol=1e-10)))

@@ -5,17 +5,16 @@ from .expr import (
     eval_interval, eval_point, format_expr, parse_expr, substitute,
 )
 from .dynamics import (
-    DataDrivenModel, Dictionary, LinearDataModel, RankDeficientData,
-    TrajectoryData, TruthModel,
-    build_linear_model, build_model, collect_trajectory, linear_k_step,
-    trajectory_from_csv, trajectory_to_csv,
+    DataDrivenModel, ExprMap, RankDeficientData, TrajectoryData,
+    build_model, collect_trajectory, trajectory_from_csv, trajectory_from_states,
+    trajectory_to_csv,
 )
 from .learner import (
     DatasetTriple, KBCSpec, NetworkParams, SafetySpec, TrainConfig, TrainingDiverged,
     gradient, init_params, loss, mixed_sin_cos, sample_dataset, train,
 )
 from .verifier import (
-    Verdict, VerificationTask, check_point, condition_exprs, verify, verify_linear,
+    Verdict, VerificationTask, check_point, condition_exprs, verify,
 )
 from .cegis import CegisConfig, CegisReport, augment, run
 from .configs import BUILTIN_NAMES, CaseStudyConfig, ConfigError, builtin_config, load_config

@@ -48,7 +48,7 @@ def cmd_simulate(args) -> int:
     if x0.shape != (config.n,):
         raise ConfigError("initial state dimension mismatch")
     truth, _, model = _build_model(config)
-    stepper = truth.step if args.model == "truth" else model.step
+    stepper = truth.eval if args.model == "truth" else model.step
     rows = [x0]
     for _ in range(args.steps):
         rows.append(np.asarray(stepper(rows[-1]), dtype=float))

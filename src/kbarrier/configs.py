@@ -12,7 +12,7 @@ import json
 from dataclasses import dataclass, asdict
 
 from .cegis import CegisConfig
-from .dynamics import Dictionary, TruthModel
+from .dynamics import ExprMap
 from .expr import Box, parse_expr
 from .learner import KBCSpec, SafetySpec, TrainConfig, mixed_sin_cos
 
@@ -92,12 +92,11 @@ class CaseStudyConfig:
 
     # -- builders ---------------------------------------------------------
 
-    def truth_model(self) -> TruthModel:
-        return TruthModel(n=self.n, step_exprs=tuple(parse_expr(t) for t in self.truth_step),
-                          dt=self.dt, name=self.name)
+    def truth_model(self) -> ExprMap:
+        return ExprMap(tuple(parse_expr(t) for t in self.truth_step), self.n)
 
-    def dictionary_obj(self) -> Dictionary:
-        return Dictionary(terms=tuple(parse_expr(t) for t in self.dictionary), n=self.n)
+    def dictionary_obj(self) -> ExprMap:
+        return ExprMap(tuple(parse_expr(t) for t in self.dictionary), self.n)
 
     def safety_spec(self) -> SafetySpec:
         return SafetySpec(X=Box.from_bounds(self.state_space),

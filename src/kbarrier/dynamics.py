@@ -1,4 +1,4 @@
-"""Ground-truth simulators, trajectory data matrices and the data-driven closed loop.
+"""Expression maps, trajectory data matrices and the data-driven closed loop.
 
 A single persistently-exciting state trajectory is enough to reproduce the
 dynamics exactly when the dictionary spans the true nonlinearities: with
@@ -6,7 +6,11 @@ data matrices X0, X1 and D0 (dictionary values along the trajectory) and a
 right inverse Q of D0, the map  x+ = X1 @ Q @ dict(x)  agrees with the
 unknown system everywhere, not just on the recorded samples.  Everything
 downstream (training data, symbolic composition, verification) is built on
-that reconstruction; the truth model is used only to record the trajectory.
+that reconstruction; the truth map is used only to record the trajectory.
+
+A linear system x+ = A x is the same construction over the identity
+dictionary x0..x{n-1}: X1 @ Q is then the recovered A, and the k-step map
+is composed in closed form as A^k x.
 """
 
 from __future__ import annotations
@@ -18,12 +22,11 @@ from typing import Sequence
 
 import numpy as np
 
-from .expr import Expr, Tape, lin_comb, max_var_index, node_count, substitute
+from .expr import Expr, Tape, Var, lin_comb, max_var_index, node_count, substitute
 
 __all__ = [
-    "TruthModel", "Dictionary", "TrajectoryData", "DataDrivenModel", "LinearDataModel",
-    "RankDeficientData",
-    "collect_trajectory", "build_model", "build_linear_model", "linear_k_step",
+    "ExprMap", "TrajectoryData", "DataDrivenModel", "RankDeficientData",
+    "collect_trajectory", "trajectory_from_states", "build_model",
     "trajectory_to_csv", "trajectory_from_csv",
 ]
 
@@ -40,62 +43,35 @@ class RankDeficientData(ValueError):
 
 
 @dataclass(frozen=True, eq=False)
-class TruthModel:
-    """Known transition map, used only to record trajectories and for plotting overlays.
+class ExprMap:
+    """Ordered vector of expressions over an n-dimensional state, compiled once.
 
-    `dt` is already baked into the step expressions; it is carried for
-    documentation.
+    Serves both as a truth transition map (one expression per dimension)
+    and as a dictionary of candidate terms (any positive number of them).
     """
 
+    exprs: tuple[Expr, ...]
     n: int
-    step_exprs: tuple[Expr, ...]
-    dt: float = 0.0
-    name: str = ""
     _tape: Tape = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "step_exprs", tuple(self.step_exprs))
-        if len(self.step_exprs) != self.n:
-            raise ValueError("truth model needs one step expression per dimension")
-        for e in self.step_exprs:
+        object.__setattr__(self, "exprs", tuple(self.exprs))
+        if not self.exprs:
+            raise ValueError("expression map needs at least one expression")
+        for e in self.exprs:
             if max_var_index(e) >= self.n:
-                raise ValueError("step expression uses a variable beyond the state dimension")
-        object.__setattr__(self, "_tape", Tape(self.step_exprs))
-
-    def step(self, x: Sequence[float]) -> np.ndarray:
-        return self.step_batch(np.asarray(x, dtype=float)[None, :])[0]
-
-    def step_batch(self, states: np.ndarray) -> np.ndarray:
-        cols = self._tape.eval_points(np.asarray(states, dtype=float))
-        return np.column_stack(cols)
-
-
-@dataclass(frozen=True, eq=False)
-class Dictionary:
-    """Ordered vector of candidate nonlinear terms over the state."""
-
-    terms: tuple[Expr, ...]
-    n: int
-    _tape: Tape = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "terms", tuple(self.terms))
-        if not self.terms:
-            raise ValueError("dictionary needs at least one term")
-        for t in self.terms:
-            if max_var_index(t) >= self.n:
-                raise ValueError("dictionary term uses a variable beyond the state dimension")
-        object.__setattr__(self, "_tape", Tape(self.terms))
+                raise ValueError("expression uses a variable beyond the state dimension")
+        object.__setattr__(self, "_tape", Tape(self.exprs))
 
     @property
     def size(self) -> int:
-        return len(self.terms)
+        return len(self.exprs)
 
     def eval(self, x: Sequence[float]) -> np.ndarray:
         return self.eval_batch(np.asarray(x, dtype=float)[None, :])[0]
 
     def eval_batch(self, states: np.ndarray) -> np.ndarray:
-        """Dictionary values for each row of `states`, shape (m, N)."""
+        """Values for each row of `states`, shape (m, size)."""
         cols = self._tape.eval_points(np.asarray(states, dtype=float))
         return np.column_stack(cols)
 
@@ -107,13 +83,12 @@ class TrajectoryData:
     X0: np.ndarray  # n x T
     X1: np.ndarray  # n x T
     D0: np.ndarray  # N x T
-    T: int
 
     def __post_init__(self):
         object.__setattr__(self, "X0", np.asarray(self.X0, dtype=float))
         object.__setattr__(self, "X1", np.asarray(self.X1, dtype=float))
         object.__setattr__(self, "D0", np.asarray(self.D0, dtype=float))
-        if self.X0.shape != self.X1.shape or self.X0.shape[1] != self.T:
+        if self.X0.shape != self.X1.shape:
             raise ValueError("inconsistent data matrix shapes")
         if self.D0.shape[1] != self.T:
             raise ValueError("dictionary data must have one column per sample")
@@ -122,28 +97,50 @@ class TrajectoryData:
     def n(self) -> int:
         return self.X0.shape[0]
 
+    @property
+    def T(self) -> int:
+        return self.X0.shape[1]
 
-def collect_trajectory(truth: TruthModel, dictionary: Dictionary,
-                       x0: Sequence[float], T: int) -> TrajectoryData:
-    """Roll the truth model T steps from x0 and record X0, X1 and D0."""
+
+def trajectory_from_states(states: Sequence[Sequence[float]],
+                           dictionary: ExprMap) -> TrajectoryData:
+    """Data matrices from a recorded state sequence x(0)..x(T), one state per row."""
+    if len({np.size(row) for row in states}) > 1:
+        raise ValueError("states have differing numbers of components (ragged rows)")
+    states = np.asarray(states, dtype=float)
+    if states.ndim != 2 or states.shape[0] < 2:
+        raise ValueError("a trajectory needs at least two states")
+    if states.shape[1] != dictionary.n:
+        raise ValueError("state component count does not match the state dimension")
+    bad = ~np.isfinite(states)
+    if bad.any():
+        row, col = np.argwhere(bad)[0]
+        raise ValueError(f"state {row} has a non-finite component {col}: {states[row, col]}")
+    T = states.shape[0] - 1
     if T < dictionary.size:
         raise ValueError(
             f"insufficient samples for rank condition: T={T} < N={dictionary.size}"
         )
+    return TrajectoryData(X0=states[:T].T, X1=states[1:].T,
+                          D0=dictionary.eval_batch(states[:T]).T)
+
+
+def collect_trajectory(truth: ExprMap, dictionary: ExprMap,
+                       x0: Sequence[float], T: int) -> TrajectoryData:
+    """Roll the truth map T steps from x0 and record X0, X1 and D0."""
+    if truth.size != truth.n:
+        raise ValueError("truth map needs one step expression per dimension")
     x = np.asarray(x0, dtype=float)
     if x.shape != (truth.n,):
         raise ValueError("initial state dimension mismatch")
-    states = np.empty((T + 1, truth.n))
+    states = np.empty((max(T, 0) + 1, truth.n))
     states[0] = x
     for i in range(T):
-        states[i + 1] = truth.step(states[i])
-    X0 = states[:T].T
-    X1 = states[1:T + 1].T
-    D0 = dictionary.eval_batch(states[:T]).T
-    return TrajectoryData(X0=X0, X1=X1, D0=D0, T=T)
+        states[i + 1] = truth.eval(states[i])
+    return trajectory_from_states(states, dictionary)
 
 
-def _right_inverse(data: np.ndarray, what: str) -> tuple[np.ndarray, float]:
+def _right_inverse(data: np.ndarray) -> tuple[np.ndarray, float]:
     """Minimum-norm right inverse via SVD, with a relative rank check.
 
     The SVD route keeps the residual near machine precision even when the
@@ -155,7 +152,7 @@ def _right_inverse(data: np.ndarray, what: str) -> tuple[np.ndarray, float]:
     if sigma_min <= _RANK_RTOL * float(sv[0]):
         raise RankDeficientData(
             f"persistency of excitation violated: sigma_min = {sigma_min:.3e}"
-            f" ({what} is rank deficient)"
+            " (dictionary data matrix is rank deficient)"
         )
     Q = np.linalg.pinv(data)
     residual = float(np.abs(data @ Q - np.eye(data.shape[0])).max())
@@ -173,7 +170,7 @@ class DataDrivenModel:
 
     Q: np.ndarray  # T x N
     X1: np.ndarray  # n x T
-    dictionary: Dictionary
+    dictionary: ExprMap
     sigma_min: float
     coeff: np.ndarray = field(init=False, repr=False, compare=False)  # n x N
 
@@ -207,12 +204,22 @@ class DataDrivenModel:
 
     def symbolic_step(self) -> tuple[Expr, ...]:
         """The closed loop as expressions: component i = sum_j coeff[i, j] * term_j."""
-        return tuple(lin_comb(self.coeff[i], self.dictionary.terms) for i in range(self.n))
+        return tuple(lin_comb(self.coeff[i], self.dictionary.exprs) for i in range(self.n))
 
     def symbolic_k_step(self, k: int) -> tuple[Expr, ...]:
-        """k-fold symbolic composition of the closed loop (shared subtrees)."""
+        """k-fold symbolic composition of the closed loop (shared subtrees).
+
+        Over the identity dictionary the composition is the matrix power.
+        """
         if k < 1:
             raise ValueError("k must be >= 1")
+        terms = self.dictionary.exprs
+        if len(terms) == self.n and all(
+                isinstance(t, Var) and t.index == i for i, t in enumerate(terms)):
+            # linear system: A^k x in closed form; substituting A x into
+            # itself would widen interval enclosures by dependency
+            Ak = np.linalg.matrix_power(self.coeff, k)
+            return tuple(lin_comb(Ak[i], terms) for i in range(self.n))
         f1 = self.symbolic_step()
         fk = f1
         for _ in range(k - 1):
@@ -226,44 +233,10 @@ class DataDrivenModel:
         return fk
 
 
-def build_model(trajectory: TrajectoryData, dictionary: Dictionary) -> DataDrivenModel:
+def build_model(trajectory: TrajectoryData, dictionary: ExprMap) -> DataDrivenModel:
     """Construct the data-driven model; fails loudly if D0 is rank deficient."""
-    Q, sigma_min = _right_inverse(trajectory.D0, "dictionary data matrix")
+    Q, sigma_min = _right_inverse(trajectory.D0)
     return DataDrivenModel(Q=Q, X1=trajectory.X1, dictionary=dictionary, sigma_min=sigma_min)
-
-
-@dataclass(frozen=True, eq=False)
-class LinearDataModel:
-    """Linear specialisation: A_hat = X1 @ Q with Q a right inverse of X0."""
-
-    A_hat: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "A_hat", np.asarray(self.A_hat, dtype=float))
-
-    @property
-    def n(self) -> int:
-        return self.A_hat.shape[0]
-
-
-def build_linear_model(X0: np.ndarray, X1: np.ndarray) -> LinearDataModel:
-    """Recover the system matrix of a linear system from state data."""
-    X0 = np.asarray(X0, dtype=float)
-    X1 = np.asarray(X1, dtype=float)
-    if X0.shape != X1.shape:
-        raise ValueError("X0 and X1 must have matching shapes")
-    Q, _ = _right_inverse(X0, "state data matrix")
-    return LinearDataModel(A_hat=X1 @ Q)
-
-
-def linear_k_step(model: LinearDataModel, x: Sequence[float], k: int) -> np.ndarray:
-    """Apply A_hat k times to x."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    out = np.asarray(x, dtype=float)
-    for _ in range(k):
-        out = model.A_hat @ out
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -280,26 +253,13 @@ def trajectory_to_csv(trajectory: TrajectoryData, path) -> None:
             writer.writerow([repr(float(v)) for v in row])
 
 
-def trajectory_from_csv(path, dictionary: Dictionary) -> TrajectoryData:
+def trajectory_from_csv(path, dictionary: ExprMap) -> TrajectoryData:
     """Rebuild the data matrices from an externally recorded state sequence."""
     with open(path, newline="") as fh:
         rows = [r for r in csv.reader(fh) if r]
     if rows and not _is_numeric_row(rows[0]):
         rows = rows[1:]
-    states = np.array([[float(v) for v in row] for row in rows])
-    if states.ndim != 2 or states.shape[0] < 2:
-        raise ValueError("trajectory CSV needs at least two states")
-    if states.shape[1] != dictionary.n:
-        raise ValueError("trajectory CSV column count does not match the state dimension")
-    T = states.shape[0] - 1
-    if T < dictionary.size:
-        raise ValueError(
-            f"insufficient samples for rank condition: T={T} < N={dictionary.size}"
-        )
-    X0 = states[:T].T
-    X1 = states[1:].T
-    D0 = dictionary.eval_batch(states[:T]).T
-    return TrajectoryData(X0=X0, X1=X1, D0=D0, T=T)
+    return trajectory_from_states([[float(v) for v in row] for row in rows], dictionary)
 
 
 def _is_numeric_row(row: list[str]) -> bool:

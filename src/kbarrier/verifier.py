@@ -27,13 +27,12 @@ from typing import Sequence
 
 import numpy as np
 
-from .expr import Box, Const, Expr, Tape, neg, sub, lin_comb, substitute
+from .expr import Box, Const, Expr, Tape, neg, sub, substitute
 from .learner import KBCSpec, SafetySpec
-from .dynamics import LinearDataModel
 
 __all__ = [
     "VerificationTask", "Verdict", "Constraint",
-    "condition_exprs", "check_point", "verify", "verify_linear",
+    "condition_exprs", "check_point", "verify",
     "CONDITION_TAGS",
 ]
 
@@ -303,17 +302,3 @@ def verify(task: VerificationTask, pruned_sink: list | None = None) -> Verdict:
                        boxes_explored=total, wall_time=elapsed)
     return Verdict(kind="valid", boxes_explored=total, wall_time=elapsed)
 
-
-def verify_linear(B: Expr, model: LinearDataModel, spec: SafetySpec, kbc: KBCSpec,
-                  delta: float = 0.001, max_boxes: int = _DEFAULT_MAX_BOXES) -> Verdict:
-    """Verify against linear dynamics: f1 = A_hat x, fk = A_hat^k x in closed form."""
-    from .expr import Var
-
-    xs = [Var(i) for i in range(model.n)]
-    A = model.A_hat
-    Ak = np.linalg.matrix_power(A, kbc.k)
-    f1 = tuple(lin_comb(A[i], xs) for i in range(model.n))
-    fk = tuple(lin_comb(Ak[i], xs) for i in range(model.n))
-    task = VerificationTask(B=B, f1_sym=f1, fk_sym=fk, spec=spec, kbc=kbc,
-                            delta=delta, max_boxes=max_boxes)
-    return verify(task)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from kbarrier import (
-    Box, builtin_config, build_model, collect_trajectory,
+    Box, ExprMap, builtin_config, build_model, collect_trajectory,
     NetworkParams,
 )
 from kbarrier.expr import (
@@ -25,6 +25,11 @@ def _pipeline(name):
     trajectory = collect_trajectory(truth, dictionary, config.x0, config.trajectory_length)
     model = build_model(trajectory, dictionary)
     return config, truth, dictionary, trajectory, model
+
+
+def identity_dictionary(n: int) -> ExprMap:
+    """The dictionary x0..x{n-1}: build_model over it recovers a linear system."""
+    return ExprMap(tuple(Var(i) for i in range(n)), n)
 
 
 @pytest.fixture(scope="session")

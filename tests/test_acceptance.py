@@ -15,8 +15,8 @@ import pytest
 
 from kbarrier import (
     Box, KBCSpec, TrainConfig, VerificationTask,
-    build_linear_model, check_point, eval_interval, eval_point, gradient,
-    init_params, loss, run, verify,
+    build_model, check_point, eval_interval, eval_point, gradient,
+    init_params, loss, run, trajectory_from_states, verify,
 )
 from kbarrier.expr import Add, Const, Mul, Neg, Pow, Sub, Tape, Var, parse_expr
 from kbarrier.learner import SafetySpec
@@ -42,7 +42,7 @@ def test_criterion_1_model_exactness(highly_nonlinear, polynomial, pendulum):
         rng = np.random.default_rng(0)
         spec = config.safety_spec()
         pts = spec.X.sample(rng, 1000)
-        worst[config.name] = float(np.abs(model.step_batch(pts) - truth.step_batch(pts)).max())
+        worst[config.name] = float(np.abs(model.step_batch(pts) - truth.eval_batch(pts)).max())
     elapsed = time.perf_counter() - t0
     ok = max(worst.values()) <= 1e-7 and elapsed < 5.0
     report(1, "model exactness", ok, f"errors={worst} time={elapsed:.2f}s")
@@ -65,10 +65,9 @@ def test_criterion_2_linear_recovery():
         states = [x]
         for _ in range(n + 1):
             states.append(A @ states[-1])
-        X0 = np.column_stack(states[:n + 1])
-        X1 = np.column_stack(states[1:n + 2])
-        model = build_linear_model(X0, X1)
-        worst = max(worst, float(np.abs(model.A_hat - A).max()))
+        dictionary = helpers.identity_dictionary(n)
+        model = build_model(trajectory_from_states(states, dictionary), dictionary)
+        worst = max(worst, float(np.abs(model.coeff - A).max()))
     elapsed = time.perf_counter() - t0
     ok = worst <= 1e-8 and elapsed < 1.0
     report(2, "linear recovery", ok, f"worst={worst:.2e} time={elapsed:.2f}s")

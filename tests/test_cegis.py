@@ -7,13 +7,14 @@ from kbarrier import (
     Box, CegisConfig, KBCSpec, SafetySpec, TrainConfig, VerificationTask,
     augment, check_point, init_params, parse_expr, run, sample_dataset, verify,
 )
-from kbarrier.dynamics import DataDrivenModel, Dictionary
-from kbarrier.expr import Var
+from kbarrier.dynamics import DataDrivenModel
+
+from conftest import identity_dictionary
 
 
 def identity_model() -> DataDrivenModel:
-    dictionary = Dictionary(terms=(Var(0), Var(1)), n=2)
-    return DataDrivenModel(Q=np.eye(2), X1=np.eye(2), dictionary=dictionary, sigma_min=1.0)
+    return DataDrivenModel(Q=np.eye(2), X1=np.eye(2), dictionary=identity_dictionary(2),
+                           sigma_min=1.0)
 
 
 def toy_setup():

@@ -4,12 +4,14 @@ import numpy as np
 import pytest
 
 from kbarrier import (
-    Dictionary, RankDeficientData, TrajectoryData, TruthModel,
-    build_linear_model, build_model, collect_trajectory, linear_k_step,
-    trajectory_from_csv, trajectory_to_csv,
+    Box, ExprMap, RankDeficientData, TrajectoryData,
+    build_model, collect_trajectory, trajectory_from_csv, trajectory_from_states,
+    trajectory_to_csv,
 )
 from kbarrier.dynamics import DataDrivenModel
-from kbarrier.expr import Const, Var, eval_point, substitute
+from kbarrier.expr import Const, Var, eval_interval, eval_point, lin_comb, substitute
+
+from conftest import identity_dictionary
 
 X1, X2 = Var(0), Var(1)
 
@@ -18,11 +20,11 @@ class TestCollectTrajectory:
     def test_nonlinear_study_first_columns(self, highly_nonlinear):
         config, truth, dictionary, trajectory, _ = highly_nonlinear
         assert trajectory.X0[:, 0] == pytest.approx([0.5, -1.0])
-        assert trajectory.X1[:, 0] == pytest.approx(truth.step([0.5, -1.0]))
+        assert trajectory.X1[:, 0] == pytest.approx(truth.eval([0.5, -1.0]))
 
     def test_constant_dictionary_row(self):
-        truth = TruthModel(n=1, step_exprs=(Const(0.5) * Var(0),))
-        dictionary = Dictionary(terms=(Var(0), Const(1.0)), n=1)
+        truth = ExprMap((Const(0.5) * Var(0),), 1)
+        dictionary = ExprMap((Var(0), Const(1.0)), 1)
         trajectory = collect_trajectory(truth, dictionary, [1.0], T=2)
         assert np.all(trajectory.D0[1] == 1.0)
 
@@ -37,13 +39,33 @@ class TestCollectTrajectory:
         with pytest.raises(ValueError, match="insufficient samples"):
             collect_trajectory(truth, dictionary, [0.5, -2.0], T=4)
 
+    def test_truth_needs_one_expression_per_dimension(self):
+        truth = ExprMap((Var(0) + Var(1),), 2)
+        with pytest.raises(ValueError, match="one step expression per dimension"):
+            collect_trajectory(truth, identity_dictionary(2), [0.0, 1.0], T=3)
+
+
+class TestExprMap:
+    def test_empty_rejected(self):
+        with pytest.raises(ValueError, match="at least one expression"):
+            ExprMap((), 2)
+
+    def test_variable_beyond_dimension_rejected(self):
+        with pytest.raises(ValueError, match="beyond the state dimension"):
+            ExprMap((Var(0), Var(2)), 2)
+
+    def test_eval_matches_batch(self):
+        m = ExprMap((X1 * X2, Const(3.0), X2), 2)
+        assert m.size == 3
+        assert np.array_equal(m.eval([2.0, -1.0]), [-2.0, 3.0, -1.0])
+        assert m.eval_batch(np.array([[2.0, -1.0], [0.5, 4.0]])).shape == (2, 3)
+
 
 class TestBuildModel:
     def test_identity_dictionary_data(self):
-        dictionary = Dictionary(terms=(X1, X2, X1 * X2), n=2)
+        dictionary = ExprMap((X1, X2, X1 * X2), 2)
         trajectory = TrajectoryData(
-            X0=np.arange(6.0).reshape(2, 3), X1=np.ones((2, 3)),
-            D0=np.eye(3), T=3,
+            X0=np.arange(6.0).reshape(2, 3), X1=np.ones((2, 3)), D0=np.eye(3),
         )
         model = build_model(trajectory, dictionary)
         assert np.allclose(model.Q, np.eye(3), atol=1e-12)
@@ -59,16 +81,16 @@ class TestBuildModel:
             rng = np.random.default_rng(seed)
             D0 = rng.normal(size=(4, 9))
             trajectory = TrajectoryData(X0=rng.normal(size=(2, 9)),
-                                        X1=rng.normal(size=(2, 9)), D0=D0, T=9)
-            dictionary = Dictionary(terms=(X1, X2, X1 * X2, X1 ** 2), n=2)
+                                        X1=rng.normal(size=(2, 9)), D0=D0)
+            dictionary = ExprMap((X1, X2, X1 * X2, X1 ** 2), 2)
             model = build_model(trajectory, dictionary)
             assert np.abs(D0 @ model.Q - np.eye(4)).max() <= 1e-8
 
     def test_rank_deficient_rejected(self):
         row = np.linspace(0.0, 1.0, 5)
         D0 = np.vstack([row, 2.0 * row])
-        trajectory = TrajectoryData(X0=np.zeros((1, 5)), X1=np.zeros((1, 5)), D0=D0, T=5)
-        dictionary = Dictionary(terms=(Var(0), Var(0) ** 2), n=1)
+        trajectory = TrajectoryData(X0=np.zeros((1, 5)), X1=np.zeros((1, 5)), D0=D0)
+        dictionary = ExprMap((Var(0), Var(0) ** 2), 1)
         with pytest.raises(RankDeficientData, match="persistency of excitation"):
             build_model(trajectory, dictionary)
 
@@ -82,7 +104,7 @@ class TestStep:
         _, truth, _, _, model = polynomial
         rng = np.random.default_rng(42)
         for x in rng.uniform(-2, 2, size=(100, 2)):
-            assert np.abs(model.step(x) - truth.step(x)).max() <= 1e-8
+            assert np.abs(model.step(x) - truth.eval(x)).max() <= 1e-8
 
     def test_replays_training_column(self, highly_nonlinear):
         _, _, _, trajectory, model = highly_nonlinear
@@ -107,7 +129,7 @@ class TestKStep:
         for x in rng.uniform(-1.5, 1.5, size=(50, 2)):
             t = x.copy()
             for _ in range(3):
-                t = truth.step(t)
+                t = truth.eval(t)
             assert np.abs(model.k_step(x, 3) - t).max() <= 1e-7
 
     def test_k_validation(self, polynomial):
@@ -118,8 +140,7 @@ class TestKStep:
 
 class TestSymbolicStep:
     def test_identity_dynamics(self):
-        dictionary = Dictionary(terms=(X1, X2), n=2)
-        model = DataDrivenModel(Q=np.eye(2), X1=np.eye(2), dictionary=dictionary,
+        model = DataDrivenModel(Q=np.eye(2), X1=np.eye(2), dictionary=identity_dictionary(2),
                                 sigma_min=1.0)
         f1 = model.symbolic_step()
         assert isinstance(f1[0], Var) and f1[0].index == 0
@@ -156,14 +177,40 @@ class TestSymbolicStep:
         with pytest.warns(RuntimeWarning, match="tree nodes"):
             model.symbolic_k_step(7)
 
+    def test_identity_dictionary_composes_the_matrix_power(self):
+        # substituting A x into itself encloses A^k x more loosely over a box
+        # (each state variable appears once per path); the closed form does not
+        A = np.array([[0.9, 0.2], [-0.1, 0.8]])
+        model = DataDrivenModel(Q=np.eye(2), X1=A, dictionary=identity_dictionary(2),
+                                sigma_min=1.0)
+        X = Box.from_bounds([(-2, 2), (-2, 2)])
+        for k in (2, 3):
+            Ak = np.linalg.matrix_power(model.coeff, k)
+            closed = [lin_comb(Ak[i], (X1, X2)) for i in range(2)]
+            fk = model.symbolic_k_step(k)
+            for got, want in zip(fk, closed):
+                assert eval_interval(got, X) == eval_interval(want, X)
+
+
+def linear_model(X0, X1) -> DataDrivenModel:
+    """x+ = A x from state data: build_model over the identity dictionary."""
+    X0 = np.asarray(X0, dtype=float)
+    return build_model(TrajectoryData(X0=X0, X1=X1, D0=X0), identity_dictionary(X0.shape[0]))
+
+
+def rollout(A, x, steps):
+    states = [np.asarray(x, dtype=float)]
+    for _ in range(steps):
+        states.append(A @ states[-1])
+    return states
+
 
 class TestLinearModel:
     def test_scalar_recovery(self):
         # x+ = 0.9 x, two samples from x0 = 1
-        X0 = np.array([[1.0, 0.9]])
-        X1 = np.array([[0.9, 0.81]])
-        model = build_linear_model(X0, X1)
-        assert model.A_hat[0, 0] == pytest.approx(0.9, abs=1e-10)
+        trajectory = trajectory_from_states([[1.0], [0.9], [0.81]], identity_dictionary(1))
+        model = build_model(trajectory, identity_dictionary(1))
+        assert model.coeff[0, 0] == pytest.approx(0.9, abs=1e-10)
 
     def test_random_recovery(self):
         # randomized oracle: stable 2x2 systems, T = 3 samples
@@ -171,44 +218,37 @@ class TestLinearModel:
             rng = np.random.default_rng(seed)
             A = rng.uniform(-1, 1, (2, 2))
             A *= 0.9 / max(np.abs(np.linalg.eigvals(A)).max(), 1e-3)
-            x = rng.uniform(-1, 1, 2)
-            states = [x]
-            for _ in range(3):
-                states.append(A @ states[-1])
-            X0 = np.column_stack(states[:3])
-            X1 = np.column_stack(states[1:4])
-            model = build_linear_model(X0, X1)
-            assert np.abs(model.A_hat - A).max() <= 1e-8
+            states = rollout(A, rng.uniform(-1, 1, 2), 3)
+            dictionary = identity_dictionary(2)
+            model = build_model(trajectory_from_states(states, dictionary), dictionary)
+            assert np.abs(model.coeff - A).max() <= 1e-8
 
     def test_zero_trajectory_rejected(self):
-        X0 = np.zeros((2, 3))
+        dictionary = identity_dictionary(2)
         with pytest.raises(RankDeficientData):
-            build_linear_model(X0, X0)
+            build_model(trajectory_from_states(np.zeros((4, 2)), dictionary), dictionary)
 
     def test_k_step_base(self):
-        model = build_linear_model(np.array([[1.0, 0.5], [0.0, 1.0]]),
-                                   np.array([[0.5, 0.25], [0.5, 1.0]]))
+        model = linear_model(np.array([[1.0, 0.5], [0.0, 1.0]]),
+                             np.array([[0.5, 0.25], [0.5, 1.0]]))
         x = np.array([1.0, 2.0])
-        assert np.array_equal(linear_k_step(model, x, 1), model.A_hat @ x)
+        assert np.array_equal(model.k_step(x, 1), model.coeff @ x)
 
     def test_k_zero_rejected(self):
-        model = build_linear_model(np.eye(2), np.eye(2))
+        model = linear_model(np.eye(2), np.eye(2))
         with pytest.raises(ValueError):
-            linear_k_step(model, [1.0, 1.0], 0)
+            model.k_step([1.0, 1.0], 0)
 
     def test_k_step_matches_sequential(self):
         rng = np.random.default_rng(11)
         A = rng.uniform(-1, 1, (2, 2))
-        x0 = rng.uniform(-1, 1, 2)
-        states = [x0]
-        for _ in range(2):
-            states.append(A @ states[-1])
-        model = build_linear_model(np.column_stack(states[:2]), np.column_stack(states[1:3]))
+        states = rollout(A, rng.uniform(-1, 1, 2), 2)
+        model = linear_model(np.column_stack(states[:2]), np.column_stack(states[1:3]))
         x = rng.uniform(-1, 1, 2)
         expected = x.copy()
         for _ in range(4):
-            expected = model.A_hat @ expected
-        assert np.abs(linear_k_step(model, x, 4) - expected).max() <= 1e-12
+            expected = model.coeff @ expected
+        assert np.abs(model.k_step(x, 4) - expected).max() <= 1e-12
 
 
 class TestModelInvariants:
@@ -217,7 +257,7 @@ class TestModelInvariants:
             _, truth, _, _, model = bundle
             rng = np.random.default_rng(0)
             pts = rng.uniform(-2, 2, size=(1000, 2))
-            err = np.abs(model.step_batch(pts) - truth.step_batch(pts)).max()
+            err = np.abs(model.step_batch(pts) - truth.eval_batch(pts)).max()
             assert err <= 1e-8
 
     def test_k_step_recursion(self, highly_nonlinear):
@@ -228,26 +268,23 @@ class TestModelInvariants:
             assert np.array_equal(model.k_step(x, k), model.step(model.k_step(x, k - 1)))
 
     def test_linear_consistency_with_dictionary_model(self):
-        # for linear truth and coordinate dictionary, both routes give the same matrix
+        # linear truth map rolled out symbolically, or numpy states passed in:
+        # both routes recover the same matrix
         rng = np.random.default_rng(9)
         A = rng.uniform(-0.8, 0.8, (2, 2))
         x = rng.uniform(-1, 1, 2)
-        states = [x]
-        for _ in range(3):
-            states.append(A @ states[-1])
-        X0 = np.column_stack(states[:3])
-        X1 = np.column_stack(states[1:4])
-        linear = build_linear_model(X0, X1)
-        dictionary = Dictionary(terms=(X1_var := Var(0), Var(1)), n=2)
-        trajectory = TrajectoryData(X0=X0, X1=X1, D0=X0, T=3)
-        model = build_model(trajectory, dictionary)
-        assert np.abs(model.coeff - linear.A_hat).max() <= 1e-10
+        dictionary = identity_dictionary(2)
+        truth = ExprMap(tuple(lin_comb(A[i], (X1, X2)) for i in range(2)), 2)
+        simulated = build_model(collect_trajectory(truth, dictionary, x, 3), dictionary)
+        recorded = build_model(trajectory_from_states(rollout(A, x, 3), dictionary), dictionary)
+        assert np.abs(simulated.coeff - recorded.coeff).max() <= 1e-10
+        assert np.abs(recorded.coeff - A).max() <= 1e-10
 
     def test_superfluous_term_robustness(self, highly_nonlinear):
         # same trajectory, dictionary extended with an unused term
         config, truth, dictionary, _, model = highly_nonlinear
         from kbarrier.expr import Sin
-        bigger = Dictionary(terms=dictionary.terms + (Sin(X2),), n=2)
+        bigger = ExprMap(dictionary.exprs + (Sin(X2),), 2)
         trajectory = collect_trajectory(truth, bigger, config.x0, 8)
         bigger_model = build_model(trajectory, bigger)
         rng = np.random.default_rng(2)
@@ -270,4 +307,22 @@ class TestCsvRoundTrip:
         path = tmp_path / "tiny.csv"
         path.write_text("x1,x2\n0.1,0.2\n0.3,0.4\n")
         with pytest.raises(ValueError, match="insufficient samples"):
+            trajectory_from_csv(path, dictionary)
+
+    def test_non_finite_state_rejected(self, polynomial, tmp_path):
+        _, _, dictionary, _, _ = polynomial
+        path = tmp_path / "nan.csv"
+        rows = [f"{0.1 * i!r},{0.2 * i!r}" for i in range(7)]
+        rows[3] = "0.3,nan"
+        path.write_text("x1,x2\n" + "\n".join(rows) + "\n")
+        with pytest.raises(ValueError, match="state 3 has a non-finite component 1"):
+            trajectory_from_csv(path, dictionary)
+
+    def test_ragged_rows_rejected(self, polynomial, tmp_path):
+        _, _, dictionary, _, _ = polynomial
+        path = tmp_path / "ragged.csv"
+        rows = [f"{0.1 * i!r},{0.2 * i!r}" for i in range(7)]
+        rows[2] = "0.2,0.4,0.6"
+        path.write_text("x1,x2\n" + "\n".join(rows) + "\n")
+        with pytest.raises(ValueError, match="ragged rows"):
             trajectory_from_csv(path, dictionary)

@@ -4,11 +4,12 @@ import numpy as np
 import pytest
 
 from kbarrier import (
-    Box, KBCSpec, SafetySpec, VerificationTask,
-    check_point, condition_exprs, verify, verify_linear,
+    Box, KBCSpec, SafetySpec, TrajectoryData, VerificationTask,
+    build_model, check_point, condition_exprs, verify,
 )
-from kbarrier.dynamics import LinearDataModel
 from kbarrier.expr import Const, Tape, Var, eval_point
+
+from conftest import identity_dictionary
 
 X1, X2 = Var(0), Var(1)
 
@@ -151,6 +152,14 @@ class TestVerify:
         assert verify(task).kind == "exhausted"
 
 
+def verify_under(B, A, spec, kbc):
+    """Verify B against x+ = A x, recovered by build_model over the identity dictionary."""
+    model = build_model(TrajectoryData(X0=np.eye(2), X1=A, D0=np.eye(2)), identity_dictionary(2))
+    f1 = model.symbolic_step()
+    fk = model.symbolic_k_step(kbc.k) if kbc.k > 1 else f1
+    return verify(VerificationTask(B=B, f1_sym=f1, fk_sym=fk, spec=spec, kbc=kbc))
+
+
 class TestVerifyLinear:
     B_CIRCLE = X1 ** 2 + X2 ** 2 - Const(1.0)
     SPEC = SafetySpec(
@@ -164,8 +173,7 @@ class TestVerifyLinear:
         grid scan below), but the difference is exactly 0 at the origin, so the
         strict negation cannot be refuted by intervals at any delta: the honest
         delta-complete verdict is a delta-sat box at the fixed point."""
-        model = LinearDataModel(A_hat=0.5 * np.eye(2))
-        verdict = verify_linear(self.B_CIRCLE, model, self.SPEC, KBCSpec(k=2, epsilon=0.0))
+        verdict = verify_under(self.B_CIRCLE, 0.5 * np.eye(2), self.SPEC, KBCSpec(k=2, epsilon=0.0))
         assert verdict.kind == "delta_sat"
         assert verdict.box.contains([0.0, 0.0])
         assert verdict.margin <= 1e-5
@@ -181,13 +189,11 @@ class TestVerifyLinear:
         assert (b2 - b)[gate].max() <= 0.0
 
     def test_identity_dynamics_equality_case(self):
-        model = LinearDataModel(A_hat=np.eye(2))
-        verdict = verify_linear(self.B_CIRCLE, model, self.SPEC, KBCSpec(k=2, epsilon=0.0))
+        verdict = verify_under(self.B_CIRCLE, np.eye(2), self.SPEC, KBCSpec(k=2, epsilon=0.0))
         assert verdict.kind == "valid"
 
     def test_expansion_fails_evolution(self):
-        model = LinearDataModel(A_hat=2.0 * np.eye(2))
-        verdict = verify_linear(self.B_CIRCLE, model, self.SPEC, KBCSpec(k=2, epsilon=0.0))
+        verdict = verify_under(self.B_CIRCLE, 2.0 * np.eye(2), self.SPEC, KBCSpec(k=2, epsilon=0.0))
         assert verdict.kind == "counterexample"
         assert verdict.condition == "E1"
         assert verdict.margin > 0
@@ -218,9 +224,8 @@ class TestSearchSoundness:
     def test_valid_implies_grid_clean(self):
         # the identity-dynamics equality case verifies valid; a dense grid
         # falsification scan must then find nothing beyond tolerance
-        model = LinearDataModel(A_hat=np.eye(2))
         kbc = KBCSpec(k=2, epsilon=0.0)
-        verdict = verify_linear(self.b(), model, self.SPEC_SMALL, kbc)
+        verdict = verify_under(self.b(), np.eye(2), self.SPEC_SMALL, kbc)
         assert verdict.kind == "valid"
         spec = self.SPEC_SMALL
         axis = np.linspace(-2, 2, 401)
