@@ -5,9 +5,7 @@ learning rate; every later iteration resumes from the current parameters at
 the (lower) retraining rate, after appending the verifier's witness plus a
 cloud of samples around it to the dataset.  Delta-sat boxes are treated
 like counterexamples for retraining purposes: their centre is appended, and
-the loop keeps going until the verifier returns a strict `valid` (or, when
-`accept_delta_sat` is set, a delta-sat verdict ends the loop as Verified
-with the margin on record).
+the loop keeps going until the verifier returns a strict `valid`.
 """
 
 from __future__ import annotations
@@ -40,7 +38,6 @@ class CegisConfig:
     lr_retrain: float = 0.05
     train: TrainConfig = field(default_factory=TrainConfig)
     samples: int = 1000
-    accept_delta_sat: bool = False
 
     def __post_init__(self):
         if self.max_iterations < 0:
@@ -188,7 +185,7 @@ def run(spec: SafetySpec, model: DataDrivenModel, kbc: KBCSpec,
             candidate=format_expr(candidate),
         ))
 
-        if verdict.kind == "valid" or (verdict.kind == "delta_sat" and cfg.accept_delta_sat):
+        if verdict.kind == "valid":
             return CegisReport(outcome="verified", iterations=iteration,
                                records=tuple(records), certificate=candidate,
                                params=params, final_verdict=verdict, seed=seed)

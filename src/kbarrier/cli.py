@@ -7,7 +7,7 @@ Exit codes are part of the interface so CI scripts can assert outcomes:
     2  configuration or input error
     3  rank failure while building the data-driven model
     4  verifier exhausted its box budget
-    5  synthesis terminated without a verified certificate
+    5  synthesis terminated without a verified certificate, or training diverged
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from . import cegis as cegis_mod
 from .configs import BUILTIN_NAMES, CaseStudyConfig, ConfigError, load_config
 from .dynamics import RankDeficientData, build_model, collect_trajectory
 from .expr import Tape, max_var_index, parse_expr
-from .learner import KBCSpec, export_certificate, init_params
+from .learner import KBCSpec, TrainingDiverged, export_certificate, init_params
 from .verifier import VerificationTask, verify
 
 EXIT_OK = 0
@@ -226,6 +226,9 @@ def main(argv=None) -> int:
     except RankDeficientData as err:
         print(f"rank failure: {err}", file=sys.stderr)
         return EXIT_RANK
+    except TrainingDiverged as err:
+        print(f"training diverged: {err}", file=sys.stderr)
+        return EXIT_TERMINATED
     except (ConfigError, ValueError) as err:
         # validation errors from flag values (k, epsilon, delta, ...) land here
         print(f"config error: {err}", file=sys.stderr)

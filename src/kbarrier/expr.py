@@ -440,15 +440,32 @@ def _pad_out(lo, hi) -> tuple[np.ndarray, np.ndarray]:
     return out[0], out[1]
 
 
-def _contains_center(lo: np.ndarray, hi: np.ndarray, offset: float) -> np.ndarray:
-    """True where [lo, hi] contains offset + 2*pi*k for some integer k.
+def _contains_centers(lo, hi, centers: np.ndarray) -> np.ndarray:
+    """Row i is True where [lo, hi] contains centers[i] + 2*pi*k for some integer k.
 
-    Fuzzed towards "contains", which can only widen the resulting enclosure.
+    The two rows of `centers`, shape (2, 1), share one pass of the
+    element-wise operations over a stacked broadcast.  Fuzzed towards
+    "contains", which can only widen the resulting enclosure.
     """
-    t = (lo - offset) / _TWO_PI
-    u = (hi - offset) / _TWO_PI
-    fuzz = 4e-16 * (2.0 + np.abs(t) + np.abs(u))
-    return np.floor(u + fuzz) >= np.ceil(t - fuzz)
+    centers = centers.reshape((2,) + (1,) * max(np.ndim(lo), np.ndim(hi)))
+    # t = (lo - c) / 2pi, u = (hi - c) / 2pi and fuzz = 4e-16 * (2 + |t| + |u|),
+    # worked in place: fresh (2, m) temporaries cost more than the arithmetic
+    t = lo - centers
+    t /= _TWO_PI
+    u = hi - centers
+    u /= _TWO_PI
+    fuzz = np.abs(t)
+    fuzz += 2.0
+    fuzz += np.abs(u)
+    fuzz *= 4e-16
+    u += fuzz
+    t -= fuzz
+    return np.floor(u, out=u) >= np.ceil(t, out=t)
+
+
+# where sin and cos reach their maximum (row 0) and minimum (row 1)
+_SIN_EXTREMA = np.array([[_HALF_PI], [-_HALF_PI]])
+_COS_EXTREMA = np.array([[0.0], [math.pi]])
 
 
 def _trig_range(values_lo: np.ndarray, values_hi: np.ndarray,
@@ -468,18 +485,16 @@ def _sin_range(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     the corresponding bound to +-1; otherwise the endpoint values bound the
     range.
     """
-    return _trig_range(np.sin(lo), np.sin(hi),
-                       _contains_center(lo, hi, _HALF_PI),
-                       _contains_center(lo, hi, -_HALF_PI))
+    has_max, has_min = _contains_centers(lo, hi, _SIN_EXTREMA)
+    return _trig_range(np.sin(lo), np.sin(hi), has_max, has_min)
 
 
 def _cos_range(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Sound enclosure of cos; endpoints must come from cos itself, since a
     sin(x + pi/2) rewrite would shift by an inexact constant the point
     evaluator never sees."""
-    return _trig_range(np.cos(lo), np.cos(hi),
-                       _contains_center(lo, hi, 0.0),
-                       _contains_center(lo, hi, math.pi))
+    has_max, has_min = _contains_centers(lo, hi, _COS_EXTREMA)
+    return _trig_range(np.cos(lo), np.cos(hi), has_max, has_min)
 
 
 def _pow_range(lo: np.ndarray, hi: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:

@@ -20,10 +20,19 @@ matmuls and reductions, because stacking them into one array changes the
 BLAS path and with it the last bits of the result.  Training stops at the
 first epoch with a loss of exactly zero, which cannot change the parameters
 it returns (see `train`).
+
+An epoch costs little beyond its arithmetic.  Adam keeps its state in one
+flat vector [W.ravel(), b, v, c], of which the per-epoch parameters are
+views, wrapped without re-validation (`train` argues why that is safe).
+`DatasetTriple` holds the row indices of its region masks.  Biases and
+output weights are tiled to full (m, h) arrays once per epoch (`_rows`),
+so no element-wise step broadcasts a row at a time.  Every one of these
+gives the same bits as the plain formulation; the tests compare against it.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass, field, replace
@@ -121,6 +130,19 @@ class NetworkParams:
         if not math.isfinite(self.out_bias):
             raise ValueError("parameters must be finite")
 
+    @classmethod
+    def _trusted(cls, weights: np.ndarray, biases: np.ndarray, out_weights: np.ndarray,
+                 out_bias: float, activations: tuple[str, ...]) -> NetworkParams:
+        """Wrap arrays of the right shape and dtype without validating them.
+
+        Only for `train`'s per-epoch parameters; see `train` for why a
+        non-finite value there cannot escape.
+        """
+        params = object.__new__(cls)
+        params.__dict__.update(weights=weights, biases=biases, out_weights=out_weights,
+                               out_bias=out_bias, activations=activations)
+        return params
+
     @property
     def width(self) -> int:
         return self.weights.shape[0]
@@ -134,7 +156,7 @@ class NetworkParams:
         return float(self.forward_batch(np.asarray(x, dtype=float)[None, :])[0])
 
     def forward_batch(self, states: np.ndarray) -> np.ndarray:
-        return _forward(self, np.asarray(states, dtype=float))[2]
+        return _forward(self, np.asarray(states, dtype=float), self.biases)[2]
 
     def to_expr(self) -> Expr:
         """Export the candidate as a closed-form expression."""
@@ -171,10 +193,16 @@ def _activate(z: np.ndarray, activations: tuple[str, ...],
               with_grad: bool = False) -> tuple[np.ndarray, np.ndarray | None]:
     """Activations of the columns of z and, with_grad, their derivatives (else None).
 
-    One column at a time: the time goes into the element-wise sin and cos,
-    and numpy runs those more slowly on a block of a few strided columns,
-    where its inner loop is only as long as the block is wide.
+    A network of one kind takes one call per function over the whole of z.
+    A mixed one goes a column at a time: sin and cos cost the same per
+    element either way, and numpy runs them more slowly on a block of a few
+    strided columns, where its inner loop is only as long as the block is
+    wide.  Square, sin and cos give the same bits both ways.
     """
+    kinds = set(activations)
+    if len(kinds) == 1:
+        f, df = _ACT_NUMPY[kinds.pop()]
+        return f(z), (df(z) if with_grad else None)
     g = np.empty_like(z)
     gp = np.empty_like(z) if with_grad else None
     for j, a in enumerate(activations):
@@ -186,9 +214,31 @@ def _activate(z: np.ndarray, activations: tuple[str, ...],
     return g, gp
 
 
-def _forward(params: NetworkParams, states: np.ndarray, with_grad: bool = False):
-    """Activations, their derivatives (or None) and B at a batch of states."""
-    z = states @ params.weights.T + params.biases
+@functools.lru_cache(maxsize=8)
+def _tile_index(m: int, h: int) -> np.ndarray:
+    return np.tile(np.arange(h), (m, 1))
+
+
+def _rows(x: np.ndarray, m: int) -> np.ndarray:
+    """x repeated as each of m rows: the (m, h) array numpy would broadcast x to.
+
+    Element-wise arithmetic with it gives the same bits as with x itself,
+    and is faster than broadcasting x, which numpy does with one inner-loop
+    call of length h per row.  An epoch builds it once for the biases and
+    once for the output weights, and uses each at all three evaluation
+    sites.
+    """
+    return x[_tile_index(m, x.shape[0])]
+
+
+def _forward(params: NetworkParams, states: np.ndarray, bias: np.ndarray,
+             with_grad: bool = False):
+    """Activations, their derivatives (or None) and B at a batch of states.
+
+    `bias` is params.biases, or `_rows` of it for len(states) rows.
+    """
+    z = states @ params.weights.T
+    z += bias
     g, gp = _activate(z, params.activations, with_grad)
     return g, gp, g @ params.out_weights + params.out_bias
 
@@ -210,6 +260,9 @@ class NetworkGradient:
     """Gradient of the training loss with the same layout as NetworkParams.
 
     `loss` is the total loss at the same parameters, computed on the way.
+    `flat` holds the same numbers as one vector
+    [weights.ravel(), biases, out_weights, out_bias]; the three arrays are
+    views of it.
     """
 
     weights: np.ndarray
@@ -217,6 +270,7 @@ class NetworkGradient:
     out_weights: np.ndarray
     out_bias: float
     loss: float
+    flat: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -256,7 +310,11 @@ class TrainConfig:
 
 @dataclass(frozen=True, eq=False)
 class DatasetTriple:
-    """Sampled states with their 1-step and k-step data-driven evolutions."""
+    """Sampled states with their 1-step and k-step data-driven evolutions.
+
+    `idx_init` and `idx_unsafe` are the row indices of the two region masks,
+    computed at construction (and so again by `dataclasses.replace`).
+    """
 
     S: np.ndarray
     S_plus: np.ndarray
@@ -264,6 +322,8 @@ class DatasetTriple:
     mask_init: np.ndarray
     mask_unsafe: np.ndarray
     spec: SafetySpec
+    idx_init: np.ndarray = field(init=False, repr=False)
+    idx_unsafe: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         for name in ("S", "S_plus", "S_kplus"):
@@ -275,6 +335,8 @@ class DatasetTriple:
             raise ValueError("evolution arrays must match the sample array")
         if self.mask_init.shape != (m,) or self.mask_unsafe.shape != (m,):
             raise ValueError("masks must have one entry per sample")
+        object.__setattr__(self, "idx_init", np.flatnonzero(self.mask_init))
+        object.__setattr__(self, "idx_unsafe", np.flatnonzero(self.mask_unsafe))
 
     @property
     def size(self) -> int:
@@ -313,25 +375,42 @@ def sample_dataset(spec: SafetySpec, model: DataDrivenModel, kbc: KBCSpec,
                          mask_init=mask_init, mask_unsafe=mask_unsafe, spec=spec)
 
 
+def _hinge_mean(arg: np.ndarray) -> float:
+    """Mean of max(arg, 0): the sum over its size, as ndarray.mean computes it in 1-D."""
+    h = np.maximum(arg, 0.0)
+    return float(np.add.reduce(h) / h.size)
+
+
+def _column_sums(t: np.ndarray) -> np.ndarray:
+    """np.add.reduce(t, 0) of a C-ordered (m, h) array, bit for bit.
+
+    For h > 1 numpy adds the rows in order, one inner-loop call of length h
+    per row.  np.add.accumulate down the columns adds them in the same order
+    with one call per column, which is faster while h is small.  A single
+    column is summed pairwise, so it, and wider arrays, take the reduce.
+    """
+    if 1 < t.shape[1] <= 4:
+        return np.add.accumulate(t, 0)[-1]
+    return np.add.reduce(t, 0)
+
+
 def _loss_pieces(params: NetworkParams, data: DatasetTriple, kbc: KBCSpec,
                  cfg: TrainConfig, with_grad: bool = False):
     """Loss breakdown, hinge arguments, and the `_forward` result at S, S+, Sk."""
-    if not data.mask_init.any() or not data.mask_unsafe.any():
+    idx_i, idx_u = data.idx_init, data.idx_unsafe
+    if not idx_i.size or not idx_u.size:
         raise ValueError("region mask empty; increase quota sampling")
-    sites = [_forward(params, states, with_grad)
+    bias = _rows(params.biases, data.size)
+    sites = [_forward(params, states, bias, with_grad)
              for states in (data.S, data.S_plus, data.S_kplus)]
     B_s, B_1, B_k = (site[2] for site in sites)
-    arg_i = B_s[data.mask_init] + cfg.eta1
-    arg_u = -B_s[data.mask_unsafe] + kbc.lam + cfg.eta2
-    arg_1 = B_1 - B_s - kbc.epsilon + cfg.eta3
-    arg_k = B_k - B_s + cfg.eta4
-    breakdown = (
-        float(np.maximum(arg_i, 0.0).mean()),
-        float(np.maximum(arg_u, 0.0).mean()),
-        float(np.maximum(arg_1, 0.0).mean()),
-        float(np.maximum(arg_k, 0.0).mean()),
+    args = (
+        B_s[idx_i] + cfg.eta1,
+        -B_s[idx_u] + kbc.lam + cfg.eta2,
+        B_1 - B_s - kbc.epsilon + cfg.eta3,
+        B_k - B_s + cfg.eta4,
     )
-    return breakdown, (arg_i, arg_u, arg_1, arg_k), sites
+    return tuple(_hinge_mean(a) for a in args), args, sites
 
 
 def loss(params: NetworkParams, data: DatasetTriple, kbc: KBCSpec,
@@ -347,41 +426,64 @@ def gradient(params: NetworkParams, data: DatasetTriple, kbc: KBCSpec,
     breakdown, (arg_i, arg_u, arg_1, arg_k), sites = _loss_pieces(
         params, data, kbc, cfg, with_grad=True)
     m = data.size
-    n_i = int(data.mask_init.sum())
-    n_u = int(data.mask_unsafe.sum())
+    idx_i, idx_u = data.idx_init, data.idx_unsafe
 
     # dL/dB at each evaluation site
     coef_s = np.zeros(m)
-    coef_s[data.mask_init] += (arg_i > 0).astype(float) / n_i
-    coef_s[data.mask_unsafe] -= (arg_u > 0).astype(float) / n_u
-    act_1 = (arg_1 > 0).astype(float) / m
-    act_k = (arg_k > 0).astype(float) / m
+    coef_s[idx_i] += (arg_i > 0) / idx_i.size
+    coef_s[idx_u] -= (arg_u > 0) / idx_u.size
+    act_1 = (arg_1 > 0) / m
+    act_k = (arg_k > 0) / m
     coef_s -= act_1 + act_k
 
-    gw = np.zeros_like(params.weights)
-    gb = np.zeros_like(params.biases)
-    gv = np.zeros_like(params.out_weights)
+    h, n = params.weights.shape
+    flat = np.zeros(h * n + 2 * h + 1)
+    gw = flat[:h * n].reshape(h, n)
+    gb = flat[h * n:h * n + h]
+    gv = flat[h * n + h:-1]
     gc = 0.0
+    v = _rows(params.out_weights, m)
     # one accumulation per site, in this order: merging them changes the rounding
     for states, coef, (g, gp, _) in zip((data.S, data.S_plus, data.S_kplus),
                                         (coef_s, act_1, act_k), sites):
         gv += g.T @ coef
-        gc += float(coef.sum())
-        t = (coef[:, None] * gp) * params.out_weights[None, :]
-        gb += t.sum(axis=0)
+        gc += float(np.add.reduce(coef))
+        t = (coef[:, None] * gp) * v
+        gb += _column_sums(t)
         gw += t.T @ states
+    flat[-1] = gc
     return NetworkGradient(weights=gw, biases=gb, out_weights=gv, out_bias=gc,
-                           loss=float(sum(breakdown)))
+                           loss=float(sum(breakdown)), flat=flat)
 
 
 def train(p0: NetworkParams, data: DatasetTriple, kbc: KBCSpec,
           cfg: TrainConfig) -> NetworkParams:
     """Full-batch Adam; returns the parameters with the lowest observed loss.
 
+    Adam runs on one flat vector theta = [W.ravel(), b, v, c], with its
+    first and second moments the same shape.  W, b and v are views of
+    theta, so each epoch is one vector update, and an improvement costs one
+    copy.  Adam is element-wise, so this is the same arithmetic, in the same
+    order, as updating the four parameter blocks one by one.
+
     Each epoch calls the module-level `gradient` exactly once, with the
     current `NetworkParams` and `data`, and takes the loss from its result:
     one forward and one backward pass per epoch.  Code that wraps
     `gradient`, such as a tracer counting epochs, relies on that.
+
+    The per-epoch `NetworkParams` wrap theta's views without the finiteness
+    check of the constructor, and no non-finite parameter can come back
+    from that.  Under IEEE arithmetic, which numpy's matmul keeps by
+    computing every product, a non-finite weight or bias makes the affine
+    term, and with it the activation, non-finite at every state, and a
+    non-finite activation, output weight or output bias makes B non-finite
+    there.  At a sample in X_I (there is one, or the loss raises
+    ValueError) the initial-region hinge is then +inf or NaN, unless B there
+    is -inf, and then the one-step hinge B(S+) - B(S) is.  So the loss is
+    non-finite and TrainingDiverged is raised before such parameters can
+    become the best ones.  The parameters returned still go through the
+    validating constructor.  Floating-point warnings are silenced inside
+    the loop, since TrainingDiverged reports what they would.
 
     Training stops at the first epoch whose loss is exactly 0.0.  This
     changes no result: the best parameters are replaced only on a strict
@@ -391,48 +493,45 @@ def train(p0: NetworkParams, data: DatasetTriple, kbc: KBCSpec,
     """
     if cfg.epochs == 0:
         return p0
-    W = p0.weights.copy()
-    b = p0.biases.copy()
-    v = p0.out_weights.copy()
-    c = p0.out_bias
-    mom = [np.zeros_like(W), np.zeros_like(b), np.zeros_like(v), 0.0]
-    sec = [np.zeros_like(W), np.zeros_like(b), np.zeros_like(v), 0.0]
+    h, n = p0.weights.shape
+    w_end, b_end = h * n, h * n + h
+    theta = np.concatenate([p0.weights.ravel(), p0.biases, p0.out_weights, [p0.out_bias]])
+    W, b, v = theta[:w_end].reshape(h, n), theta[w_end:b_end], theta[b_end:-1]
+    mom = np.zeros_like(theta)
+    sec = np.zeros_like(theta)
     best_loss = math.inf
-    best = (W.copy(), b.copy(), v.copy(), c)
+    best = theta.copy()
+    beta1, beta2, lr, eps = cfg.beta1, cfg.beta2, cfg.learning_rate, cfg.adam_epsilon
+    decay1, decay2 = 1.0 - beta1, 1.0 - beta2
 
     def current() -> NetworkParams:
-        return replace(p0, weights=W, biases=b, out_weights=v, out_bias=c)
+        return NetworkParams._trusted(W, b, v, float(theta[-1]), p0.activations)
 
     def best_params() -> NetworkParams:
-        return replace(p0, weights=best[0], biases=best[1], out_weights=best[2], out_bias=best[3])
+        return replace(p0, weights=best[:w_end].reshape(h, n), biases=best[w_end:b_end],
+                       out_weights=best[b_end:-1], out_bias=best[-1])
 
-    for t in range(1, cfg.epochs + 1):
-        g = gradient(current(), data, kbc, cfg)
-        if not math.isfinite(g.loss):
-            raise TrainingDiverged(f"training diverged at epoch {t - 1}")
-        if g.loss < best_loss:
-            best_loss = g.loss
-            best = (W.copy(), b.copy(), v.copy(), c)
-        if g.loss == 0.0:
-            return best_params()
-        grads = (g.weights, g.biases, g.out_weights, g.out_bias)
-        new = []
-        bc1 = 1.0 - cfg.beta1 ** t
-        bc2 = 1.0 - cfg.beta2 ** t
-        for i, (param, grad) in enumerate(zip((W, b, v, c), grads)):
-            mom[i] = cfg.beta1 * mom[i] + (1.0 - cfg.beta1) * grad
-            sec[i] = cfg.beta2 * sec[i] + (1.0 - cfg.beta2) * grad * grad
-            m_hat = mom[i] / bc1
-            v_hat = sec[i] / bc2
-            new.append(param - cfg.learning_rate * m_hat / (np.sqrt(v_hat) + cfg.adam_epsilon))
-        W, b, v = new[0], new[1], new[2]
-        c = float(new[3])
-
-    total, _ = loss(current(), data, kbc, cfg)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for t in range(1, cfg.epochs + 1):
+            g = gradient(current(), data, kbc, cfg)
+            if not math.isfinite(g.loss):
+                raise TrainingDiverged(f"non-finite loss at epoch {t - 1}")
+            if g.loss < best_loss:
+                best_loss = g.loss
+                best = theta.copy()
+            if g.loss == 0.0:
+                return best_params()
+            grad = g.flat
+            mom = beta1 * mom + decay1 * grad
+            sec = beta2 * sec + decay2 * grad * grad
+            m_hat = mom / (1.0 - beta1 ** t)
+            v_hat = sec / (1.0 - beta2 ** t)
+            theta -= lr * m_hat / (np.sqrt(v_hat) + eps)
+        total, _ = loss(current(), data, kbc, cfg)
     if not math.isfinite(total):
-        raise TrainingDiverged(f"training diverged at epoch {cfg.epochs}")
+        raise TrainingDiverged(f"non-finite loss at epoch {cfg.epochs}")
     if total < best_loss:
-        best = (W, b, v, c)
+        best = theta
     return best_params()
 
 

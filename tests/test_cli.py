@@ -11,6 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from kbarrier import builtin_config
 from kbarrier.cli import main
 from kbarrier.expr import format_expr
 
@@ -117,6 +118,16 @@ class TestSynthesizeAndVerify:
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(bad))
         assert main(["synthesize", str(path), "--output-dir", str(tmp_path / "o")]) == 2
+
+    def test_diverged_training_exit_code(self, tmp_path, capsys):
+        config = builtin_config("polynomial").to_dict()
+        config.update(learning_rate=1e200, epochs=20, max_iterations=1)
+        path = tmp_path / "diverging.json"
+        path.write_text(json.dumps(config))
+        code = main(["synthesize", str(path), "--output-dir", str(tmp_path / "o")])
+        assert code == 5
+        err = capsys.readouterr().err
+        assert err.startswith("training diverged: ") and err.count("\n") == 1
 
     def test_disjointness_enforced(self, tmp_path):
         bad = dict(TOY)

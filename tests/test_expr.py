@@ -422,6 +422,61 @@ class TestTapeParity:
         np.testing.assert_array_equal(tape.eval_points(lo)[0], np.full(m, 2.0))
 
 
+def reference_contains_center(lo, hi, offset):
+    """One offset at a time, as the sin and cos enclosures first computed it."""
+    t = (lo - offset) / (2.0 * math.pi)
+    u = (hi - offset) / (2.0 * math.pi)
+    fuzz = 4e-16 * (2.0 + np.abs(t) + np.abs(u))
+    return np.floor(u + fuzz) >= np.ceil(t - fuzz)
+
+
+class TestTrigRange:
+    """The stacked extremum test gives the enclosures of two separate passes."""
+
+    @staticmethod
+    def reference(lo, hi):
+        half_pi = 0.5 * math.pi
+        sin = kbarrier.expr._trig_range(
+            np.sin(lo), np.sin(hi), reference_contains_center(lo, hi, half_pi),
+            reference_contains_center(lo, hi, -half_pi))
+        cos = kbarrier.expr._trig_range(
+            np.cos(lo), np.cos(hi), reference_contains_center(lo, hi, 0.0),
+            reference_contains_center(lo, hi, math.pi))
+        return sin, cos
+
+    def test_arrays_bitwise(self):
+        rng = np.random.default_rng(14)
+        lo, hi = parity_boxes(rng)
+        centre = rng.uniform(-50.0, 50.0, 2000)
+        width = rng.uniform(0.0, 7.0, 2000) * (rng.uniform(size=2000) < 0.9)
+        # boxes that end within a few ulps of an extremum, where the fuzz decides
+        extrema = np.array([k * 2.0 * math.pi + c for k in range(-3, 4)
+                            for c in (0.5 * math.pi, -0.5 * math.pi, 0.0, math.pi)])
+        near = np.concatenate([extrema + s * np.spacing(extrema) for s in range(-3, 4)])
+        lo = np.concatenate([lo.ravel(), centre - width, near, near - 0.5, near])
+        hi = np.concatenate([hi.ravel(), centre + width, near, near, near + 0.5])
+        with np.errstate(all="ignore"):
+            got = (kbarrier.expr._sin_range(lo, hi), kbarrier.expr._cos_range(lo, hi))
+            want = self.reference(lo, hi)
+            # the padding hides most of the fuzz in the enclosures, so check the tests too
+            for name in ("_SIN_EXTREMA", "_COS_EXTREMA"):
+                centers = getattr(kbarrier.expr, name)
+                rows = kbarrier.expr._contains_centers(lo, hi, centers)
+                for row, c in zip(rows, centers.ravel()):
+                    np.testing.assert_array_equal(row, reference_contains_center(lo, hi, c))
+        for got_pair, want_pair in zip(got, want):
+            for g, w in zip(got_pair, want_pair):
+                assert_bitwise_equal(g, w)
+
+    @pytest.mark.parametrize("lo, hi", [(0.3, 0.3), (-0.0, 0.0), (1.0, 2.0), (-4.0, 3.0)])
+    def test_scalars_stay_scalar(self, lo, hi):
+        got = (kbarrier.expr._sin_range(lo, hi), kbarrier.expr._cos_range(lo, hi))
+        for got_pair, want_pair in zip(got, self.reference(lo, hi)):
+            for g, w in zip(got_pair, want_pair):
+                assert np.shape(g) == ()
+                assert_bitwise_equal(g, w)
+
+
 class TestPadOut:
     def test_matches_two_nextafter_steps(self):
         values = np.array(EDGE_VALUES + [-math.nan, 1.0000000000000002, 0.9999999999999999,

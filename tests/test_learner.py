@@ -1,6 +1,7 @@
 """Forward pass, loss arithmetic, analytic gradients and training behaviour."""
 
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -8,8 +9,8 @@ import pytest
 
 import kbarrier.learner
 from kbarrier import (
-    Box, DatasetTriple, KBCSpec, NetworkParams, SafetySpec, TrainConfig,
-    eval_point, gradient, init_params, loss, mixed_sin_cos, sample_dataset, train,
+    Box, DatasetTriple, KBCSpec, NetworkParams, SafetySpec, TrainConfig, TrainingDiverged,
+    augment, eval_point, gradient, init_params, loss, mixed_sin_cos, sample_dataset, train,
 )
 from kbarrier.learner import ACTIVATIONS, _activate
 from kbarrier.expr import Const, Pow, Sin, Cos, Exp
@@ -314,7 +315,7 @@ class TestSinglePass:
     """The shared forward/backward pass against the straight-line reference."""
 
     @pytest.mark.parametrize("n", [1, 2, 3])
-    @pytest.mark.parametrize("width", [1, 4, 8])
+    @pytest.mark.parametrize("width", [1, 2, 4, 8])
     @pytest.mark.parametrize("others", [0, 1, 40])
     def test_gradient_and_loss_bitwise(self, n, width, others):
         rng = np.random.default_rng(100 * n + 10 * width + others)
@@ -344,6 +345,15 @@ class TestSinglePass:
             assert np.array_equal(g, g_ref) and np.array_equal(gp, gp_ref)
             g_only, none = _activate(z, acts)
             assert np.array_equal(g_only, g_ref) and none is None
+
+    @pytest.mark.parametrize("kind", ACTIVATIONS)
+    def test_activate_single_kind_matches_per_column(self, kind):
+        # a network of one kind is activated in one call over the whole array
+        z = np.random.default_rng(7).normal(0.0, 3.0, (37, 5))
+        acts = (kind,) * 5
+        g_ref, gp_ref = reference_activate(z, acts)
+        g, gp = _activate(z, acts, with_grad=True)
+        assert np.array_equal(g, g_ref) and np.array_equal(gp, gp_ref)
 
 
 def _flatten(net):
@@ -376,8 +386,9 @@ def _near_kink(net, data, kbc, cfg, tol):
 
 
 def reference_train(p0, data, kbc, cfg):
-    """Adam over every epoch, with a separate loss evaluation per epoch and
-    no early exit; returns the best parameters and the first zero-loss epoch."""
+    """Adam over every epoch on the four parameter blocks one by one, with the
+    straight-line `reference_gradient` and no early exit; returns the best
+    parameters and the first zero-loss epoch."""
     W, b, v, c = p0.weights.copy(), p0.biases.copy(), p0.out_weights.copy(), p0.out_bias
     mom = [np.zeros_like(W), np.zeros_like(b), np.zeros_like(v), 0.0]
     sec = [np.zeros_like(W), np.zeros_like(b), np.zeros_like(v), 0.0]
@@ -387,23 +398,20 @@ def reference_train(p0, data, kbc, cfg):
         return replace(p0, weights=W, biases=b, out_weights=v, out_bias=c)
 
     for t in range(1, cfg.epochs + 1):
-        p = current()
-        total, _ = loss(p, data, kbc, cfg)
+        *grads, total = reference_gradient(current(), data, kbc, cfg)
         if total < best_loss:
             best_loss, best = total, (W.copy(), b.copy(), v.copy(), c)
         if total == 0.0 and first_zero is None:
             first_zero = t
-        g = gradient(p, data, kbc, cfg)
         new = []
-        for i, (param, grad) in enumerate(zip((W, b, v, c), (g.weights, g.biases,
-                                                             g.out_weights, g.out_bias))):
+        for i, (param, grad) in enumerate(zip((W, b, v, c), grads)):
             mom[i] = cfg.beta1 * mom[i] + (1.0 - cfg.beta1) * grad
             sec[i] = cfg.beta2 * sec[i] + (1.0 - cfg.beta2) * grad * grad
             m_hat = mom[i] / (1.0 - cfg.beta1 ** t)
             v_hat = sec[i] / (1.0 - cfg.beta2 ** t)
             new.append(param - cfg.learning_rate * m_hat / (np.sqrt(v_hat) + cfg.adam_epsilon))
         W, b, v, c = new[0], new[1], new[2], float(new[3])
-    if loss(current(), data, kbc, cfg)[0] < best_loss:
+    if reference_gradient(current(), data, kbc, cfg)[-1] < best_loss:
         best = (W, b, v, c)
     return replace(p0, weights=best[0], biases=best[1], out_weights=best[2],
                    out_bias=best[3]), first_zero
@@ -466,17 +474,60 @@ class TestTrain:
         assert np.array_equal(a.out_weights, b.out_weights)
         assert a.out_bias == b.out_bias
 
-    def test_divergence_is_reported(self):
-        from kbarrier import TrainingDiverged
+    @pytest.mark.parametrize("rate", [1e200, 1.7e308])
+    @pytest.mark.parametrize("activations", [("square",) * 3, ("sin", "sin", "cos")],
+                             ids=["square", "sin-cos"])
+    def test_divergence_is_reported(self, activations, rate):
         spec = toy_spec()
         data = manual_triple(spec, np.random.default_rng(20), m=30)
         kbc = KBCSpec(k=2, epsilon=0.1)
-        # absurd learning rate overflows the squared activations within a few steps
-        cfg = TrainConfig(eta1=0.1, eta2=0.001, epochs=10, learning_rate=1e200, seed=0)
-        net = init_params(2, 3, ("square",) * 3, seed=0)
-        with np.errstate(over="ignore", invalid="ignore"):
-            with pytest.raises(TrainingDiverged, match="diverged at epoch"):
+        # absurd learning rates overflow the parameters within a few steps
+        cfg = TrainConfig(eta1=0.1, eta2=0.001, epochs=10, learning_rate=rate, seed=0)
+        net = init_params(2, 3, activations, seed=0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # the overflow is reported once, as the exception
+            with pytest.raises(TrainingDiverged, match="non-finite loss at epoch"):
                 train(net, data, kbc, cfg)
+
+    def test_parity_square_net_on_grown_polynomial_data(self, polynomial):
+        config, _, _, _, model = polynomial
+        spec, kbc = config.safety_spec(), config.kbc()
+        cegis_cfg = config.cegis_config(0)
+        data = sample_dataset(spec, model, kbc, config.samples, seed=0)
+        for step, witness in enumerate(([-0.9, 0.4], [0.2, -0.3]), start=1):
+            data = augment(data, witness, cegis_cfg, model, kbc, seed=step)
+        cfg = replace(config.train_config(0), epochs=150)
+        p0 = init_params(2, 2, ("square", "square"), seed=0)
+        expected, first_zero = reference_train(p0, data, kbc, cfg)
+        assert first_zero is None
+        assert_same_params(train(p0, data, kbc, cfg), expected)
+
+    def test_epoch_parameters_are_contiguous_views_of_one_vector(self, monkeypatch):
+        data, kbc, cfg, net = self._setup()
+        seen = []
+        real = kbarrier.learner.gradient
+
+        def recording(params, data, kbc, cfg):
+            seen.append(params)
+            return real(params, data, kbc, cfg)
+
+        monkeypatch.setattr(kbarrier.learner, "gradient", recording)
+        train(net, data, kbc, replace(cfg, epochs=3))
+        assert len(seen) == 3
+        theta = seen[0].weights.base
+        for params in seen:
+            # a C-ordered W keeps `states @ W.T` on the BLAS path of a standalone array
+            for arr in (params.weights, params.biases, params.out_weights):
+                assert arr.flags.c_contiguous and arr.base is theta
+
+    def test_parity_mixed_activations(self):
+        data = manual_triple(toy_spec(), np.random.default_rng(31), m=80)
+        kbc = KBCSpec(k=3, epsilon=0.05)
+        cfg = TrainConfig(eta1=0.02, eta2=0.01, eta3=0.005, eta4=0.005, epochs=120,
+                          learning_rate=0.05, seed=3)
+        p0 = init_params(2, 5, ("square", "sin", "cos", "square", "sin"), seed=3)
+        expected, _ = reference_train(p0, data, kbc, cfg)
+        assert_same_params(train(p0, data, kbc, cfg), expected)
 
     def test_zero_loss_implies_strict_sample_conditions(self):
         # drive a small instance to exactly zero loss, then check every sample
@@ -541,6 +592,29 @@ class TestToExpr:
             if isinstance(node, Pow):
                 assert node.exponent == 2
             stack.extend(_children(node))
+
+
+class TestRegionIndices:
+    @staticmethod
+    def assert_indices_match(data):
+        assert np.array_equal(data.idx_init, np.flatnonzero(data.mask_init))
+        assert np.array_equal(data.idx_unsafe, np.flatnonzero(data.mask_unsafe))
+
+    def test_recomputed_by_replace(self):
+        data = manual_triple(toy_spec(), np.random.default_rng(40))
+        self.assert_indices_match(data)
+        moved = replace(data, mask_init=data.mask_unsafe, mask_unsafe=data.mask_init)
+        self.assert_indices_match(moved)
+        assert np.array_equal(moved.idx_init, data.idx_unsafe)
+
+    def test_recomputed_by_augment(self, polynomial):
+        config, _, _, _, model = polynomial
+        spec, kbc = config.safety_spec(), config.kbc()
+        data = sample_dataset(spec, model, kbc, 50, seed=1)
+        # a witness inside X_U grows the unsafe rows
+        grown = augment(data, spec.X_U.midpoint(), config.cegis_config(1), model, kbc, seed=2)
+        self.assert_indices_match(grown)
+        assert grown.idx_unsafe.size > data.idx_unsafe.size
 
 
 class TestSampleDataset:
