@@ -11,6 +11,7 @@ the loop keeps going until the verifier returns a strict `valid`.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field, replace
 from typing import Sequence
 
@@ -20,7 +21,7 @@ from .dynamics import DataDrivenModel
 from .expr import Expr, format_expr
 from .learner import (
     DatasetTriple, KBCSpec, NetworkParams, SafetySpec, TrainConfig,
-    _region_masks, init_params, loss, sample_dataset, train,
+    init_params, loss, sample_dataset, train,
 )
 from .verifier import Verdict, VerificationTask, verify
 
@@ -29,12 +30,14 @@ __all__ = ["CegisConfig", "IterationRecord", "CegisReport", "augment", "run"]
 
 @dataclass(frozen=True)
 class CegisConfig:
-    """Loop controls: iteration cap, counterexample cloud, learning-rate schedule."""
+    """Loop controls: iteration cap, counterexample cloud, learning-rate schedule.
+
+    Iteration 1 trains at `train.learning_rate`, later ones at `lr_retrain`.
+    """
 
     max_iterations: int = 20
     cex_points: int = 20
     cex_radius: float = 0.1
-    lr_initial: float = 0.1
     lr_retrain: float = 0.05
     train: TrainConfig = field(default_factory=TrainConfig)
     samples: int = 1000
@@ -44,10 +47,10 @@ class CegisConfig:
             raise ValueError("max_iterations must be >= 0")
         if self.cex_points < 1:
             raise ValueError("cex_points must be >= 1")
-        if self.cex_radius <= 0:
-            raise ValueError("cex_radius must be > 0")
-        if self.lr_retrain > self.lr_initial:
-            raise ValueError("retraining rate must not exceed the initial rate")
+        if not 0 < self.cex_radius < math.inf:
+            raise ValueError("cex_radius must be > 0 and finite")
+        if not 0 < self.lr_retrain <= self.train.learning_rate:
+            raise ValueError("retraining rate must be > 0 and not exceed the initial rate")
 
 
 @dataclass(frozen=True)
@@ -132,9 +135,7 @@ def augment(data: DatasetTriple, cex: Sequence[float], cfg: CegisConfig,
     S = np.vstack([data.S, new_states])
     S_plus = np.vstack([data.S_plus, model.step_batch(new_states)])
     S_kplus = np.vstack([data.S_kplus, model.k_step_batch(new_states, kbc.k)])
-    mask_init, mask_unsafe = _region_masks(S, spec)
-    return DatasetTriple(S=S, S_plus=S_plus, S_kplus=S_kplus,
-                         mask_init=mask_init, mask_unsafe=mask_unsafe, spec=spec)
+    return DatasetTriple(S=S, S_plus=S_plus, S_kplus=S_kplus, spec=spec)
 
 
 def run(spec: SafetySpec, model: DataDrivenModel, kbc: KBCSpec,
@@ -161,7 +162,7 @@ def run(spec: SafetySpec, model: DataDrivenModel, kbc: KBCSpec,
     verdict: Verdict | None = None
 
     for iteration in range(1, cfg.max_iterations + 1):
-        rate = cfg.lr_initial if iteration == 1 else cfg.lr_retrain
+        rate = cfg.train.learning_rate if iteration == 1 else cfg.lr_retrain
         train_cfg = replace(cfg.train, learning_rate=rate)
         loss_start, _ = loss(params, data, kbc, train_cfg)
         params = train(params, data, kbc, train_cfg)

@@ -9,6 +9,7 @@ user config is the same JSON document produced by `show-config`.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, asdict
 
 from .cegis import CegisConfig
@@ -78,17 +79,20 @@ class CaseStudyConfig:
             )
         if len(self.activations) != self.width:
             raise ConfigError("one activation per hidden node required")
-        try:
-            self.safety_spec()
-        except ValueError as err:
-            raise ConfigError(str(err)) from err
-        try:
-            self.truth_model()
-            self.dictionary_obj()
-        except ValueError as err:
-            raise ConfigError(str(err)) from err
         if len(self.eta) != 4:
             raise ConfigError("eta must have four entries")
+        if not 0 < self.delta < math.inf:
+            raise ConfigError("delta must be > 0 and finite")
+        if not self.max_boxes >= 1:
+            raise ConfigError("max_boxes must be >= 1")
+        try:
+            self.safety_spec()
+            self.truth_model()
+            self.dictionary_obj()
+            self.kbc()
+            self.cegis_config(0)
+        except ValueError as err:
+            raise ConfigError(str(err)) from err
 
     # -- builders ---------------------------------------------------------
 
@@ -113,8 +117,7 @@ class CaseStudyConfig:
 
     def cegis_config(self, seed: int) -> CegisConfig:
         return CegisConfig(max_iterations=self.max_iterations, cex_points=self.cex_points,
-                           cex_radius=self.cex_radius, lr_initial=self.learning_rate,
-                           lr_retrain=self.lr_retrain, train=self.train_config(seed),
+                           cex_radius=self.cex_radius, lr_retrain=self.lr_retrain, train=self.train_config(seed),
                            samples=self.samples)
 
     # -- serialisation ----------------------------------------------------

@@ -17,8 +17,8 @@ Two evaluation modes are provided:
   last-bit rounding differences between code paths; the step is taken on
   the IEEE bit pattern read as int64 (`_pad_out`), which gives exactly
   what two chained `np.nextafter` calls give at a few integer passes.
-  add, sub and mul still round to nearest, so an enclosure can miss the
-  exact real range by an ulp.
+  add, sub, mul and scale (a product with a constant) still round to
+  nearest, so an enclosure can miss the exact real range by an ulp.
 """
 
 from __future__ import annotations

@@ -68,8 +68,8 @@ class KBCSpec:
     def __post_init__(self):
         if self.k < 1:
             raise ValueError("k must be >= 1")
-        if self.epsilon < 0:
-            raise ValueError("epsilon must be >= 0")
+        if not 0 <= self.epsilon < math.inf:
+            raise ValueError("epsilon must be >= 0 and finite")
         object.__setattr__(self, "lam", (self.k - 1) * self.epsilon)
 
 
@@ -290,12 +290,12 @@ class TrainConfig:
 
     def __post_init__(self):
         for name in ("eta1", "eta2", "eta3", "eta4"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be >= 0")
+            if not 0 <= getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be >= 0 and finite")
         if self.epochs < 0:
             raise ValueError("epochs must be >= 0")
-        if self.learning_rate <= 0:
-            raise ValueError("learning rate must be > 0")
+        if not 0 < self.learning_rate < math.inf:
+            raise ValueError("learning rate must be > 0 and finite")
         # a bias correction 1 - beta**t of 0 divides by zero in the Adam step
         for name in ("beta1", "beta2"):
             if not 0.0 <= getattr(self, name) < 1.0:
@@ -312,43 +312,33 @@ class TrainConfig:
 class DatasetTriple:
     """Sampled states with their 1-step and k-step data-driven evolutions.
 
-    `idx_init` and `idx_unsafe` are the row indices of the two region masks,
-    computed at construction (and so again by `dataclasses.replace`).
+    The region masks of S in X_I and X_U, and their row indices `idx_init`
+    and `idx_unsafe`, are derived from S and `spec` at construction (and so
+    again by `dataclasses.replace`).
     """
 
     S: np.ndarray
     S_plus: np.ndarray
     S_kplus: np.ndarray
-    mask_init: np.ndarray
-    mask_unsafe: np.ndarray
     spec: SafetySpec
+    mask_init: np.ndarray = field(init=False, repr=False)
+    mask_unsafe: np.ndarray = field(init=False, repr=False)
     idx_init: np.ndarray = field(init=False, repr=False)
     idx_unsafe: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         for name in ("S", "S_plus", "S_kplus"):
             object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float))
-        object.__setattr__(self, "mask_init", np.asarray(self.mask_init, dtype=bool))
-        object.__setattr__(self, "mask_unsafe", np.asarray(self.mask_unsafe, dtype=bool))
-        m = self.S.shape[0]
         if self.S_plus.shape != self.S.shape or self.S_kplus.shape != self.S.shape:
             raise ValueError("evolution arrays must match the sample array")
-        if self.mask_init.shape != (m,) or self.mask_unsafe.shape != (m,):
-            raise ValueError("masks must have one entry per sample")
-        object.__setattr__(self, "idx_init", np.flatnonzero(self.mask_init))
-        object.__setattr__(self, "idx_unsafe", np.flatnonzero(self.mask_unsafe))
+        for suffix, box in (("init", self.spec.X_I), ("unsafe", self.spec.X_U)):
+            mask = np.all((self.S >= box.lo()) & (self.S <= box.hi()), axis=1)
+            object.__setattr__(self, f"mask_{suffix}", mask)
+            object.__setattr__(self, f"idx_{suffix}", np.flatnonzero(mask))
 
     @property
     def size(self) -> int:
         return self.S.shape[0]
-
-
-def _region_masks(states: np.ndarray, spec: SafetySpec) -> tuple[np.ndarray, np.ndarray]:
-    def mask(box: Box) -> np.ndarray:
-        lo, hi = box.lo(), box.hi()
-        return np.all((states >= lo) & (states <= hi), axis=1)
-
-    return mask(spec.X_I), mask(spec.X_U)
 
 
 def sample_dataset(spec: SafetySpec, model: DataDrivenModel, kbc: KBCSpec,
@@ -370,9 +360,7 @@ def sample_dataset(spec: SafetySpec, model: DataDrivenModel, kbc: KBCSpec,
     ])
     S_plus = model.step_batch(S)
     S_kplus = model.k_step_batch(S, kbc.k)
-    mask_init, mask_unsafe = _region_masks(S, spec)
-    return DatasetTriple(S=S, S_plus=S_plus, S_kplus=S_kplus,
-                         mask_init=mask_init, mask_unsafe=mask_unsafe, spec=spec)
+    return DatasetTriple(S=S, S_plus=S_plus, S_kplus=S_kplus, spec=spec)
 
 
 def _hinge_mean(arg: np.ndarray) -> float:

@@ -16,13 +16,22 @@ constraint under exact point evaluation is a concrete counterexample; a box
 narrower than delta that can be neither discarded nor confirmed is reported
 as delta-sat.  `Valid` is returned only when all four searches discard
 everything.  Exploration is deterministic, so verdicts are reproducible.
+
+Each search returns a `Verdict` for its own condition, "valid" meaning
+every box was discarded.  `verify` adds up their box counts, returns the
+first counterexample or exhaustion as it stands, and otherwise the first
+delta-sat verdict, or `valid` when there is none.  Two predicates decide
+whether a constraint set can hold: `_may_hold` on interval enclosures,
+where NaN keeps a box, and `_holds` at points, where NaN never holds.
+`check_point` is built from the same constraint sets and `_holds`.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
@@ -62,9 +71,9 @@ class VerificationTask:
     def __post_init__(self):
         object.__setattr__(self, "f1_sym", tuple(self.f1_sym))
         object.__setattr__(self, "fk_sym", tuple(self.fk_sym))
-        if self.delta <= 0:
-            raise ValueError("delta must be > 0")
-        if self.max_boxes < 1:
+        if not 0 < self.delta < math.inf:
+            raise ValueError("delta must be > 0 and finite")
+        if not self.max_boxes >= 1:
             raise ValueError("max_boxes must be >= 1")
         n = self.spec.n
         if len(self.f1_sym) != n or len(self.fk_sym) != n:
@@ -137,60 +146,76 @@ def check_point(task: VerificationTask, x: Sequence[float]) -> list[tuple[str, f
     on, so the diagnostic matches what an ungated conventional certificate
     check would flag.
     """
-    x = np.asarray(x, dtype=float)
-    B = task.B
-    tape = Tape([B] + [substitute(B, task.f1_sym), substitute(B, task.fk_sym)])
-    b_x, b_f1, b_fk = (float(v[0]) for v in tape.eval_points(x[None, :]))
-    lam, eps = task.kbc.lam, task.kbc.epsilon
+    x = np.asarray(x, dtype=float)[None, :]
     violations: list[tuple[str, float]] = []
-    if task.spec.X_I.contains(x) and b_x > 0.0:
-        violations.append(("I", b_x))
-    if task.spec.X_U.contains(x) and b_x <= lam:
-        violations.append(("U", lam - b_x))
-    if b_f1 - b_x - eps > 0.0:
-        violations.append(("E1", b_f1 - b_x - eps))
-    if b_fk - b_x > 0.0:
-        violations.append(("E2", b_fk - b_x))
+    for tag, constraints, region in condition_exprs(task):
+        if tag in ("E1", "E2"):
+            constraints = constraints[-1:]      # the increase alone, ungated
+        elif not region.contains(x[0]):
+            continue
+        tape = Tape([e for e, _ in constraints] + [_margin_expr(tag, constraints)])
+        values = tape.eval_points(x)
+        if _holds(values[:-1], [kind for _, kind in constraints])[0]:
+            violations.append((tag, float(values[-1][0])))
     return violations
 
 
-@dataclass
-class _SearchResult:
-    tag: str
-    status: str                 # "clean", "cex", "delta", "exhausted"
-    point: np.ndarray | None = None
-    box: tuple[np.ndarray, np.ndarray] | None = None
-    margin: float | None = None
-    boxes: int = 0
+def _margin_expr(tag: str, constraints: list[Constraint]) -> Expr:
+    """Violation-amount expression, sharing subtrees with the constraints."""
+    if tag == "I":
+        return constraints[0][0]          # B itself
+    if tag == "U":
+        return neg(constraints[0][0])     # lam - B
+    return constraints[-1][0]             # the evolution increase
+
+
+def _holds(values: Sequence[np.ndarray], kinds: Sequence[str]) -> np.ndarray:
+    """Rows at which every constraint holds at a point; NaN never holds."""
+    ok = np.ones(len(values[0]), dtype=bool)
+    for v, kind in zip(values, kinds):
+        ok &= (v <= 0.0) if kind == "le0" else (v > 0.0)
+    return ok
+
+
+def _may_hold(enclosures: Sequence[tuple[np.ndarray, np.ndarray]],
+              kinds: Sequence[str]) -> np.ndarray:
+    """Boxes that no constraint's enclosure proves infeasible; NaN keeps the box."""
+    ok = np.ones(len(enclosures[0][0]), dtype=bool)
+    for (lo, hi), kind in zip(enclosures, kinds):
+        ok &= ~(lo > 0.0) if kind == "le0" else ~(hi <= 0.0)
+    return ok
+
+
+def _chunks(m: int):
+    """Slices of at most _EVAL_CHUNK rows covering range(m)."""
+    for start in range(0, m, _EVAL_CHUNK):
+        yield slice(start, min(start + _EVAL_CHUNK, m))
 
 
 def _search(tag: str, constraints: list[Constraint], region: Box, delta: float,
-            budget: int, margin_expr: Expr, pruned_sink: list | None) -> _SearchResult:
-    """Breadth-first interval subdivision over one negated-condition set."""
-    exprs = [c[0] for c in constraints]
-    kinds = [c[1] for c in constraints]
-    tape = Tape(exprs + [margin_expr])
+            budget: int, pruned_sink: list | None) -> Verdict:
+    """Breadth-first interval subdivision over one negated-condition set.
+
+    The verdict is for this condition alone: "valid" means every box was
+    discarded.  `boxes_explored` counts this search's boxes.
+    """
+    kinds = [kind for _, kind in constraints]
+    tape = Tape([e for e, _ in constraints] + [_margin_expr(tag, constraints)])
     lo = region.lo()[None, :].astype(float)
     hi = region.hi()[None, :].astype(float)
     used = 0
-    first_delta: tuple[np.ndarray, np.ndarray, float] | None = None
+    first_delta: Verdict | None = None
 
     while lo.shape[0]:
         used += lo.shape[0]
         if used > budget:
-            return _SearchResult(tag, "exhausted", boxes=used)
+            return Verdict("exhausted", tag, boxes_explored=used)
 
-        m = lo.shape[0]
-        feasible = np.ones(m, dtype=bool)
-        margin_hi = np.empty(m)
-        for start in range(0, m, _EVAL_CHUNK):
-            sl = slice(start, min(start + _EVAL_CHUNK, m))
+        feasible = np.empty(lo.shape[0], dtype=bool)
+        margin_hi = np.empty(lo.shape[0])
+        for sl in _chunks(lo.shape[0]):
             enclosures = tape.eval_boxes(lo[sl], hi[sl])
-            # nan-safe: a box stays feasible unless an enclosure *proves* violation
-            chunk_ok = np.ones(sl.stop - sl.start, dtype=bool)
-            for (enc_lo, enc_hi), kind in zip(enclosures[:-1], kinds):
-                chunk_ok &= ~(enc_lo > 0.0) if kind == "le0" else ~(enc_hi <= 0.0)
-            feasible[sl] = chunk_ok
+            feasible[sl] = _may_hold(enclosures[:-1], kinds)
             margin_hi[sl] = enclosures[-1][1]
         if pruned_sink is not None and not feasible.all():
             drop = ~feasible
@@ -202,36 +227,24 @@ def _search(tag: str, constraints: list[Constraint], region: Box, delta: float,
             break
 
         mid = 0.5 * (lo + hi)
-        m = mid.shape[0]
-        confirmed = np.ones(m, dtype=bool)
-        for start in range(0, m, _EVAL_CHUNK):
-            sl = slice(start, min(start + _EVAL_CHUNK, m))
-            vals = tape.eval_points(mid[sl])
-            chunk_ok = np.ones(sl.stop - sl.start, dtype=bool)
-            for v, kind in zip(vals[:-1], kinds):
-                chunk_ok &= (v <= 0.0) if kind == "le0" else (v > 0.0)
-            confirmed[sl] = chunk_ok
+        confirmed = np.empty(mid.shape[0], dtype=bool)
+        for sl in _chunks(mid.shape[0]):
+            confirmed[sl] = _holds(tape.eval_points(mid[sl])[:-1], kinds)
         if confirmed.any():
-            idx = int(np.argmax(confirmed))
-            point = mid[idx]
+            point = mid[int(np.argmax(confirmed))]
             # re-evaluate the single point: vector and scalar libm paths may
             # disagree in the last bit, and a confirmed witness must re-verify
             single = tape.eval_points(point[None, :])
-            ok = all(
-                (float(v[0]) <= 0.0) if kind == "le0" else (float(v[0]) > 0.0)
-                for v, kind in zip(single[:-1], kinds)
-            )
-            if ok:
-                return _SearchResult(tag, "cex", point=point,
-                                     margin=float(single[-1][0]), boxes=used)
+            if _holds(single[:-1], kinds)[0]:
+                return Verdict("counterexample", tag, point=tuple(float(v) for v in point),
+                               margin=float(single[-1][0]), boxes_explored=used)
 
-        widths = hi - lo
-        wmax = widths.max(axis=1)
-        small = wmax < delta
+        small = (hi - lo).max(axis=1) < delta
         if small.any() and first_delta is None:
             idx = int(np.argmax(small))
             # worst possible violation the enclosure allows over this box
-            first_delta = (lo[idx].copy(), hi[idx].copy(), float(margin_hi[idx]))
+            box = Box.from_bounds(list(zip(lo[idx], hi[idx])))
+            first_delta = Verdict("delta_sat", tag, box=box, margin=float(margin_hi[idx]))
         keep = ~small
         lo, hi = lo[keep], hi[keep]
         if not lo.shape[0]:
@@ -247,19 +260,7 @@ def _search(tag: str, constraints: list[Constraint], region: Box, delta: float,
         lo = np.vstack([lo, lo_right])
         hi = np.vstack([hi_left, hi])
 
-    if first_delta is not None:
-        return _SearchResult(tag, "delta", box=(first_delta[0], first_delta[1]),
-                             margin=first_delta[2], boxes=used)
-    return _SearchResult(tag, "clean", boxes=used)
-
-
-def _margin_expr(tag: str, constraints: list[Constraint]) -> Expr:
-    """Violation-amount expression, sharing subtrees with the constraints."""
-    if tag == "I":
-        return constraints[0][0]          # B itself
-    if tag == "U":
-        return neg(constraints[0][0])     # lam - B
-    return constraints[-1][0]             # the evolution increase
+    return replace(first_delta or Verdict("valid"), boxes_explored=used)
 
 
 def verify(task: VerificationTask, pruned_sink: list | None = None) -> Verdict:
@@ -275,30 +276,16 @@ def verify(task: VerificationTask, pruned_sink: list | None = None) -> Verdict:
     """
     t0 = time.perf_counter()
     total = 0
-    first_delta: tuple[str, tuple[np.ndarray, np.ndarray], float] | None = None
+    first_delta: Verdict | None = None
     for tag, constraints, region in condition_exprs(task):
-        budget = task.max_boxes - total
-        if budget <= 0:
-            return Verdict(kind="exhausted", boxes_explored=total,
-                           wall_time=time.perf_counter() - t0)
-        margin = _margin_expr(tag, constraints)
-        result = _search(tag, constraints, region, task.delta, budget, margin, pruned_sink)
-        total += result.boxes
-        if result.status == "cex":
-            return Verdict(kind="counterexample", condition=tag,
-                           point=tuple(float(v) for v in result.point),
-                           margin=result.margin, boxes_explored=total,
-                           wall_time=time.perf_counter() - t0)
-        if result.status == "exhausted":
-            return Verdict(kind="exhausted", condition=tag, boxes_explored=total,
-                           wall_time=time.perf_counter() - t0)
-        if result.status == "delta" and first_delta is None:
-            first_delta = (tag, result.box, result.margin)
-    elapsed = time.perf_counter() - t0
-    if first_delta is not None:
-        tag, (blo, bhi), margin = first_delta
-        box = Box.from_bounds(list(zip(blo, bhi)))
-        return Verdict(kind="delta_sat", condition=tag, box=box, margin=margin,
-                       boxes_explored=total, wall_time=elapsed)
-    return Verdict(kind="valid", boxes_explored=total, wall_time=elapsed)
-
+        if total >= task.max_boxes:
+            return Verdict("exhausted", boxes_explored=total, wall_time=time.perf_counter() - t0)
+        result = _search(tag, constraints, region, task.delta, task.max_boxes - total,
+                         pruned_sink)
+        total += result.boxes_explored
+        if result.kind in ("counterexample", "exhausted"):
+            return replace(result, boxes_explored=total, wall_time=time.perf_counter() - t0)
+        if result.kind == "delta_sat" and first_delta is None:
+            first_delta = result
+    return replace(first_delta or Verdict("valid"), boxes_explored=total,
+                   wall_time=time.perf_counter() - t0)

@@ -1,5 +1,8 @@
 """Synthesis loop behaviour: augmentation, termination, replayability."""
 
+import math
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -25,12 +28,26 @@ def toy_setup():
     )
     model = identity_model()
     kbc = KBCSpec(k=2, epsilon=0.1)
-    cfg = CegisConfig(max_iterations=10, cex_points=20, cex_radius=0.1,
-                      lr_initial=0.1, lr_retrain=0.05,
+    cfg = CegisConfig(max_iterations=10, cex_points=20, cex_radius=0.1, lr_retrain=0.05,
                       train=TrainConfig(eta1=0.05, eta2=0.001, epochs=400,
                                         learning_rate=0.1, seed=0),
                       samples=200)
     return spec, model, kbc, cfg
+
+
+class TestCegisConfig:
+    @pytest.mark.parametrize("field, value", [
+        ("lr_retrain", 0.0), ("lr_retrain", -1.0), ("lr_retrain", math.nan),
+        ("lr_retrain", math.inf), ("lr_retrain", 0.1000001),
+        ("cex_radius", 0.0), ("cex_radius", math.nan), ("cex_radius", math.inf),
+    ])
+    def test_out_of_range_rejected(self, field, value):
+        with pytest.raises(ValueError):
+            replace(toy_setup()[3], **{field: value})
+
+    def test_retraining_rate_may_equal_the_initial_rate(self):
+        cfg = toy_setup()[3]
+        assert replace(cfg, lr_retrain=cfg.train.learning_rate).lr_retrain == 0.1
 
 
 class TestAugment:
@@ -64,7 +81,6 @@ class TestAugment:
 class TestRunToy:
     def test_zero_iterations_terminates_without_training(self):
         spec, model, kbc, cfg = toy_setup()
-        from dataclasses import replace
         report = run(spec, model, kbc, init_params(2, 2, ("square", "square"), 0),
                      replace(cfg, max_iterations=0))
         assert report.outcome == "terminated"

@@ -2,6 +2,7 @@
 
 import csv
 import json
+import math
 import os
 import shutil
 import subprocess
@@ -11,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from kbarrier import builtin_config
+from kbarrier import CaseStudyConfig, ConfigError, builtin_config
 from kbarrier.cli import main
 from kbarrier.expr import format_expr
 
@@ -119,6 +120,14 @@ class TestSynthesizeAndVerify:
         path.write_text(json.dumps(bad))
         assert main(["synthesize", str(path), "--output-dir", str(tmp_path / "o")]) == 2
 
+    def test_non_finite_setting_exits_before_training(self, tmp_path):
+        bad = dict(TOY, learning_rate=math.nan)
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(bad))
+        outdir = tmp_path / "o"
+        assert main(["synthesize", str(path), "--output-dir", str(outdir)]) == 2
+        assert not outdir.exists()
+
     def test_diverged_training_exit_code(self, tmp_path, capsys):
         config = builtin_config("polynomial").to_dict()
         config.update(learning_rate=1e200, epochs=20, max_iterations=1)
@@ -167,6 +176,24 @@ class TestSynthesizeAndVerify:
         cert.write_text("(var 0)")
         assert main(["verify", "polynomial", str(cert), "--k", "0"]) == 2
         assert main(["verify", "polynomial", str(cert), "--delta", "0"]) == 2
+
+
+class TestConfigValidation:
+    @pytest.mark.parametrize("field, value", [
+        ("learning_rate", math.nan), ("learning_rate", math.inf), ("learning_rate", 0.0),
+        ("lr_retrain", 0.0), ("lr_retrain", math.nan), ("lr_retrain", 0.2),
+        ("delta", math.nan), ("delta", -1.0), ("delta", 0.0), ("delta", math.inf),
+        ("max_boxes", 0), ("epsilon", math.nan), ("epsilon", math.inf),
+        ("cex_radius", math.inf), ("cex_radius", math.nan), ("epochs", -1),
+        ("eta", [math.nan, 0.0, 0.0, 0.0]),
+    ])
+    def test_out_of_range_rejected_at_load(self, field, value):
+        with pytest.raises(ConfigError):
+            CaseStudyConfig.from_dict(dict(TOY, **{field: value}))
+
+    def test_boundary_values_load(self):
+        config = CaseStudyConfig.from_dict(dict(TOY, lr_retrain=0.1, epsilon=0.0, max_boxes=1))
+        assert config.cegis_config(0).lr_retrain == config.train_config(0).learning_rate
 
 
 class TestGrid:

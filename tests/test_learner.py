@@ -58,6 +58,24 @@ class TestSpecs:
                     {"adam_epsilon": math.nan}):
             with pytest.raises(ValueError):
                 TrainConfig(**bad)
+
+    @pytest.mark.parametrize("field, value", [
+        ("learning_rate", 0.0), ("learning_rate", -0.1), ("learning_rate", math.nan),
+        ("learning_rate", math.inf), ("eta1", -1e-300), ("eta1", math.nan),
+        ("eta1", math.inf), ("eta4", math.nan),
+    ])
+    def test_train_settings_must_be_finite(self, field, value):
+        with pytest.raises(ValueError, match=field.replace("_", " ")):
+            TrainConfig(**{field: value})
+
+    def test_train_settings_boundaries_accepted(self):
+        TrainConfig(learning_rate=5e-324, eta1=0.0, eta4=1e300)
+
+    @pytest.mark.parametrize("epsilon", [-1e-300, math.nan, math.inf])
+    def test_epsilon_must_be_finite(self, epsilon):
+        with pytest.raises(ValueError, match="epsilon"):
+            KBCSpec(k=2, epsilon=epsilon)
+        assert KBCSpec(k=2, epsilon=0.0).lam == 0.0
         TrainConfig(beta1=0.0, beta2=0.0, adam_epsilon=1e-300)
 
 
@@ -79,10 +97,7 @@ def manual_triple(spec: SafetySpec, rng: np.random.Generator, m: int = 40,
     ])
     S_plus = S + drift
     S_kplus = S + 2 * drift
-    in_i = np.all((S >= spec.X_I.lo()) & (S <= spec.X_I.hi()), axis=1)
-    in_u = np.all((S >= spec.X_U.lo()) & (S <= spec.X_U.hi()), axis=1)
-    return DatasetTriple(S=S, S_plus=S_plus, S_kplus=S_kplus,
-                         mask_init=in_i, mask_unsafe=in_u, spec=spec)
+    return DatasetTriple(S=S, S_plus=S_plus, S_kplus=S_kplus, spec=spec)
 
 
 def reference_loss(params, data, kbc, cfg):
@@ -167,12 +182,8 @@ def region_triple(spec: SafetySpec, rng: np.random.Generator, others: int) -> Da
     in_i = np.all((S >= spec.X_I.lo()) & (S <= spec.X_I.hi()), axis=1)
     in_u = np.all((S >= spec.X_U.lo()) & (S <= spec.X_U.hi()), axis=1)
     S = np.vstack([S[~in_i & ~in_u][:others], spec.X_I.sample(rng, 1), spec.X_U.sample(rng, 1)])
-    mask_init = np.zeros(len(S), bool)
-    mask_unsafe = np.zeros(len(S), bool)
-    mask_init[-2] = mask_unsafe[-1] = True
     drift = rng.normal(0.0, 0.1, S.shape[1])
-    return DatasetTriple(S=S, S_plus=S + drift, S_kplus=S + 3 * drift,
-                         mask_init=mask_init, mask_unsafe=mask_unsafe, spec=spec)
+    return DatasetTriple(S=S, S_plus=S + drift, S_kplus=S + 3 * drift, spec=spec)
 
 
 class TestForward:
@@ -233,9 +244,8 @@ class TestLoss:
     def test_empty_mask_rejected(self):
         spec = toy_spec()
         S = spec.X_U.sample(np.random.default_rng(0), 10)
-        data = DatasetTriple(S=S, S_plus=S, S_kplus=S,
-                             mask_init=np.zeros(10, bool),
-                             mask_unsafe=np.ones(10, bool), spec=spec)
+        data = DatasetTriple(S=S, S_plus=S, S_kplus=S, spec=spec)
+        assert not data.mask_init.any() and data.mask_unsafe.all()
         with pytest.raises(ValueError, match="region mask empty"):
             loss(constant_net(0.0), data, KBCSpec(k=1, epsilon=0.0), TrainConfig())
 
@@ -603,9 +613,11 @@ class TestRegionIndices:
     def test_recomputed_by_replace(self):
         data = manual_triple(toy_spec(), np.random.default_rng(40))
         self.assert_indices_match(data)
-        moved = replace(data, mask_init=data.mask_unsafe, mask_unsafe=data.mask_init)
+        spec = data.spec
+        moved = replace(data, spec=replace(spec, X_I=spec.X_U, X_U=spec.X_I))
         self.assert_indices_match(moved)
         assert np.array_equal(moved.idx_init, data.idx_unsafe)
+        assert np.array_equal(moved.idx_unsafe, data.idx_init)
 
     def test_recomputed_by_augment(self, polynomial):
         config, _, _, _, model = polynomial

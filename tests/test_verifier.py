@@ -1,5 +1,7 @@
 """Negated-condition encoding, point checks and branch-and-bound verdicts."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -7,7 +9,7 @@ from kbarrier import (
     Box, KBCSpec, SafetySpec, TrajectoryData, VerificationTask,
     build_model, check_point, condition_exprs, verify,
 )
-from kbarrier.expr import Const, Tape, Var, eval_point
+from kbarrier.expr import Add, Const, Exp, Mul, Tape, Var, eval_point, substitute
 
 from conftest import identity_dictionary
 
@@ -151,6 +153,111 @@ class TestVerify:
                                 max_boxes=3)
         assert verify(task).kind == "exhausted"
 
+    @pytest.mark.parametrize("field, value", [
+        ("delta", 0.0), ("delta", -1.0), ("delta", math.nan), ("delta", math.inf),
+        ("max_boxes", 0), ("max_boxes", math.nan),
+    ])
+    def test_invalid_search_parameters_rejected(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            VerificationTask(B=X1, f1_sym=IDENTITY, fk_sym=IDENTITY, spec=SQUARE_SPEC,
+                             kbc=KBCSpec(k=1, epsilon=0.0), **{field: value})
+
+
+class TestVerdictFlow:
+    """How searches, budgets and NaN values turn into one verdict."""
+
+    @staticmethod
+    def square_task(B, **kwargs):
+        return VerificationTask(B=B, f1_sym=IDENTITY, fk_sym=IDENTITY, spec=SQUARE_SPEC,
+                                kbc=KBCSpec(k=1, epsilon=0.0), **kwargs)
+
+    def test_nan_certificate_is_delta_sat(self):
+        # 0 * exp(x0^2 + 710) is 0 * inf = NaN at every point and over every box:
+        # NaN must keep a box (else "valid") and must not confirm a point
+        # (else "counterexample"), so only delta-sat is left
+        B = Mul(Const(0.0), Exp(Add(Mul(X1, X1), Const(710.0))))
+        with np.errstate(all="ignore"):
+            verdict = verify(self.square_task(B, delta=0.25))
+        assert verdict.kind == "delta_sat"
+        assert verdict.condition == "I"
+        assert verdict.boxes_explored == 136
+        assert math.isnan(verdict.margin)
+
+    def test_budget_spent_between_searches(self):
+        # I is discarded with the one box allowed; U then has no budget left
+        verdict = verify(self.square_task(Const(-1.0), max_boxes=1))
+        assert verdict.kind == "exhausted"
+        assert verdict.condition is None
+        assert verdict.boxes_explored == 1
+
+    def test_counterexample_counts_every_search(self):
+        verdict = verify(self.square_task(Const(-1.0), max_boxes=2))
+        assert verdict.kind == "counterexample"
+        assert verdict.condition == "U"
+        assert verdict.point == (0.75, 0.75)
+        assert verdict.boxes_explored == 2
+
+
+def straight_line_check_point(task, x):
+    """check_point with the four conditions written out by hand."""
+    x = np.asarray(x, dtype=float)
+    B = task.B
+    tape = Tape([B, substitute(B, task.f1_sym), substitute(B, task.fk_sym)])
+    b_x, b_f1, b_fk = (float(v[0]) for v in tape.eval_points(x[None, :]))
+    lam, eps = task.kbc.lam, task.kbc.epsilon
+    violations = []
+    if task.spec.X_I.contains(x) and b_x > 0.0:
+        violations.append(("I", b_x))
+    if task.spec.X_U.contains(x) and b_x <= lam:
+        violations.append(("U", lam - b_x))
+    if b_f1 - b_x - eps > 0.0:
+        violations.append(("E1", b_f1 - b_x - eps))
+    if b_fk - b_x > 0.0:
+        violations.append(("E2", b_fk - b_x))
+    return violations
+
+
+class TestCheckPointReference:
+    @pytest.mark.parametrize("k, epsilon", [(1, 0.0), (2, 0.1), (3, 0.1)])
+    @pytest.mark.parametrize("case", ["highly_nonlinear", "polynomial"])
+    def test_agrees_with_straight_line_formulas(self, case, k, epsilon, request,
+                                                reference_nonlinear_cert,
+                                                reference_polynomial_cert):
+        make_task = hn_task if case == "highly_nonlinear" else poly_task
+        cert = (reference_nonlinear_cert if case == "highly_nonlinear"
+                else reference_polynomial_cert)
+        task = make_task(request.getfixturevalue(case), cert, k=k, epsilon=epsilon)
+        spec = task.spec
+        rng = np.random.default_rng(k)
+        witness = np.asarray(verify(task).point)
+        points = np.vstack([
+            spec.X.sample(rng, 200), spec.X_I.sample(rng, 50), spec.X_U.sample(rng, 50),
+            witness, witness + rng.uniform(-1e-3, 1e-3, (100, 2)),
+            witness + rng.uniform(-1e-9, 1e-9, (50, 2)),
+        ])
+        points = np.clip(points, spec.X.lo(), spec.X.hi())
+        seen = set()
+        for x in points:
+            expected = straight_line_check_point(task, x)
+            assert check_point(task, x) == expected
+            seen.update(tag for tag, _ in expected)
+        assert "E2" in seen
+        if k == 1:
+            assert "E1" in seen
+
+    def test_agrees_on_level_conditions(self):
+        task = VerificationTask(B=X1 - X2, f1_sym=IDENTITY, fk_sym=IDENTITY,
+                                spec=SQUARE_SPEC, kbc=KBCSpec(k=2, epsilon=0.1))
+        rng = np.random.default_rng(3)
+        points = np.vstack([SQUARE_SPEC.X.sample(rng, 100), SQUARE_SPEC.X_I.sample(rng, 50),
+                            SQUARE_SPEC.X_U.sample(rng, 50)])
+        seen = set()
+        for x in points:
+            expected = straight_line_check_point(task, x)
+            assert check_point(task, x) == expected
+            seen.update(tag for tag, _ in expected)
+        assert seen == {"I", "U"}
+
 
 def verify_under(B, A, spec, kbc):
     """Verify B against x+ = A x, recovered by build_model over the identity dictionary."""
@@ -191,6 +298,7 @@ class TestVerifyLinear:
     def test_identity_dynamics_equality_case(self):
         verdict = verify_under(self.B_CIRCLE, np.eye(2), self.SPEC, KBCSpec(k=2, epsilon=0.0))
         assert verdict.kind == "valid"
+        assert verdict.condition is None
 
     def test_expansion_fails_evolution(self):
         verdict = verify_under(self.B_CIRCLE, 2.0 * np.eye(2), self.SPEC, KBCSpec(k=2, epsilon=0.0))
