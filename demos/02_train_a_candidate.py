@@ -21,7 +21,7 @@ model = build_model(trajectory, dictionary)
 
 spec = config.safety_spec()
 kbc = config.kbc()
-train_cfg = config.train_config(seed=0)
+train_cfg = config.train_config()
 
 data = sample_dataset(spec, model, kbc, m=1000, seed=0)
 print(f"dataset: {data.size} samples "

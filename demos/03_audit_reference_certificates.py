@@ -38,9 +38,8 @@ def audit(config_name, certificate, k, epsilon):
     trajectory = collect_trajectory(truth, dictionary, config.x0,
                                     config.trajectory_length)
     model = build_model(trajectory, dictionary)
-    f1 = model.symbolic_step()
-    fk = model.symbolic_k_step(k) if k > 1 else f1
-    task = VerificationTask(B=certificate, f1_sym=f1, fk_sym=fk,
+    task = VerificationTask(B=certificate, f1_sym=model.symbolic_step(),
+                            fk_sym=model.symbolic_k_step(k),
                             spec=config.safety_spec(),
                             kbc=KBCSpec(k=k, epsilon=epsilon), delta=0.001)
     verdict = verify(task)

@@ -50,9 +50,8 @@ UNDECIDED = {
 
 for k, eps in ((2, 0.1), (1, 0.0)):
     kbc = KBCSpec(k=k, epsilon=eps)
-    f1 = model.symbolic_step()
-    fk = model.symbolic_k_step(k) if k > 1 else f1
-    verdict = verify(VerificationTask(B=circle, f1_sym=f1, fk_sym=fk, spec=spec, kbc=kbc))
+    verdict = verify(VerificationTask(B=circle, f1_sym=model.symbolic_step(),
+                                      fk_sym=model.symbolic_k_step(k), spec=spec, kbc=kbc))
     extra = ""
     if verdict.kind == "delta_sat":
         extra = (f" on {verdict.condition}"

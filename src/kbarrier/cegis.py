@@ -30,9 +30,11 @@ __all__ = ["CegisConfig", "IterationRecord", "CegisReport", "augment", "run"]
 
 @dataclass(frozen=True)
 class CegisConfig:
-    """Loop controls: iteration cap, counterexample cloud, learning-rate schedule.
+    """Loop controls: iteration cap, counterexample cloud, learning-rate schedule, seed.
 
     Iteration 1 trains at `train.learning_rate`, later ones at `lr_retrain`.
+    `seed` drives the initial dataset, the initial parameters and every
+    counterexample cloud, so one seed gives one report.
     """
 
     max_iterations: int = 20
@@ -41,6 +43,7 @@ class CegisConfig:
     lr_retrain: float = 0.05
     train: TrainConfig = field(default_factory=TrainConfig)
     samples: int = 1000
+    seed: int = 0
 
     def __post_init__(self):
         if self.max_iterations < 0:
@@ -140,26 +143,28 @@ def augment(data: DatasetTriple, cex: Sequence[float], cfg: CegisConfig,
 
 def run(spec: SafetySpec, model: DataDrivenModel, kbc: KBCSpec,
         net: NetworkParams, cfg: CegisConfig,
-        delta: float = 0.001, max_boxes: int = 5_000_000) -> CegisReport:
+        delta: float = VerificationTask.delta,
+        max_boxes: int = VerificationTask.max_boxes) -> CegisReport:
     """Run the synthesis loop from a parameter template until valid or capped.
 
     `net` provides the architecture (width, activations); its numeric values
     are replaced by a seeded initialisation, so two runs with the same
     configuration and seed produce identical reports.
     """
-    seed = cfg.train.seed
+    seed = cfg.seed
     if cfg.max_iterations == 0:
         return CegisReport(outcome="terminated", iterations=0, records=(),
                            certificate=None, params=None, final_verdict=None,
                            seed=seed, reason="iteration cap is zero")
 
     f1_sym = model.symbolic_step()
-    fk_sym = model.symbolic_k_step(kbc.k) if kbc.k > 1 else f1_sym
+    fk_sym = model.symbolic_k_step(kbc.k)
 
     data = sample_dataset(spec, model, kbc, cfg.samples, seed)
     params = init_params(spec.n, net.width, net.activations, seed)
     records: list[IterationRecord] = []
-    verdict: Verdict | None = None
+    certificate: Expr | None = None
+    reason = "iteration cap reached without a valid certificate"
 
     for iteration in range(1, cfg.max_iterations + 1):
         rate = cfg.train.learning_rate if iteration == 1 else cfg.lr_retrain
@@ -187,17 +192,14 @@ def run(spec: SafetySpec, model: DataDrivenModel, kbc: KBCSpec,
         ))
 
         if verdict.kind == "valid":
-            return CegisReport(outcome="verified", iterations=iteration,
-                               records=tuple(records), certificate=candidate,
-                               params=params, final_verdict=verdict, seed=seed)
+            certificate, reason = candidate, ""
+            break
         if verdict.kind == "exhausted":
-            return CegisReport(outcome="terminated", iterations=iteration,
-                               records=tuple(records), certificate=None, params=params,
-                               final_verdict=verdict, seed=seed,
-                               reason="verifier exhausted its box budget; raise max_boxes")
+            reason = "verifier exhausted its box budget; raise max_boxes"
+            break
         data = augment(data, witness, cfg, model, kbc, seed + iteration)
 
-    return CegisReport(outcome="terminated", iterations=cfg.max_iterations,
-                       records=tuple(records), certificate=None, params=params,
-                       final_verdict=verdict, seed=seed,
-                       reason="iteration cap reached without a valid certificate")
+    return CegisReport(outcome="terminated" if certificate is None else "verified",
+                       iterations=len(records), records=tuple(records),
+                       certificate=certificate, params=params, final_verdict=verdict,
+                       seed=seed, reason=reason)

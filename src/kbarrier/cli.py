@@ -16,15 +16,16 @@ import argparse
 import csv
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
 from . import cegis as cegis_mod
 from .configs import BUILTIN_NAMES, CaseStudyConfig, ConfigError, load_config
-from .dynamics import RankDeficientData, build_model, collect_trajectory
-from .expr import Tape, max_var_index, parse_expr
-from .learner import KBCSpec, TrainingDiverged, export_certificate, init_params
+from .dynamics import RankDeficientData, build_model, collect_trajectory, states_to_csv
+from .expr import Tape, format_expr, max_var_index, parse_expr
+from .learner import TrainingDiverged, init_params
 from .verifier import VerificationTask, verify
 
 EXIT_OK = 0
@@ -35,6 +36,17 @@ EXIT_EXHAUSTED = 4
 EXIT_TERMINATED = 5
 
 
+def _config(args) -> CaseStudyConfig:
+    """The named case study with the command's --k, --epsilon and --delta flags applied.
+
+    The flags replace config fields, so they are validated exactly as the
+    config's own values are, before any work starts.
+    """
+    flags = {name: getattr(args, name, None) for name in ("k", "epsilon", "delta")}
+    return replace(load_config(args.config),
+                   **{name: value for name, value in flags.items() if value is not None})
+
+
 def _build_model(config: CaseStudyConfig):
     truth = config.truth_model()
     dictionary = config.dictionary_obj()
@@ -43,8 +55,11 @@ def _build_model(config: CaseStudyConfig):
 
 
 def cmd_simulate(args) -> int:
+    if args.steps < 0:
+        raise ConfigError("--steps must be >= 0")
     config = load_config(args.config)
-    x0 = np.asarray(args.x0 if args.x0 is not None else config.x0, dtype=float)
+    # --x0 only moves the start of this rollout; the model keeps config.x0's data
+    x0 = np.asarray(config.x0 if args.x0 is None else args.x0, dtype=float)
     if x0.shape != (config.n,):
         raise ConfigError("initial state dimension mismatch")
     truth, _, model = _build_model(config)
@@ -53,33 +68,34 @@ def cmd_simulate(args) -> int:
     for _ in range(args.steps):
         rows.append(np.asarray(stepper(rows[-1]), dtype=float))
     out = Path(args.output)
-    with out.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t"] + [f"x{i + 1}" for i in range(config.n)])
-        for t, row in enumerate(rows):
-            writer.writerow([t] + [repr(float(v)) for v in row])
+    states_to_csv(rows, out)
     print(f"wrote {len(rows)} states to {out}")
     return EXIT_OK
 
 
 def cmd_synthesize(args) -> int:
-    config = load_config(args.config)
+    config = _config(args)
     _, _, model = _build_model(config)
-    spec = config.safety_spec()
-    kbc = config.kbc()
-    delta = args.delta if args.delta is not None else config.delta
     template = init_params(config.n, config.width, config.activations, args.seed)
-    report = cegis_mod.run(spec, model, kbc, template, config.cegis_config(args.seed),
-                           delta=delta, max_boxes=config.max_boxes)
+    report = cegis_mod.run(config.safety_spec(), model, config.kbc(), template,
+                           config.cegis_config(args.seed),
+                           delta=config.delta, max_boxes=config.max_boxes)
 
     outdir = Path(args.output_dir)
     outdir.mkdir(parents=True, exist_ok=True)
     (outdir / "report.json").write_text(report.to_json() + "\n")
     if report.verified:
-        export_certificate(report.params, kbc, config.train_config(args.seed),
-                           outdir / "certificate.expr",
-                           outdir / "certificate.meta.json",
-                           iterations=report.iterations)
+        (outdir / "certificate.expr").write_text(format_expr(report.certificate) + "\n")
+        meta = {
+            "k": config.k,
+            "epsilon": config.epsilon,
+            "eta": list(config.eta),
+            "seed": report.seed,
+            "iterations": report.iterations,
+            "width": config.width,
+            "activations": list(config.activations),
+        }
+        (outdir / "certificate.meta.json").write_text(json.dumps(meta, indent=2) + "\n")
     print(f"outcome: {report.outcome} after {report.iterations} iteration(s)")
     if report.verified:
         print(f"certificate written to {outdir / 'certificate.expr'}")
@@ -102,18 +118,13 @@ def _load_certificate(path, n: int):
 
 
 def cmd_verify(args) -> int:
-    config = load_config(args.config)
+    config = _config(args)
     certificate = _load_certificate(args.certificate, config.n)
     _, _, model = _build_model(config)
-    k = args.k if args.k is not None else config.k
-    epsilon = args.epsilon if args.epsilon is not None else config.epsilon
-    delta = args.delta if args.delta is not None else config.delta
-    kbc = KBCSpec(k=k, epsilon=epsilon)
-    f1 = model.symbolic_step()
-    fk = model.symbolic_k_step(k) if k > 1 else f1
-    task = VerificationTask(B=certificate, f1_sym=f1, fk_sym=fk,
-                            spec=config.safety_spec(), kbc=kbc, delta=delta,
-                            max_boxes=config.max_boxes)
+    task = VerificationTask(B=certificate, f1_sym=model.symbolic_step(),
+                            fk_sym=model.symbolic_k_step(config.k),
+                            spec=config.safety_spec(), kbc=config.kbc(),
+                            delta=config.delta, max_boxes=config.max_boxes)
     verdict = verify(task)
     payload = verdict.to_json()
     if args.output:
@@ -127,13 +138,14 @@ def cmd_verify(args) -> int:
 
 
 def cmd_grid(args) -> int:
-    config = load_config(args.config)
+    if args.resolution < 1:
+        raise ConfigError("--resolution must be >= 1")
+    config = _config(args)
     if config.n != 2:
         raise ConfigError("grids are only emitted for two-dimensional state spaces")
     certificate = _load_certificate(args.certificate, config.n)
     spec = config.safety_spec()
-    kbc = KBCSpec(k=args.k if args.k is not None else config.k,
-                  epsilon=args.epsilon if args.epsilon is not None else config.epsilon)
+    lam = config.kbc().lam
     res = args.resolution
     axes = [np.linspace(iv.lo, iv.hi, res) for iv in spec.X.intervals]
     g1, g2 = np.meshgrid(axes[0], axes[1], indexing="ij")
@@ -154,7 +166,7 @@ def cmd_grid(args) -> int:
         for p, v, ii, iu in zip(points, values, in_init, in_unsafe):
             writer.writerow([repr(float(p[0])), repr(float(p[1])), repr(float(v)),
                              int(ii), int(iu),
-                             int(abs(v) <= band), int(abs(v - kbc.lam) <= band)])
+                             int(abs(v) <= band), int(abs(v - lam) <= band)])
     print(f"wrote {len(points)} grid rows to {out}")
     return EXIT_OK
 

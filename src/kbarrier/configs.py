@@ -16,6 +16,7 @@ from .cegis import CegisConfig
 from .dynamics import ExprMap
 from .expr import Box, parse_expr
 from .learner import KBCSpec, SafetySpec, TrainConfig, mixed_sin_cos
+from .verifier import VerificationTask
 
 __all__ = ["CaseStudyConfig", "ConfigError", "BUILTIN_NAMES", "builtin_config", "load_config"]
 
@@ -26,6 +27,13 @@ class ConfigError(ValueError):
 
 @dataclass(frozen=True)
 class CaseStudyConfig:
+    """Every setting of a run, validated at construction.
+
+    Command-line flags arrive through `dataclasses.replace`, so they pass the
+    same checks as values read from JSON.  Defaults are those of the class
+    that consumes each setting.
+    """
+
     name: str
     n: int
     dt: float
@@ -41,15 +49,15 @@ class CaseStudyConfig:
     eta: tuple[float, float, float, float]
     width: int
     activations: tuple[str, ...]
-    epochs: int = 1000
-    learning_rate: float = 0.1
-    lr_retrain: float = 0.05
-    max_iterations: int = 20
-    cex_points: int = 20
-    cex_radius: float = 0.1
-    samples: int = 1000
-    delta: float = 0.001
-    max_boxes: int = 5_000_000
+    epochs: int = TrainConfig.epochs
+    learning_rate: float = TrainConfig.learning_rate
+    lr_retrain: float = CegisConfig.lr_retrain
+    max_iterations: int = CegisConfig.max_iterations
+    cex_points: int = CegisConfig.cex_points
+    cex_radius: float = CegisConfig.cex_radius
+    samples: int = CegisConfig.samples
+    delta: float = VerificationTask.delta
+    max_boxes: int = VerificationTask.max_boxes
 
     def __post_init__(self):
         object.__setattr__(self, "truth_step", tuple(self.truth_step))
@@ -110,15 +118,15 @@ class CaseStudyConfig:
     def kbc(self) -> KBCSpec:
         return KBCSpec(k=self.k, epsilon=self.epsilon)
 
-    def train_config(self, seed: int) -> TrainConfig:
+    def train_config(self) -> TrainConfig:
         e1, e2, e3, e4 = self.eta
         return TrainConfig(eta1=e1, eta2=e2, eta3=e3, eta4=e4, epochs=self.epochs,
-                           learning_rate=self.learning_rate, seed=seed)
+                           learning_rate=self.learning_rate)
 
     def cegis_config(self, seed: int) -> CegisConfig:
         return CegisConfig(max_iterations=self.max_iterations, cex_points=self.cex_points,
-                           cex_radius=self.cex_radius, lr_retrain=self.lr_retrain, train=self.train_config(seed),
-                           samples=self.samples)
+                           cex_radius=self.cex_radius, lr_retrain=self.lr_retrain,
+                           train=self.train_config(), samples=self.samples, seed=seed)
 
     # -- serialisation ----------------------------------------------------
 

@@ -27,7 +27,7 @@ from .expr import Expr, Tape, Var, lin_comb, max_var_index, node_count, substitu
 __all__ = [
     "ExprMap", "TrajectoryData", "DataDrivenModel", "RankDeficientData",
     "collect_trajectory", "trajectory_from_states", "build_model",
-    "trajectory_to_csv", "trajectory_from_csv",
+    "states_to_csv", "trajectory_to_csv", "trajectory_from_csv",
 ]
 
 # relative sigma_min/sigma_max below this is treated as genuine rank deficiency
@@ -243,14 +243,19 @@ def build_model(trajectory: TrajectoryData, dictionary: ExprMap) -> DataDrivenMo
 # CSV import/export: one row per time index, columns = state dimensions
 # ---------------------------------------------------------------------------
 
-def trajectory_to_csv(trajectory: TrajectoryData, path) -> None:
-    """Write the recorded states x(0)..x(T) as CSV."""
-    states = np.column_stack([trajectory.X0, trajectory.X1[:, -1:]]).T  # (T+1, n)
+def states_to_csv(states: Sequence[Sequence[float]], path) -> None:
+    """Write a state sequence as CSV: header x1..xn, then one state per row in time order."""
+    states = np.asarray(states, dtype=float)
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow([f"x{i + 1}" for i in range(trajectory.n)])
+        writer.writerow([f"x{i + 1}" for i in range(states.shape[1])])
         for row in states:
             writer.writerow([repr(float(v)) for v in row])
+
+
+def trajectory_to_csv(trajectory: TrajectoryData, path) -> None:
+    """Write the recorded states x(0)..x(T) as CSV."""
+    states_to_csv(np.column_stack([trajectory.X0, trajectory.X1[:, -1:]]).T, path)
 
 
 def trajectory_from_csv(path, dictionary: ExprMap) -> TrajectoryData:

@@ -33,7 +33,6 @@ gives the same bits as the plain formulation; the tests compare against it.
 from __future__ import annotations
 
 import functools
-import json
 import math
 from dataclasses import dataclass, field, replace
 from typing import Sequence
@@ -41,16 +40,18 @@ from typing import Sequence
 import numpy as np
 
 from .dynamics import DataDrivenModel
-from .expr import Box, Const, Expr, cos, format_expr, lin_comb, power, sin
+from .expr import Box, Const, Expr, cos, lin_comb, power, sin
 
 __all__ = [
     "ACTIVATIONS", "NetworkParams", "NetworkGradient", "KBCSpec", "SafetySpec",
     "DatasetTriple", "TrainConfig", "TrainingDiverged",
     "mixed_sin_cos", "init_params", "sample_dataset", "loss", "gradient", "train",
-    "export_certificate",
 ]
 
 ACTIVATIONS = ("square", "sin", "cos")
+
+# Adam's moment decay rates and denominator guard
+_BETA1, _BETA2, _ADAM_EPSILON = 0.9, 0.999, 1e-8
 
 
 class TrainingDiverged(RuntimeError):
@@ -275,7 +276,7 @@ class NetworkGradient:
 
 @dataclass(frozen=True)
 class TrainConfig:
-    """Loss margins eta1..eta4 plus optimiser settings."""
+    """Loss margins eta1..eta4, epoch count and Adam learning rate."""
 
     eta1: float = 0.0
     eta2: float = 0.0
@@ -283,10 +284,6 @@ class TrainConfig:
     eta4: float = 0.0
     epochs: int = 1000
     learning_rate: float = 0.1
-    beta1: float = 0.9
-    beta2: float = 0.999
-    adam_epsilon: float = 1e-8
-    seed: int = 0
 
     def __post_init__(self):
         for name in ("eta1", "eta2", "eta3", "eta4"):
@@ -296,16 +293,6 @@ class TrainConfig:
             raise ValueError("epochs must be >= 0")
         if not 0 < self.learning_rate < math.inf:
             raise ValueError("learning rate must be > 0 and finite")
-        # a bias correction 1 - beta**t of 0 divides by zero in the Adam step
-        for name in ("beta1", "beta2"):
-            if not 0.0 <= getattr(self, name) < 1.0:
-                raise ValueError(f"{name} must be in [0, 1)")
-        if not self.adam_epsilon > 0:
-            raise ValueError("adam_epsilon must be > 0")
-
-    @property
-    def etas(self) -> tuple[float, float, float, float]:
-        return (self.eta1, self.eta2, self.eta3, self.eta4)
 
 
 @dataclass(frozen=True, eq=False)
@@ -489,7 +476,7 @@ def train(p0: NetworkParams, data: DatasetTriple, kbc: KBCSpec,
     sec = np.zeros_like(theta)
     best_loss = math.inf
     best = theta.copy()
-    beta1, beta2, lr, eps = cfg.beta1, cfg.beta2, cfg.learning_rate, cfg.adam_epsilon
+    beta1, beta2, lr, eps = _BETA1, _BETA2, cfg.learning_rate, _ADAM_EPSILON
     decay1, decay2 = 1.0 - beta1, 1.0 - beta2
 
     def current() -> NetworkParams:
@@ -521,23 +508,3 @@ def train(p0: NetworkParams, data: DatasetTriple, kbc: KBCSpec,
     if total < best_loss:
         best = theta
     return best_params()
-
-
-def export_certificate(params: NetworkParams, kbc: KBCSpec, cfg: TrainConfig,
-                       path_expr, path_meta, iterations: int = 0) -> None:
-    """Write the candidate as expression text plus a JSON sidecar."""
-    e = params.to_expr()
-    with open(path_expr, "w") as fh:
-        fh.write(format_expr(e) + "\n")
-    meta = {
-        "k": kbc.k,
-        "epsilon": kbc.epsilon,
-        "eta": list(cfg.etas),
-        "seed": cfg.seed,
-        "iterations": iterations,
-        "width": params.width,
-        "activations": list(params.activations),
-    }
-    with open(path_meta, "w") as fh:
-        json.dump(meta, fh, indent=2)
-        fh.write("\n")

@@ -50,7 +50,6 @@ CONDITION_TAGS = ("I", "U", "E1", "E2")
 # constraint kinds: "le0" requires expr <= 0, "gt0" requires expr > 0
 Constraint = tuple[Expr, str]
 
-_DEFAULT_MAX_BOXES = 5_000_000
 _PRUNED_SINK_CAP = 50_000
 # evaluation batch size: bounds peak register memory at wide search fronts
 _EVAL_CHUNK = 32_768
@@ -66,7 +65,7 @@ class VerificationTask:
     spec: SafetySpec
     kbc: KBCSpec
     delta: float = 0.001
-    max_boxes: int = _DEFAULT_MAX_BOXES
+    max_boxes: int = 5_000_000
 
     def __post_init__(self):
         object.__setattr__(self, "f1_sym", tuple(self.f1_sym))

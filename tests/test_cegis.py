@@ -6,6 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import kbarrier.cegis
 from kbarrier import (
     Box, CegisConfig, KBCSpec, SafetySpec, TrainConfig, VerificationTask,
     augment, check_point, init_params, parse_expr, run, sample_dataset, verify,
@@ -29,9 +30,8 @@ def toy_setup():
     model = identity_model()
     kbc = KBCSpec(k=2, epsilon=0.1)
     cfg = CegisConfig(max_iterations=10, cex_points=20, cex_radius=0.1, lr_retrain=0.05,
-                      train=TrainConfig(eta1=0.05, eta2=0.001, epochs=400,
-                                        learning_rate=0.1, seed=0),
-                      samples=200)
+                      train=TrainConfig(eta1=0.05, eta2=0.001, epochs=400, learning_rate=0.1),
+                      samples=200, seed=0)
     return spec, model, kbc, cfg
 
 
@@ -97,6 +97,24 @@ class TestRunToy:
                                 fk_sym=model.symbolic_k_step(2), spec=spec, kbc=kbc,
                                 delta=0.001)
         assert verify(task).kind == "valid"
+
+    def test_seed_drives_the_run(self, monkeypatch):
+        spec, model, kbc, cfg = toy_setup()
+        template = init_params(2, 2, ("square", "square"), 0)
+        first_datasets = []
+        real = kbarrier.cegis.sample_dataset
+
+        def recorded(*args):
+            first_datasets.append(real(*args))
+            return first_datasets[-1]
+
+        monkeypatch.setattr(kbarrier.cegis, "sample_dataset", recorded)
+        reports = [run(spec, model, kbc, template, replace(cfg, max_iterations=1, seed=seed))
+                   for seed in (4, 4, 5)]
+        assert reports[0].to_json() == reports[1].to_json()
+        assert [r.seed for r in reports] == [4, 4, 5]
+        assert np.array_equal(first_datasets[0].S, first_datasets[1].S)
+        assert not np.array_equal(first_datasets[0].S, first_datasets[2].S)
 
     def test_replay_is_bitwise(self):
         spec, model, kbc, cfg = toy_setup()

@@ -12,7 +12,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from kbarrier import CaseStudyConfig, ConfigError, builtin_config
+import kbarrier.cegis
+from kbarrier import (
+    CaseStudyConfig, ConfigError, build_model, builtin_config, trajectory_from_csv,
+)
 from kbarrier.cli import main
 from kbarrier.expr import format_expr
 
@@ -59,9 +62,9 @@ class TestSimulate:
                      "--x0", "0.5,-1", "--output", str(out)])
         assert code == 0
         header, rows = read_csv(out)
-        assert header == ["t", "x1", "x2"]
+        assert header == ["x1", "x2"]
         assert len(rows) == 8
-        assert rows[0] == ["0", "0.5", "-1.0"]
+        assert rows[0] == ["0.5", "-1.0"]
 
     def test_zero_steps_single_row(self, tmp_path):
         out = tmp_path / "traj.csv"
@@ -79,9 +82,30 @@ class TestSimulate:
         _, data_rows = read_csv(data_csv)
         worst = max(
             abs(float(a[i]) - float(b[i]))
-            for a, b in zip(truth_rows, data_rows) for i in (1, 2)
+            for a, b in zip(truth_rows, data_rows) for i in (0, 1)
         )
         assert worst <= 1e-7
+
+    def test_output_loads_as_trajectory(self, tmp_path, highly_nonlinear):
+        out = tmp_path / "traj.csv"
+        assert main(["simulate", "highly-nonlinear", "--steps", "12",
+                     "--output", str(out)]) == 0
+        _, _, dictionary, _, model = highly_nonlinear
+        rebuilt = build_model(trajectory_from_csv(out, dictionary), dictionary)
+        assert np.max(np.abs(rebuilt.coeff - model.coeff)) <= 1e-8
+
+    @pytest.mark.parametrize("command, flag, value", [
+        ("simulate", "--steps", "-3"), ("simulate", "--steps", "-1"),
+        ("grid", "--resolution", "0"), ("grid", "--resolution", "-2"),
+    ])
+    def test_out_of_range_count_flags(self, tmp_path, capsys, command, flag, value):
+        cert = tmp_path / "b.expr"
+        cert.write_text("(var 0)")
+        out = tmp_path / "out.csv"
+        argv = [command, "polynomial"] + ([str(cert)] if command == "grid" else [])
+        assert main(argv + [flag, value, "--output", str(out)]) == 2
+        assert capsys.readouterr().err.startswith(f"config error: {flag} must be >= ")
+        assert not out.exists()
 
     def test_unknown_config(self, tmp_path):
         assert main(["simulate", "no-such-system",
@@ -174,8 +198,26 @@ class TestSynthesizeAndVerify:
     def test_invalid_flag_values(self, tmp_path):
         cert = tmp_path / "b.expr"
         cert.write_text("(var 0)")
-        assert main(["verify", "polynomial", str(cert), "--k", "0"]) == 2
+        out = tmp_path / "out"
+        for command in ("verify", "grid"):
+            for flag, value in (("--k", "0"), ("--epsilon", "nan")):
+                argv = [command, "polynomial", str(cert), flag, value, "--output", str(out)]
+                assert main(argv) == 2
         assert main(["verify", "polynomial", str(cert), "--delta", "0"]) == 2
+        assert not out.exists()
+
+    @pytest.mark.parametrize("case", ["polynomial", "pendulum"])
+    @pytest.mark.parametrize("delta", ["nan", "0", "-1", "inf"])
+    def test_bad_delta_flag_exits_before_training(self, tmp_path, capsys, monkeypatch,
+                                                  case, delta):
+        def no_training(*args, **kwargs):
+            raise AssertionError("training started")
+
+        monkeypatch.setattr(kbarrier.cegis, "train", no_training)
+        outdir = tmp_path / "o"
+        assert main(["synthesize", case, "--delta", delta, "--output-dir", str(outdir)]) == 2
+        assert "config error: delta must be > 0 and finite" in capsys.readouterr().err
+        assert not outdir.exists()
 
 
 class TestConfigValidation:
@@ -193,7 +235,7 @@ class TestConfigValidation:
 
     def test_boundary_values_load(self):
         config = CaseStudyConfig.from_dict(dict(TOY, lr_retrain=0.1, epsilon=0.0, max_boxes=1))
-        assert config.cegis_config(0).lr_retrain == config.train_config(0).learning_rate
+        assert config.cegis_config(0).lr_retrain == config.train_config().learning_rate
 
 
 class TestGrid:
