@@ -54,6 +54,8 @@ class CegisConfig:
             raise ValueError("cex_radius must be > 0 and finite")
         if not 0 < self.lr_retrain <= self.train.learning_rate:
             raise ValueError("retraining rate must be > 0 and not exceed the initial rate")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
 
 
 @dataclass(frozen=True)

@@ -4,7 +4,7 @@ Exit codes are part of the interface so CI scripts can assert outcomes:
 
     0  success (synthesize: certificate verified; verify: valid)
     1  verify found a counterexample or a delta-sat box
-    2  configuration or input error
+    2  configuration, input or output error
     3  rank failure while building the data-driven model
     4  verifier exhausted its box budget
     5  synthesis terminated without a verified certificate, or training diverged
@@ -75,14 +75,15 @@ def cmd_simulate(args) -> int:
 
 def cmd_synthesize(args) -> int:
     config = _config(args)
+    loop = config.cegis_config(args.seed)
     _, _, model = _build_model(config)
     template = init_params(config.n, config.width, config.activations, args.seed)
-    report = cegis_mod.run(config.safety_spec(), model, config.kbc(), template,
-                           config.cegis_config(args.seed),
-                           delta=config.delta, max_boxes=config.max_boxes)
-
+    # an unwritable output path fails here, not after the whole loop has run
     outdir = Path(args.output_dir)
     outdir.mkdir(parents=True, exist_ok=True)
+    report = cegis_mod.run(config.safety_spec(), model, config.kbc(), template, loop,
+                           delta=config.delta, max_boxes=config.max_boxes)
+
     (outdir / "report.json").write_text(report.to_json() + "\n")
     if report.verified:
         (outdir / "certificate.expr").write_text(format_expr(report.certificate) + "\n")
@@ -244,6 +245,9 @@ def main(argv=None) -> int:
     except (ConfigError, ValueError) as err:
         # validation errors from flag values (k, epsilon, delta, ...) land here
         print(f"config error: {err}", file=sys.stderr)
+        return EXIT_CONFIG
+    except OSError as err:
+        print(f"i/o error: {err}", file=sys.stderr)
         return EXIT_CONFIG
 
 

@@ -16,13 +16,12 @@ is composed in closed form as A^k x.
 from __future__ import annotations
 
 import csv
-import warnings
 from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
 
-from .expr import Expr, Tape, Var, lin_comb, max_var_index, node_count, substitute
+from .expr import Expr, Tape, Var, lin_comb, max_var_index, substitute
 
 __all__ = [
     "ExprMap", "TrajectoryData", "DataDrivenModel", "RankDeficientData",
@@ -34,8 +33,6 @@ __all__ = [
 _RANK_RTOL = 1e-9
 # construction contract on the right-inverse residual
 _RESIDUAL_TOL = 1e-8
-
-_SYMBOLIC_NODE_WARN = 10 ** 6
 
 
 class RankDeficientData(ValueError):
@@ -224,12 +221,6 @@ class DataDrivenModel:
         fk = f1
         for _ in range(k - 1):
             fk = tuple(substitute(comp, fk) for comp in f1)
-        total = sum(node_count(e) for e in fk)
-        if total > _SYMBOLIC_NODE_WARN:
-            warnings.warn(
-                f"composed step expression has {total} tree nodes; expect slow evaluation",
-                RuntimeWarning,
-            )
         return fk
 
 

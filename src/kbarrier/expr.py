@@ -7,6 +7,15 @@ denominator.  Expression trees are immutable after construction and may
 share subtrees freely; evaluation is memoised over shared nodes, so a
 deeply composed expression costs what its DAG costs, not its tree.
 
+Which node types exist is decided in one place: `_NODES` maps each prefix
+name (the lower-cased class name) to its class, binary and unary operators
+share the `_Binary` and `_Unary` bases, and `_children` lists a node's
+operands.  Every structural pass (Tape compilation, `substitute`,
+`node_count`, `max_var_index`, `format_expr`) runs on the one walk
+`_postorder`, which visits each distinct node once on an explicit stack;
+`parse_expr` keeps its own operator stack.  No pass recurses, so nesting
+depth is limited by memory, not by Python's recursion limit.
+
 Two evaluation modes are provided:
 
 * point evaluation (`eval_point`, `Tape.eval_points`) -- ordinary float
@@ -26,7 +35,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -76,9 +85,6 @@ class Expr:
     def __pow__(self, exponent):
         return power(self, exponent)
 
-    def __repr__(self):
-        return format_expr(self)
-
 
 @dataclass(frozen=True, eq=False)
 class Var(Expr):
@@ -104,26 +110,42 @@ class Const(Expr):
 
 
 @dataclass(frozen=True, eq=False)
-class Add(Expr):
+class _Binary(Expr):
     left: Expr
     right: Expr
 
 
 @dataclass(frozen=True, eq=False)
-class Sub(Expr):
-    left: Expr
-    right: Expr
-
-
-@dataclass(frozen=True, eq=False)
-class Mul(Expr):
-    left: Expr
-    right: Expr
-
-
-@dataclass(frozen=True, eq=False)
-class Neg(Expr):
+class _Unary(Expr):
     operand: Expr
+
+
+class Add(_Binary):
+    """left + right"""
+
+
+class Sub(_Binary):
+    """left - right"""
+
+
+class Mul(_Binary):
+    """left * right"""
+
+
+class Neg(_Unary):
+    """-operand"""
+
+
+class Sin(_Unary):
+    """sin(operand)"""
+
+
+class Cos(_Unary):
+    """cos(operand)"""
+
+
+class Exp(_Unary):
+    """exp(operand)"""
 
 
 @dataclass(frozen=True, eq=False)
@@ -140,19 +162,21 @@ class Pow(Expr):
             raise ValueError(f"power exponent must be >= 1, got {self.exponent}")
 
 
-@dataclass(frozen=True, eq=False)
-class Sin(Expr):
-    operand: Expr
+# The node table: every node class by its prefix name, the lower-cased class
+# name that the text form and the Tape's instructions use.
+_NODES = {cls.__name__.lower(): cls
+          for cls in (Var, Const, Add, Sub, Mul, Neg, Pow, Sin, Cos, Exp)}
 
 
-@dataclass(frozen=True, eq=False)
-class Cos(Expr):
-    operand: Expr
-
-
-@dataclass(frozen=True, eq=False)
-class Exp(Expr):
-    operand: Expr
+def _children(e: Expr) -> tuple[Expr, ...]:
+    """The operands of a node, left to right; a leaf has none."""
+    if isinstance(e, _Binary):
+        return (e.left, e.right)
+    if isinstance(e, _Unary):
+        return (e.operand,)
+    if isinstance(e, Pow):
+        return (e.base,)
+    return ()
 
 
 def _coerce(value) -> Expr:
@@ -167,28 +191,25 @@ def _coerce(value) -> Expr:
 # Smart constructors (constant folding only, no other rewriting)
 # ---------------------------------------------------------------------------
 
-def add(a: Expr, b: Expr) -> Expr:
-    if isinstance(a, Const) and isinstance(b, Const):
-        return Const(a.value + b.value)
-    return Add(a, b)
+def _folding(cls: type, fold):
+    """Constructor of `cls` nodes that folds all-constant operands with `fold`."""
+    def make(*operands: Expr) -> Expr:
+        for a in operands:
+            if not isinstance(a, Const):
+                return cls(*operands)
+        return Const(fold(*[a.value for a in operands]))
+
+    make.__name__ = make.__qualname__ = cls.__name__.lower()
+    return make
 
 
-def sub(a: Expr, b: Expr) -> Expr:
-    if isinstance(a, Const) and isinstance(b, Const):
-        return Const(a.value - b.value)
-    return Sub(a, b)
-
-
-def mul(a: Expr, b: Expr) -> Expr:
-    if isinstance(a, Const) and isinstance(b, Const):
-        return Const(a.value * b.value)
-    return Mul(a, b)
-
-
-def neg(a: Expr) -> Expr:
-    if isinstance(a, Const):
-        return Const(-a.value)
-    return Neg(a)
+add = _folding(Add, operator.add)
+sub = _folding(Sub, operator.sub)
+mul = _folding(Mul, operator.mul)
+neg = _folding(Neg, operator.neg)
+sin = _folding(Sin, math.sin)
+cos = _folding(Cos, math.cos)
+exp = _folding(Exp, math.exp)
 
 
 def power(a: Expr, exponent: int) -> Expr:
@@ -196,24 +217,6 @@ def power(a: Expr, exponent: int) -> Expr:
         Pow(a, exponent)  # validate the exponent even when folding
         return Const(a.value ** exponent)
     return Pow(a, exponent)
-
-
-def sin(a: Expr) -> Expr:
-    if isinstance(a, Const):
-        return Const(math.sin(a.value))
-    return Sin(a)
-
-
-def cos(a: Expr) -> Expr:
-    if isinstance(a, Const):
-        return Const(math.cos(a.value))
-    return Cos(a)
-
-
-def exp(a: Expr) -> Expr:
-    if isinstance(a, Const):
-        return Const(math.exp(a.value))
-    return Exp(a)
 
 
 def lin_comb(coefficients: Sequence[float], terms: Sequence[Expr], constant: float = 0.0) -> Expr:
@@ -231,49 +234,46 @@ def lin_comb(coefficients: Sequence[float], terms: Sequence[Expr], constant: flo
 
 
 # ---------------------------------------------------------------------------
-# Structural helpers
+# The structural walk and the passes built on it
 # ---------------------------------------------------------------------------
 
-def _children(e: Expr) -> tuple[Expr, ...]:
-    if isinstance(e, (Add, Sub, Mul)):
-        return (e.left, e.right)
-    if isinstance(e, (Neg, Sin, Cos, Exp)):
-        return (e.operand,)
-    if isinstance(e, Pow):
-        return (e.base,)
-    return ()
+def _postorder(roots: Iterable[Expr]) -> Iterator[tuple[Expr, tuple[Expr, ...]]]:
+    """Each distinct node reachable from `roots` once, with its operands.
+
+    Children come before their parents and left before right: the order in
+    which a memoised recursive walk would finish the nodes, but on an
+    explicit stack, so depth is limited by memory only.
+    """
+    done: set[int] = set()
+    stack: list = list(roots)[::-1]
+    while stack:
+        node = stack.pop()
+        if type(node) is tuple:  # a node whose operands are done
+            node, kids = node
+        elif id(node) in done:
+            continue
+        else:
+            kids = _children(node)
+            if kids:
+                stack.append((node, kids))
+                stack += kids[::-1]
+                continue
+        done.add(id(node))
+        yield node, kids
 
 
 def max_var_index(e: Expr) -> int:
     """Largest variable index used in the expression, -1 if none."""
-    best = -1
-    memo: set[int] = set()
-    stack = [e]
-    while stack:
-        node = stack.pop()
-        if id(node) in memo:
-            continue
-        memo.add(id(node))
-        if isinstance(node, Var):
-            best = max(best, node.index)
-        else:
-            stack.extend(_children(node))
-    return best
+    return max((node.index for node, _ in _postorder([e]) if isinstance(node, Var)),
+               default=-1)
 
 
 def node_count(e: Expr) -> int:
     """Number of nodes of the expression *tree* (shared subtrees counted per use)."""
-    memo: dict[int, int] = {}
-
-    def count(node: Expr) -> int:
-        key = id(node)
-        if key in memo:
-            return memo[key]
-        total = 1 + sum(count(c) for c in _children(node))
-        memo[key] = total
-        return total
-
-    return count(e)
+    count: dict[int, int] = {}
+    for node, kids in _postorder([e]):
+        count[id(node)] = 1 + sum([count[id(k)] for k in kids])
+    return count[id(e)]
 
 
 def substitute(e: Expr, replacements: Sequence[Expr]) -> Expr:
@@ -284,33 +284,24 @@ def substitute(e: Expr, replacements: Sequence[Expr]) -> Expr:
     original expression object.
     """
     reps = list(replacements)
-    memo: dict[int, Expr] = {}
-
-    def walk(node: Expr) -> Expr:
-        key = id(node)
-        if key in memo:
-            return memo[key]
+    image: dict[int, Expr] = {}
+    for node, kids in _postorder([e]):
         if isinstance(node, Var):
             if node.index >= len(reps):
                 raise ValueError(f"missing replacement for variable {node.index}")
             r = reps[node.index]
             if isinstance(r, Var) and r.index == node.index:
                 r = node
-        elif isinstance(node, Const):
-            r = node
-        elif isinstance(node, (Add, Sub, Mul)):
-            a, b = walk(node.left), walk(node.right)
-            r = node if (a is node.left and b is node.right) else type(node)(a, b)
-        elif isinstance(node, Pow):
-            a = walk(node.base)
-            r = node if a is node.base else Pow(a, node.exponent)
         else:
-            a = walk(node.operand)
-            r = node if a is node.operand else type(node)(a)
-        memo[key] = r
-        return r
-
-    return walk(e)
+            new = tuple([image[id(k)] for k in kids])
+            if new == kids:  # nodes compare by identity
+                r = node
+            elif isinstance(node, Pow):
+                r = Pow(new[0], node.exponent)
+            else:
+                r = type(node)(*new)
+        image[id(node)] = r
+    return image[id(e)]
 
 
 # ---------------------------------------------------------------------------
@@ -528,42 +519,28 @@ class Tape:
 
     def __init__(self, roots: Sequence[Expr]):
         self.ops: list[tuple] = []
-        self.outputs: list[int] = []
-        memo: dict[int, int] = {}
-
-        def walk(e: Expr) -> int:
-            key = id(e)
-            if key in memo:
-                return memo[key]
-            if isinstance(e, Var):
-                instr = ("var", e.index, None)
-            elif isinstance(e, Const):
-                instr = ("const", e.value, None)
-            elif isinstance(e, (Add, Sub, Mul)):
-                a, b = walk(e.left), walk(e.right)
-                instr = (type(e).__name__.lower(), a, b)
-                if isinstance(e, Mul) and a != b:
-                    if isinstance(e.left, Const):
-                        instr = ("scale", e.left.value, b)
-                    elif isinstance(e.right, Const):
-                        instr = ("scale", e.right.value, a)
-            elif isinstance(e, Pow):
-                instr = ("pow", walk(e.base), e.exponent)
-            elif isinstance(e, Neg):
-                instr = ("neg", walk(e.operand), None)
-            elif isinstance(e, Sin):
-                instr = ("sin", walk(e.operand), None)
-            elif isinstance(e, Cos):
-                instr = ("cos", walk(e.operand), None)
-            elif isinstance(e, Exp):
-                instr = ("exp", walk(e.operand), None)
+        register: dict[int, int] = {}
+        for node, kids in _postorder(roots):
+            if isinstance(node, Var):
+                instr = ("var", node.index, None)
+            elif isinstance(node, Const):
+                instr = ("const", node.value, None)
+            elif isinstance(node, Pow):
+                instr = ("pow", register[id(kids[0])], node.exponent)
+            elif isinstance(node, _Unary):
+                instr = (type(node).__name__.lower(), register[id(kids[0])], None)
             else:
-                raise TypeError(f"unknown expression node {type(e).__name__}")
+                left, right = kids
+                a, b = register[id(left)], register[id(right)]
+                instr = (type(node).__name__.lower(), a, b)
+                if isinstance(node, Mul) and a != b:
+                    if isinstance(left, Const):
+                        instr = ("scale", left.value, b)
+                    elif isinstance(right, Const):
+                        instr = ("scale", right.value, a)
+            register[id(node)] = len(self.ops)
             self.ops.append(instr)
-            memo[key] = len(self.ops) - 1
-            return memo[key]
-
-        self.outputs = [walk(r) for r in roots]
+        self.outputs: list[int] = [register[id(r)] for r in roots]
         self.n_vars = 1 + max(
             (instr[1] for instr in self.ops if instr[0] == "var"), default=-1
         )
@@ -687,23 +664,31 @@ def eval_interval(e: Expr, box: Box) -> Interval:
 # Prefix-notation text form
 # ---------------------------------------------------------------------------
 
-_UNARY = {"neg": Neg, "sin": Sin, "cos": Cos, "exp": Exp}
-_BINARY = {"add": Add, "sub": Sub, "mul": Mul}
-
-
 def format_expr(e: Expr) -> str:
     """Serialise to prefix notation, e.g. `(add (var 0) (const 1.0))`."""
-    if isinstance(e, Var):
-        return f"(var {e.index})"
-    if isinstance(e, Const):
-        return f"(const {e.value!r})"
-    if isinstance(e, (Add, Sub, Mul)):
-        op = type(e).__name__.lower()
-        return f"({op} {format_expr(e.left)} {format_expr(e.right)})"
-    if isinstance(e, Pow):
-        return f"(pow {format_expr(e.base)} {e.exponent})"
-    op = type(e).__name__.lower()
-    return f"({op} {format_expr(e.operand)})"
+    # Each distinct node's text is a list of strings and of its operands'
+    # lists, so a shared or deep subtree is written once, not copied per level.
+    pieces: dict[int, str | list] = {}
+    for node, kids in _postorder([e]):
+        if isinstance(node, Var):
+            pieces[id(node)] = f"(var {node.index})"
+        elif isinstance(node, Const):
+            pieces[id(node)] = f"(const {node.value!r})"
+        else:
+            text: list = [f"({type(node).__name__.lower()}"]
+            for k in kids:
+                text += (" ", pieces[id(k)])
+            text.append(f" {node.exponent})" if isinstance(node, Pow) else ")")
+            pieces[id(node)] = text
+    out: list[str] = []
+    stack = [pieces[id(e)]]
+    while stack:
+        piece = stack.pop()
+        if isinstance(piece, str):
+            out.append(piece)
+        else:
+            stack.extend(reversed(piece))
+    return "".join(out)
 
 
 def _tokenize(text: str) -> list[str]:
@@ -716,41 +701,43 @@ def parse_expr(text: str) -> Expr:
     if not tokens:
         raise ValueError("empty expression text")
     pos = 0
-
-    def parse() -> Expr:
-        nonlocal pos
-        if tokens[pos] != "(":
-            raise ValueError(f"expected '(' at token {pos}: {tokens[pos]!r}")
-        pos += 1
-        op = tokens[pos]
-        pos += 1
-        if op == "var":
-            node: Expr = Var(int(tokens[pos]))
-            pos += 1
-        elif op == "const":
-            node = Const(float(tokens[pos]))
-            pos += 1
-        elif op in _BINARY:
-            left = parse()
-            right = parse()
-            node = _BINARY[op](left, right)
-        elif op == "pow":
-            base = parse()
-            node = Pow(base, int(tokens[pos]))
-            pos += 1
-        elif op in _UNARY:
-            node = _UNARY[op](parse())
-        else:
-            raise ValueError(f"unknown operator {op!r}")
-        if tokens[pos] != ")":
-            raise ValueError(f"expected ')' at token {pos}")
-        pos += 1
-        return node
-
+    # open operators, innermost last, each with the operands read so far
+    pending: list[tuple[type, list[Expr]]] = []
     try:
-        result = parse()
+        while True:
+            if tokens[pos] != "(":
+                raise ValueError(f"expected '(' at token {pos}: {tokens[pos]!r}")
+            op = tokens[pos + 1]
+            pos += 2
+            cls = _NODES.get(op)
+            if cls is Var:
+                node: Expr = Var(int(tokens[pos]))
+            elif cls is Const:
+                node = Const(float(tokens[pos]))
+            elif cls is None:
+                raise ValueError(f"unknown operator {op!r}")
+            else:
+                pending.append((cls, []))
+                continue
+            pos += 1
+            # close the leaf and every operator whose last operand it is
+            while True:
+                if tokens[pos] != ")":
+                    raise ValueError(f"expected ')' at token {pos}")
+                pos += 1
+                if not pending:
+                    if pos != len(tokens):
+                        raise ValueError("trailing tokens after expression")
+                    return node
+                cls, operands = pending[-1]
+                operands.append(node)
+                if issubclass(cls, _Binary) and len(operands) == 1:
+                    break
+                pending.pop()
+                if cls is Pow:
+                    node = Pow(operands[0], int(tokens[pos]))
+                    pos += 1
+                else:
+                    node = cls(*operands)
     except IndexError:  # only the token reads index, and only past the end
         raise ValueError("unexpected end of expression text") from None
-    if pos != len(tokens):
-        raise ValueError("trailing tokens after expression")
-    return result

@@ -219,6 +219,37 @@ class TestSynthesizeAndVerify:
         assert "config error: delta must be > 0 and finite" in capsys.readouterr().err
         assert not outdir.exists()
 
+    def test_negative_seed_rejected_before_work(self, tmp_path, capsys):
+        outdir = tmp_path / "o"
+        assert main(["synthesize", "polynomial", "--seed", "-1",
+                     "--output-dir", str(outdir)]) == 2
+        assert "config error: seed must be >= 0" in capsys.readouterr().err
+        assert not outdir.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["synthesize", "polynomial", "--output-dir"],
+        ["simulate", "polynomial", "--steps", "2", "--output"],
+    ])
+    def test_unwritable_output_exits_before_training(self, tmp_path, capsys, monkeypatch,
+                                                      argv):
+        def no_training(*args, **kwargs):
+            raise AssertionError("training started")
+
+        monkeypatch.setattr(kbarrier.cegis, "train", no_training)
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        assert main(argv + [str(blocker / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("i/o error: ") and err.count("\n") == 1
+
+    def test_verify_deep_composition(self, tmp_path, capsys, reference_nonlinear_cert):
+        cert = tmp_path / "cert.expr"
+        cert.write_text(format_expr(reference_nonlinear_cert) + "\n")
+        code = main(["verify", "highly-nonlinear", str(cert), "--k", "100"])
+        verdict = json.loads(capsys.readouterr().out)
+        exit_codes = {"valid": 0, "counterexample": 1, "delta_sat": 1, "exhausted": 4}
+        assert code == exit_codes[verdict["verdict"]]
+
 
 class TestConfigValidation:
     @pytest.mark.parametrize("field, value", [

@@ -9,7 +9,7 @@ from kbarrier import (
     trajectory_to_csv,
 )
 from kbarrier.dynamics import DataDrivenModel
-from kbarrier.expr import Const, Var, eval_interval, eval_point, lin_comb, substitute
+from kbarrier.expr import Const, Tape, Var, eval_interval, eval_point, lin_comb, substitute
 
 from conftest import identity_dictionary
 
@@ -172,10 +172,13 @@ class TestSymbolicStep:
                 sym = [eval_point(c, x) for c in fk]
                 assert np.abs(np.array(sym) - model.k_step(x, k)).max() <= 1e-8
 
-    def test_deep_composition_warns(self, highly_nonlinear):
-        _, _, _, _, model = highly_nonlinear
-        with pytest.warns(RuntimeWarning, match="tree nodes"):
-            model.symbolic_k_step(7)
+    def test_deep_composition_compiles_and_agrees(self, polynomial):
+        # 300 nested substitutions: no walk over the DAG may recurse per level
+        _, _, _, _, model = polynomial
+        fk = model.symbolic_k_step(300)
+        points = np.random.default_rng(8).uniform(-0.2, 0.2, size=(50, 2))
+        got = np.column_stack(Tape(fk).eval_points(points))
+        assert np.abs(got - model.k_step_batch(points, 300)).max() <= 1e-9
 
     def test_identity_dictionary_composes_the_matrix_power(self):
         # substituting A x into itself encloses A^k x more loosely over a box

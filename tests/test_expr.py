@@ -7,11 +7,15 @@ import numpy as np
 import pytest
 
 import kbarrier.expr
-from kbarrier import eval_interval, eval_point, format_expr, parse_expr, substitute
+from kbarrier import (
+    KBCSpec, VerificationTask, condition_exprs, eval_interval, eval_point, format_expr,
+    parse_expr, substitute,
+)
 from kbarrier.expr import (
     Add, Box, Const, Cos, Exp, Interval, Mul, Neg, Pow, Sin, Sub, Tape, Var,
     lin_comb, max_var_index, node_count, _pad_out,
 )
+from kbarrier.verifier import _margin_expr
 
 from conftest import random_expr, random_finite_pair
 
@@ -176,6 +180,16 @@ class TestTextForm:
                 a, b = eval_point(e, p), eval_point(back, p)
             if math.isfinite(a):
                 assert a == b
+
+    def test_deep_chain_round_trip(self):
+        # no pass over the expression may recurse once per level
+        depth = 10_000
+        text = "(neg " * depth + "(var 0)" + ")" * depth
+        e = parse_expr(text)
+        assert format_expr(e) == text
+        assert node_count(e) == depth + 1 and max_var_index(e) == 0
+        assert eval_point(e, [1.5]) == 1.5
+        assert eval_point(substitute(e, [X2]), [0.0, -2.0]) == -2.0
 
     def test_pow_round_trip(self):
         text = "(pow (sub (var 0) (const 0.5)) 3)"
@@ -375,12 +389,32 @@ def parity_boxes(rng):
     return np.vstack([lo, random_lo]), np.vstack([hi, random_hi])
 
 
+@pytest.fixture(scope="module")
+def k3_roots(highly_nonlinear, reference_nonlinear_cert):
+    """Every root the verifier compiles for the four conditions at k = 3."""
+    config, _, _, _, model = highly_nonlinear
+    task = VerificationTask(B=reference_nonlinear_cert, f1_sym=model.symbolic_step(),
+                            fk_sym=model.symbolic_k_step(3), spec=config.safety_spec(),
+                            kbc=KBCSpec(k=3, epsilon=config.epsilon))
+    return [root for tag, constraints, _ in condition_exprs(task)
+            for root in [e for e, _ in constraints] + [_margin_expr(tag, constraints)]]
+
+
 class TestTapeParity:
     """Tape gives bit for bit what the straight-line evaluator gave."""
 
-    def test_eval_boxes_bitwise(self, monkeypatch):
+    def test_ops_in_reference_order(self, k3_roots):
+        roots = parity_roots(np.random.default_rng(11)) + k3_roots
+        tape = Tape(roots)
+        ops, outputs = reference_ops(roots)
+        assert tape.outputs == outputs and len(tape.ops) == len(ops)
+        for got, want in zip(tape.ops, ops):
+            assert got == want or (got[0] == "scale" and want[0] == "mul"
+                                   and got[2] in want[1:])
+
+    def test_eval_boxes_bitwise(self, monkeypatch, k3_roots):
         rng = np.random.default_rng(11)
-        roots = parity_roots(rng)
+        roots = parity_roots(rng) + k3_roots
         lo, hi = parity_boxes(rng)
         tape = Tape(roots)
         assert sum(op == "scale" for op, _, _ in tape.ops) >= 8
@@ -391,9 +425,9 @@ class TestTapeParity:
             assert_bitwise_equal(gl, wl)
             assert_bitwise_equal(gh, wh)
 
-    def test_eval_points_bitwise(self):
+    def test_eval_points_bitwise(self, k3_roots):
         rng = np.random.default_rng(12)
-        roots = parity_roots(rng)
+        roots = parity_roots(rng) + k3_roots
         edges = np.array([[a, b] for a in EDGE_VALUES for b in EDGE_VALUES[::3]])
         points = np.vstack([edges, rng.uniform(-4.0, 4.0, size=(200, 2))])
         with np.errstate(all="ignore"):
