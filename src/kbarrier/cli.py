@@ -4,7 +4,7 @@ Exit codes are part of the interface so CI scripts can assert outcomes:
 
     0  success (synthesize: certificate verified; verify: valid)
     1  verify found a counterexample or a delta-sat box
-    2  configuration, input or output error
+    2  configuration, input or output error, or a simulated rollout that diverges
     3  rank failure while building the data-driven model
     4  verifier exhausted its box budget
     5  synthesis terminated without a verified certificate, or training diverged
@@ -65,8 +65,15 @@ def cmd_simulate(args) -> int:
     truth, _, model = _build_model(config)
     stepper = truth.eval if args.model == "truth" else model.step
     rows = [x0]
-    for _ in range(args.steps):
-        rows.append(np.asarray(stepper(rows[-1]), dtype=float))
+    # a diverging rollout stops at its first non-finite state, before any
+    # overflow could reach the CSV, which trajectory_from_csv would reject
+    with np.errstate(over="ignore", invalid="ignore"):
+        for step in range(1, args.steps + 1):
+            rows.append(np.asarray(stepper(rows[-1]), dtype=float))
+            if not np.isfinite(rows[-1]).all():
+                print(f"rollout diverged: state {step} is not finite; no CSV written",
+                      file=sys.stderr)
+                return EXIT_CONFIG
     out = Path(args.output)
     states_to_csv(rows, out)
     print(f"wrote {len(rows)} states to {out}")

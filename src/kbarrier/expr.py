@@ -85,8 +85,18 @@ class Expr:
     def __pow__(self, exponent):
         return power(self, exponent)
 
+    def __repr__(self) -> str:
+        # The class name and the DAG size, never the text: a composed
+        # expression's text grows with its tree, exponentially in k.
+        if isinstance(self, Var):
+            return f"Var({self.index})"
+        if isinstance(self, Const):
+            return f"Const({self.value!r})"
+        size = sum(1 for _ in _postorder([self]))
+        return f"{type(self).__name__}(<DAG of {size} nodes>)"
 
-@dataclass(frozen=True, eq=False)
+
+@dataclass(frozen=True, eq=False, repr=False)
 class Var(Expr):
     index: int
 
@@ -99,7 +109,7 @@ class Var(Expr):
             raise ValueError(f"variable index must be non-negative, got {self.index}")
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, repr=False)
 class Const(Expr):
     value: float
 
@@ -109,13 +119,13 @@ class Const(Expr):
             raise ValueError(f"constant must be finite, got {self.value}")
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, repr=False)
 class _Binary(Expr):
     left: Expr
     right: Expr
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, repr=False)
 class _Unary(Expr):
     operand: Expr
 
@@ -148,7 +158,7 @@ class Exp(_Unary):
     """exp(operand)"""
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, repr=False)
 class Pow(Expr):
     base: Expr
     exponent: int
@@ -501,6 +511,18 @@ def _pow_range(lo: np.ndarray, hi: np.ndarray, p: int) -> tuple[np.ndarray, np.n
     return _pad_out(out_lo, out_hi)
 
 
+def _reads(instr: tuple) -> tuple[int, ...]:
+    """The registers an instruction reads."""
+    op, a, b = instr
+    if op in ("var", "const"):
+        return ()
+    if op == "scale":
+        return (b,)
+    if op in ("add", "sub", "mul"):
+        return (a, b)
+    return (a,)  # unary operators and pow
+
+
 def _column(register, m: int) -> np.ndarray:
     """A root's register as an (m,) array; a constant one is materialised afresh."""
     return register if np.ndim(register) == 1 else np.full(m, register)
@@ -515,6 +537,13 @@ class Tape:
     evaluation modes and numpy broadcasts them; only a root that is constant
     is materialised as an (m,) array.  A product with a constant operand
     compiles to "scale" (c, register), which needs two products, not four.
+
+    Registers are released as soon as they are dead: `release[i]` lists the
+    registers whose last reader is op i (a register nothing reads is
+    released by the op that makes it), and both evaluation modes drop them
+    right after that op, so a batch holds only its live registers and the
+    allocator can reuse their memory for the next ones.  An output is never
+    released.
     """
 
     def __init__(self, roots: Sequence[Expr]):
@@ -541,6 +570,16 @@ class Tape:
             register[id(node)] = len(self.ops)
             self.ops.append(instr)
         self.outputs: list[int] = [register[id(r)] for r in roots]
+        # a register no op reads (the constant of a "scale") dies where it is made
+        last_reader = list(range(len(self.ops)))
+        for i, instr in enumerate(self.ops):
+            for r in _reads(instr):
+                last_reader[r] = i
+        outputs = set(self.outputs)
+        self.release: list[tuple[int, ...]] = [() for _ in self.ops]
+        for r, i in enumerate(last_reader):
+            if r not in outputs:
+                self.release[i] += (r,)
         self.n_vars = 1 + max(
             (instr[1] for instr in self.ops if instr[0] == "var"), default=-1
         )
@@ -553,7 +592,7 @@ class Tape:
         if points.shape[1] < self.n_vars:
             raise ValueError("variable index out of range")
         regs: list = []
-        for op, a, b in self.ops:
+        for (op, a, b), dead in zip(self.ops, self.release):
             if op == "var":
                 regs.append(points[:, a])
             elif op == "const":
@@ -576,6 +615,8 @@ class Tape:
                 regs.append(np.exp(regs[a]))
             else:  # pow
                 regs.append(np.power(regs[a], b))
+            for r in dead:
+                regs[r] = None
         m = points.shape[0]
         return [_column(regs[i], m) for i in self.outputs]
 
@@ -594,8 +635,8 @@ class Tape:
             raise ValueError("lo/hi must be matching 2-D arrays")
         if lo.shape[1] < self.n_vars:
             raise ValueError("variable index out of range")
-        regs: list[tuple] = []
-        for op, a, b in self.ops:
+        regs: list = []
+        for (op, a, b), dead in zip(self.ops, self.release):
             if op == "var":
                 regs.append((lo[:, a], hi[:, a]))
             elif op == "const":
@@ -631,6 +672,8 @@ class Tape:
                 regs.append(_pad_out(np.exp(regs[a][0]), np.exp(regs[a][1])))
             else:  # pow
                 regs.append(_pow_range(regs[a][0], regs[a][1], b))
+            for r in dead:
+                regs[r] = None
         m = lo.shape[0]
         return [(_column(regs[i][0], m), _column(regs[i][1], m)) for i in self.outputs]
 

@@ -94,6 +94,25 @@ class TestSimulate:
         rebuilt = build_model(trajectory_from_csv(out, dictionary), dictionary)
         assert np.max(np.abs(rebuilt.coeff - model.coeff)) <= 1e-8
 
+    @pytest.mark.parametrize("model", ["truth", "data"])
+    def test_diverging_rollout_exits_2_without_csv(self, tmp_path, capsys, model):
+        # from x0 = (0.5, -2.0) the polynomial system overflows at state 13 of 50;
+        # a leaked RuntimeWarning would fail here, since warnings are errors
+        out = tmp_path / "traj.csv"
+        assert main(["simulate", "polynomial", "--model", model, "--output", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "rollout diverged: state 13 is not finite; no CSV written\n"
+        assert captured.out == ""
+        assert not out.exists()
+
+    def test_short_polynomial_rollout_loads(self, tmp_path, polynomial):
+        out = tmp_path / "traj.csv"
+        assert main(["simulate", "polynomial", "--steps", "10", "--output", str(out)]) == 0
+        _, _, dictionary, _, _ = polynomial
+        trajectory = trajectory_from_csv(out, dictionary)
+        assert trajectory.X0.shape[1] == 10
+        assert np.isfinite(trajectory.X1).all()
+
     @pytest.mark.parametrize("command, flag, value", [
         ("simulate", "--steps", "-3"), ("simulate", "--steps", "-1"),
         ("grid", "--resolution", "0"), ("grid", "--resolution", "-2"),

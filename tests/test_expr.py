@@ -229,6 +229,24 @@ class TestGrammar:
         e = Add(shared, shared)
         assert node_count(e) == 7  # counted per use
 
+    def test_repr_names_leaves_and_dag_size(self):
+        shared = X1 * X2
+        assert repr(X2) == "Var(1)"
+        assert repr(Const(-0.25)) == "Const(-0.25)"
+        assert repr(Add(shared, shared)) == "Add(<DAG of 4 nodes>)"
+        assert repr(Pow(X1, 3)) == "Pow(<DAG of 2 nodes>)"
+
+    def test_repr_is_bounded(self, highly_nonlinear, reference_nonlinear_cert):
+        # pytest prints the arguments of a failing test: that text must not
+        # grow with the expression tree, nor recurse once per level
+        chain = X1
+        for _ in range(10_000):
+            chain = Neg(chain)
+        _, _, _, _, model = highly_nonlinear
+        composed = substitute(reference_nonlinear_cert, model.symbolic_k_step(6))
+        for e in (chain, composed, model.symbolic_k_step(6)[0]):
+            assert len(repr(e)) < 200
+
     def test_tape_batch_matches_scalar(self):
         rng = np.random.default_rng(5)
         e = random_expr(rng, 2, 4)
@@ -454,6 +472,92 @@ class TestTapeParity:
         z_lo -= 1.0
         assert (c_hi == 2.0).all() and (z_hi == 0.0).all()
         np.testing.assert_array_equal(tape.eval_points(lo)[0], np.full(m, 2.0))
+
+
+class TestBatchIndependence:
+    """A row's result does not depend on the batch it is evaluated in.
+
+    The verifier's lookahead tables evaluate a box among other boxes than a
+    level-by-level search would, and rely on exactly this.
+    """
+
+    ROWS = 40
+
+    @pytest.fixture(scope="class")
+    def tape(self, k3_roots):
+        rng = np.random.default_rng(21)
+        return Tape([random_expr(rng, 2, 5) for _ in range(60)] + k3_roots)
+
+    @staticmethod
+    def batches(rows):
+        """For every size 1..rows, row indices that put each row at shifting positions."""
+        for size in range(1, rows + 1):
+            yield (np.arange(size) * 7 + size) % rows
+
+    def test_eval_boxes_rows_independent(self, tape):
+        lo, hi = parity_boxes(np.random.default_rng(22))
+        pick = np.random.default_rng(23).choice(len(lo), self.ROWS, replace=False)
+        lo, hi = lo[pick], hi[pick]
+
+        def stacked(lo, hi):        # (2 * roots, rows): every lo bound, then every hi
+            bounds = tape.eval_boxes(lo, hi)
+            return np.array([b[0] for b in bounds] + [b[1] for b in bounds])
+
+        with np.errstate(all="ignore"):
+            alone = np.hstack([stacked(lo[i:i + 1], hi[i:i + 1]) for i in range(self.ROWS)])
+            for idx in self.batches(self.ROWS):
+                assert_bitwise_equal(stacked(lo[idx], hi[idx]), alone[:, idx])
+
+    def test_eval_points_rows_independent(self, tape):
+        rng = np.random.default_rng(24)
+        edges = np.array([[a, b] for a in EDGE_VALUES[::2] for b in EDGE_VALUES[1::4]])
+        points = np.vstack([edges, rng.uniform(-4.0, 4.0, size=(200, 2))])
+        points = points[rng.choice(len(points), self.ROWS, replace=False)]
+        with np.errstate(all="ignore"):
+            alone = np.hstack([np.array(tape.eval_points(points[i:i + 1]))
+                               for i in range(self.ROWS)])
+            for idx in self.batches(self.ROWS):
+                assert_bitwise_equal(np.array(tape.eval_points(points[idx])), alone[:, idx])
+
+
+def reference_reads(instr):
+    op, a, b = instr
+    return {"var": (), "const": (), "scale": (b,)}.get(
+        op, (a, b) if op in ("add", "sub", "mul") else (a,))
+
+
+class TestReleaseSchedule:
+    def test_each_dead_register_released_once_after_its_last_reader(self, k3_roots):
+        roots = parity_roots(np.random.default_rng(31)) + k3_roots
+        roots += roots[:3]                      # outputs may repeat
+        tape = Tape(roots)
+        assert len(tape.release) == len(tape.ops)
+        released = [(i, r) for i, dead in enumerate(tape.release) for r in dead]
+        assert len({r for _, r in released}) == len(released)
+        outputs = set(tape.outputs)
+        assert {r for _, r in released} == set(range(len(tape.ops))) - outputs
+        last_reader = {}
+        for i, instr in enumerate(tape.ops):
+            for r in reference_reads(instr):
+                last_reader[r] = i
+        for i, r in released:
+            assert i == last_reader.get(r, r)   # an unread register dies at once
+        assert any(r not in last_reader for _, r in released)
+
+    def test_shared_and_repeated_outputs_survive_release(self):
+        x = Var(0)
+        shared = Sin(x) * Cos(x)
+        roots = [shared + Const(1.0), shared, shared - Mul(Const(2.0), x), shared]
+        points = np.array([[0.5], [-1.0], [2.0]])
+        lo, hi = points - 0.25, points + 0.25
+        tape = Tape(roots)
+        for root, got, (got_lo, got_hi) in zip(roots, tape.eval_points(points),
+                                               tape.eval_boxes(lo, hi)):
+            alone = Tape([root])
+            assert_bitwise_equal(got, alone.eval_points(points)[0])
+            want_lo, want_hi = alone.eval_boxes(lo, hi)[0]
+            assert_bitwise_equal(got_lo, want_lo)
+            assert_bitwise_equal(got_hi, want_hi)
 
 
 def reference_contains_center(lo, hi, offset):
