@@ -511,18 +511,6 @@ def _pow_range(lo: np.ndarray, hi: np.ndarray, p: int) -> tuple[np.ndarray, np.n
     return _pad_out(out_lo, out_hi)
 
 
-def _reads(instr: tuple) -> tuple[int, ...]:
-    """The registers an instruction reads."""
-    op, a, b = instr
-    if op in ("var", "const"):
-        return ()
-    if op == "scale":
-        return (b,)
-    if op in ("add", "sub", "mul"):
-        return (a, b)
-    return (a,)  # unary operators and pow
-
-
 def _column(register, m: int) -> np.ndarray:
     """A root's register as an (m,) array; a constant one is materialised afresh."""
     return register if np.ndim(register) == 1 else np.full(m, register)
@@ -539,16 +527,16 @@ class Tape:
     compiles to "scale" (c, register), which needs two products, not four.
 
     Registers are released as soon as they are dead: `release[i]` lists the
-    registers whose last reader is op i (a register nothing reads is
-    released by the op that makes it), and both evaluation modes drop them
-    right after that op, so a batch holds only its live registers and the
-    allocator can reuse their memory for the next ones.  An output is never
-    released.
+    registers whose last reader is op i (the constant folded into a "scale"
+    counts as read by it), and both evaluation modes drop them right after
+    that op, so a batch holds only its live registers and the allocator can
+    reuse their memory for the next ones.  An output is never released.
     """
 
     def __init__(self, roots: Sequence[Expr]):
         self.ops: list[tuple] = []
         register: dict[int, int] = {}
+        last_reader: dict[int, int] = {}
         for node, kids in _postorder(roots):
             if isinstance(node, Var):
                 instr = ("var", node.index, None)
@@ -567,17 +555,14 @@ class Tape:
                         instr = ("scale", left.value, b)
                     elif isinstance(right, Const):
                         instr = ("scale", right.value, a)
+            for kid in kids:
+                last_reader[register[id(kid)]] = len(self.ops)
             register[id(node)] = len(self.ops)
             self.ops.append(instr)
         self.outputs: list[int] = [register[id(r)] for r in roots]
-        # a register no op reads (the constant of a "scale") dies where it is made
-        last_reader = list(range(len(self.ops)))
-        for i, instr in enumerate(self.ops):
-            for r in _reads(instr):
-                last_reader[r] = i
         outputs = set(self.outputs)
         self.release: list[tuple[int, ...]] = [() for _ in self.ops]
-        for r, i in enumerate(last_reader):
+        for r, i in last_reader.items():
             if r not in outputs:
                 self.release[i] += (r,)
         self.n_vars = 1 + max(

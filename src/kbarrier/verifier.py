@@ -17,18 +17,6 @@ narrower than delta that can be neither discarded nor confirmed is reported
 as delta-sat.  `Valid` is returned only when all four searches discard
 everything.  Exploration is deterministic, so verdicts are reproducible.
 
-A search starts from one box and doubles its frontier, so most of its
-levels are small, and a small batch costs mostly per-call overhead.  When
-a level needs evaluating, its frontier is therefore evaluated together
-with its speculative descendants, split by the same rule (`_split`), as
-one lookahead table of at least `_LOOKAHEAD_ROWS` rows; a frontier that
-large is its own table.  Later levels read their enclosures, margin bounds
-and midpoint checks from the table by row index, and a new table is built
-only past its last level.  A row's values do not depend on the batch it is
-evaluated in, so verdicts, box counts, witnesses and pruned boxes are
-exactly those of a level-by-level search; the box count, the budget and
-the pruned-box sink follow the real frontier only.
-
 Each search returns a `Verdict` for its own condition, "valid" meaning
 every box was discarded.  `verify` adds up their box counts, returns the
 first counterexample or exhaustion as it stands, and otherwise the first
@@ -65,9 +53,6 @@ Constraint = tuple[Expr, str]
 _PRUNED_SINK_CAP = 50_000
 # evaluation batch size: bounds peak register memory at wide search fronts
 _EVAL_CHUNK = 32_768
-# rows of a lookahead table: a smaller frontier is evaluated with its
-# speculative descendants, so the search sees few, large batches
-_LOOKAHEAD_ROWS = 512
 
 
 @dataclass(frozen=True)
@@ -206,98 +191,46 @@ def _chunks(m: int):
         yield slice(start, min(start + _EVAL_CHUNK, m))
 
 
-def _split(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Both halves of every box, cut at 0.5 * (lo + hi) of its widest dimension.
-
-    The left halves come first, in row order, then the right halves: row r
-    of m boxes has its children at rows r and r + m.
-    """
-    rows = np.arange(lo.shape[0])
-    dim = np.argmax(hi - lo, axis=1)
-    cut = 0.5 * (lo[rows, dim] + hi[rows, dim])
-    hi_left = hi.copy()
-    hi_left[rows, dim] = cut
-    lo_right = lo.copy()
-    lo_right[rows, dim] = cut
-    return np.vstack([lo, lo_right]), np.vstack([hi_left, hi])
-
-
-class _Lookahead:
-    """A frontier and its speculative descendants, evaluated as one batch.
-
-    Level 0 is the frontier and level j + 1 is `_split` of level j; levels
-    are added until there are at least `_LOOKAHEAD_ROWS` rows.  Per row:
-    the box, `feasible` (no constraint's enclosure rules it out), the
-    margin's upper bound, and `confirmed` (the midpoint satisfies every
-    constraint), which is evaluated for feasible rows only.
-    """
-
-    def __init__(self, tape: Tape, kinds: list[str], lo: np.ndarray, hi: np.ndarray):
-        levels = [(lo, hi)]
-        total = lo.shape[0]
-        while total < _LOOKAHEAD_ROWS:
-            lo, hi = _split(lo, hi)
-            levels.append((lo, hi))
-            total += lo.shape[0]
-        self.depth = len(levels) - 1
-        self.offsets = np.cumsum([0] + [level[0].shape[0] for level in levels])
-        self.lo = np.vstack([level[0] for level in levels])
-        self.hi = np.vstack([level[1] for level in levels])
-        self.feasible = np.empty(total, dtype=bool)
-        self.margin_hi = np.empty(total)
-        for sl in _chunks(total):
-            enclosures = tape.eval_boxes(self.lo[sl], self.hi[sl])
-            self.feasible[sl] = _may_hold(enclosures[:-1], kinds)
-            self.margin_hi[sl] = enclosures[-1][1]
-        self.confirmed = np.zeros(total, dtype=bool)
-        live = np.flatnonzero(self.feasible)
-        mid = 0.5 * (self.lo[live] + self.hi[live])
-        for sl in _chunks(live.size):
-            self.confirmed[live[sl]] = _holds(tape.eval_points(mid[sl])[:-1], kinds)
-
-
 def _search(tag: str, constraints: list[Constraint], region: Box, delta: float,
             budget: int, pruned_sink: list | None) -> Verdict:
     """Breadth-first interval subdivision over one negated-condition set.
 
     The verdict is for this condition alone: "valid" means every box was
-    discarded.  `boxes_explored` counts this search's boxes.  The frontier
-    is a set of row indices into one level of a `_Lookahead` table; a new
-    table is built from the frontier only when the search steps past the
-    last level of the current one.
+    discarded.  `boxes_explored` counts this search's boxes.
     """
     kinds = [kind for _, kind in constraints]
     tape = Tape([e for e, _ in constraints] + [_margin_expr(tag, constraints)])
     lo = region.lo()[None, :].astype(float)
     hi = region.hi()[None, :].astype(float)
-    table: _Lookahead | None = None
-    rows = np.arange(1)     # the frontier: its rows within the table's level
     used = 0
     first_delta: Verdict | None = None
 
-    while rows.size:
-        used += rows.size
+    while lo.shape[0]:
+        used += lo.shape[0]
         if used > budget:
             return Verdict("exhausted", tag, boxes_explored=used)
-        if table is None:
-            table = _Lookahead(tape, kinds, lo, hi)
-            level = 0
-        at = table.offsets[level] + rows
 
-        feasible = table.feasible[at]
+        feasible = np.empty(lo.shape[0], dtype=bool)
+        margin_hi = np.empty(lo.shape[0])
+        for sl in _chunks(lo.shape[0]):
+            enclosures = tape.eval_boxes(lo[sl], hi[sl])
+            feasible[sl] = _may_hold(enclosures[:-1], kinds)
+            margin_hi[sl] = enclosures[-1][1]
         if pruned_sink is not None and not feasible.all():
-            drop = at[~feasible]
+            drop = ~feasible
             if len(pruned_sink) < _PRUNED_SINK_CAP:
-                pruned_sink.extend((tag, bl, bh) for bl, bh in zip(table.lo[drop],
-                                                                   table.hi[drop]))
-        rows, at = rows[feasible], at[feasible]
-        if not rows.size:
+                pruned_sink.extend((tag, bl, bh) for bl, bh in zip(lo[drop], hi[drop]))
+        lo, hi = lo[feasible], hi[feasible]
+        margin_hi = margin_hi[feasible]
+        if not lo.shape[0]:
             break
 
-        confirmed = table.confirmed[at]
+        mid = 0.5 * (lo + hi)
+        confirmed = np.empty(mid.shape[0], dtype=bool)
+        for sl in _chunks(mid.shape[0]):
+            confirmed[sl] = _holds(tape.eval_points(mid[sl])[:-1], kinds)
         if confirmed.any():
-            i = at[int(np.argmax(confirmed))]
-            point = 0.5 * (table.lo[i] + table.hi[i])
+            point = mid[int(np.argmax(confirmed))]
             # re-evaluate the single point: vector and scalar libm paths may
             # disagree in the last bit, and a confirmed witness must re-verify
             single = tape.eval_points(point[None, :])
@@ -305,27 +238,26 @@ def _search(tag: str, constraints: list[Constraint], region: Box, delta: float,
                 return Verdict("counterexample", tag, point=tuple(float(v) for v in point),
                                margin=float(single[-1][0]), boxes_explored=used)
 
-        lo, hi = table.lo[at], table.hi[at]
         small = (hi - lo).max(axis=1) < delta
         if small.any() and first_delta is None:
-            i = int(np.argmax(small))
+            idx = int(np.argmax(small))
             # worst possible violation the enclosure allows over this box
-            box = Box.from_bounds(list(zip(lo[i], hi[i])))
-            first_delta = Verdict("delta_sat", tag, box=box,
-                                  margin=float(table.margin_hi[at[i]]))
+            box = Box.from_bounds(list(zip(lo[idx], hi[idx])))
+            first_delta = Verdict("delta_sat", tag, box=box, margin=float(margin_hi[idx]))
         keep = ~small
-        rows = rows[keep]
-        if not rows.size:
+        lo, hi = lo[keep], hi[keep]
+        if not lo.shape[0]:
             break
 
-        if level < table.depth:
-            width = table.offsets[level + 1] - table.offsets[level]
-            rows = np.concatenate([rows, rows + width])     # `_split`'s child rows
-            level += 1
-        else:
-            lo, hi = _split(lo[keep], hi[keep])
-            rows = np.arange(lo.shape[0])
-            table = None
+        dim = np.argmax(hi - lo, axis=1)
+        mid = 0.5 * (lo + hi)
+        rows = np.arange(lo.shape[0])
+        hi_left = hi.copy()
+        hi_left[rows, dim] = mid[rows, dim]
+        lo_right = lo.copy()
+        lo_right[rows, dim] = mid[rows, dim]
+        lo = np.vstack([lo, lo_right])
+        hi = np.vstack([hi_left, hi])
 
     return replace(first_delta or Verdict("valid"), boxes_explored=used)
 

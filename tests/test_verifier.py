@@ -1,7 +1,6 @@
 """Negated-condition encoding, point checks and branch-and-bound verdicts."""
 
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,7 +9,6 @@ from kbarrier import (
     Box, KBCSpec, SafetySpec, TrajectoryData, VerificationTask,
     build_model, check_point, condition_exprs, verify,
 )
-from kbarrier import verifier
 from kbarrier.expr import Add, Const, Exp, Mul, Tape, Var, eval_point, substitute
 
 from conftest import identity_dictionary
@@ -391,144 +389,3 @@ def _grid_margins(config, model, B, kbc, resolution=401):
         "E1": float((b1 - b - kbc.epsilon)[b <= kbc.lam].max()),
         "E2": float((bk - b)[b <= 0.0].max()),
     }
-
-
-# ---------------------------------------------------------------------------
-# Search parity with the level-by-level loop the lookahead tables replaced
-# ---------------------------------------------------------------------------
-
-def level_by_level_search(tag, constraints, region, delta, budget, pruned_sink):
-    """One evaluation per level of the real frontier, no speculative rows."""
-    kinds = [kind for _, kind in constraints]
-    tape = Tape([e for e, _ in constraints] + [verifier._margin_expr(tag, constraints)])
-    lo = region.lo()[None, :].astype(float)
-    hi = region.hi()[None, :].astype(float)
-    used = 0
-    first_delta = None
-
-    while lo.shape[0]:
-        used += lo.shape[0]
-        if used > budget:
-            return verifier.Verdict("exhausted", tag, boxes_explored=used)
-
-        feasible = np.empty(lo.shape[0], dtype=bool)
-        margin_hi = np.empty(lo.shape[0])
-        for sl in verifier._chunks(lo.shape[0]):
-            enclosures = tape.eval_boxes(lo[sl], hi[sl])
-            feasible[sl] = verifier._may_hold(enclosures[:-1], kinds)
-            margin_hi[sl] = enclosures[-1][1]
-        if pruned_sink is not None and not feasible.all():
-            drop = ~feasible
-            if len(pruned_sink) < verifier._PRUNED_SINK_CAP:
-                pruned_sink.extend((tag, bl, bh) for bl, bh in zip(lo[drop], hi[drop]))
-        lo, hi = lo[feasible], hi[feasible]
-        margin_hi = margin_hi[feasible]
-        if not lo.shape[0]:
-            break
-
-        mid = 0.5 * (lo + hi)
-        confirmed = np.empty(mid.shape[0], dtype=bool)
-        for sl in verifier._chunks(mid.shape[0]):
-            confirmed[sl] = verifier._holds(tape.eval_points(mid[sl])[:-1], kinds)
-        if confirmed.any():
-            point = mid[int(np.argmax(confirmed))]
-            single = tape.eval_points(point[None, :])
-            if verifier._holds(single[:-1], kinds)[0]:
-                return verifier.Verdict("counterexample", tag,
-                                        point=tuple(float(v) for v in point),
-                                        margin=float(single[-1][0]), boxes_explored=used)
-
-        small = (hi - lo).max(axis=1) < delta
-        if small.any() and first_delta is None:
-            idx = int(np.argmax(small))
-            box = Box.from_bounds(list(zip(lo[idx], hi[idx])))
-            first_delta = verifier.Verdict("delta_sat", tag, box=box,
-                                           margin=float(margin_hi[idx]))
-        keep = ~small
-        lo, hi = lo[keep], hi[keep]
-        if not lo.shape[0]:
-            break
-
-        dim = np.argmax(hi - lo, axis=1)
-        mid = 0.5 * (lo + hi)
-        rows = np.arange(lo.shape[0])
-        hi_left = hi.copy()
-        hi_left[rows, dim] = mid[rows, dim]
-        lo_right = lo.copy()
-        lo_right[rows, dim] = mid[rows, dim]
-        lo = np.vstack([lo, lo_right])
-        hi = np.vstack([hi_left, hi])
-
-    return replace(first_delta or verifier.Verdict("valid"), boxes_explored=used)
-
-
-def square(B, **kwargs):
-    return VerificationTask(B=B, f1_sym=IDENTITY, fk_sym=IDENTITY, spec=SQUARE_SPEC,
-                            kbc=KBCSpec(k=1, epsilon=0.0), **kwargs)
-
-
-def contraction_task():
-    """B(0.5 x) - B(x) touches 0 at the fixed point: delta-sat (TestVerifyLinear)."""
-    model = build_model(TrajectoryData(X0=np.eye(2), X1=0.5 * np.eye(2), D0=np.eye(2)),
-                        identity_dictionary(2))
-    return VerificationTask(B=TestVerifyLinear.B_CIRCLE, f1_sym=model.symbolic_step(),
-                            fk_sym=model.symbolic_k_step(2), spec=TestVerifyLinear.SPEC,
-                            kbc=KBCSpec(k=2, epsilon=0.0))
-
-
-NAN_CERT = Mul(Const(0.0), Exp(Add(Mul(X1, X1), Const(710.0))))
-
-
-class TestSearchParity:
-    """The lookahead search gives the level-by-level search's verdict and pruned boxes."""
-
-    @staticmethod
-    def assert_same_search(task, monkeypatch, expect_kind=None):
-        with np.errstate(all="ignore"):
-            got_sink, want_sink = [], []
-            got = verify(task, pruned_sink=got_sink)
-            with monkeypatch.context() as patch:
-                patch.setattr(verifier, "_search", level_by_level_search)
-                want = verify(task, pruned_sink=want_sink)
-        assert replace(got, wall_time=0.0, margin=None) == replace(want, wall_time=0.0,
-                                                                   margin=None)
-        # margins compare by bits, so that NaN equals NaN
-        assert np.float64(got.margin).tobytes() == np.float64(want.margin).tobytes()
-        assert len(got_sink) == len(want_sink)
-        for (gt, gl, gh), (wt, wl, wh) in zip(got_sink, want_sink):
-            assert gt == wt
-            assert gl.tobytes() == wl.tobytes() and gh.tobytes() == wh.tobytes()
-        if expect_kind is not None:
-            assert got.kind == expect_kind
-        return got
-
-    @pytest.mark.parametrize("k, epsilon", [(1, 0.0), (2, 0.1), (3, 0.1)])
-    def test_reference_certificates(self, k, epsilon, highly_nonlinear, polynomial,
-                                    reference_nonlinear_cert, reference_polynomial_cert,
-                                    monkeypatch):
-        for task in (hn_task(highly_nonlinear, reference_nonlinear_cert, k, epsilon),
-                     poly_task(polynomial, reference_polynomial_cert, k, epsilon)):
-            self.assert_same_search(task, monkeypatch)
-
-    @pytest.mark.parametrize("delta", [0.25, 0.01])
-    def test_nan_certificate(self, delta, monkeypatch):
-        # at delta 0.01 the frontier outgrows _LOOKAHEAD_ROWS: tables of depth 0
-        verdict = self.assert_same_search(square(NAN_CERT, delta=delta), monkeypatch,
-                                          "delta_sat")
-        assert math.isnan(verdict.margin)
-
-    @pytest.mark.parametrize("max_boxes, kind", [(1, "exhausted"), (2, "counterexample")])
-    def test_constant_certificate_budgets(self, max_boxes, kind, monkeypatch):
-        self.assert_same_search(square(Const(-1.0), max_boxes=max_boxes), monkeypatch, kind)
-
-    def test_budget_runs_out_inside_a_table(self, monkeypatch):
-        # the NaN certificate keeps every box, so I's frontier doubles level by
-        # level inside its first table: 1 + 2 + 4 + 8 = 15 boxes, then 16 more
-        # than the budget of 20 allows, long before the table's last level
-        verdict = self.assert_same_search(square(NAN_CERT, delta=0.25, max_boxes=20),
-                                          monkeypatch, "exhausted")
-        assert verdict.boxes_explored == 31 < verifier._LOOKAHEAD_ROWS
-
-    def test_delta_sat(self, monkeypatch):
-        verdict = self.assert_same_search(contraction_task(), monkeypatch, "delta_sat")
-        assert verdict.box.contains([0.0, 0.0])
