@@ -25,6 +25,13 @@ class ConfigError(ValueError):
     """Raised when a case-study document is inconsistent."""
 
 
+# fields that must be Python ints (a bool or a float such as 2.0 is rejected)
+_INT_FIELDS = ("n", "trajectory_length", "k", "width", "epochs", "max_iterations",
+               "cex_points", "samples", "max_boxes")
+# fields whose entries must be strings: expression texts and activation names
+_STR_TUPLE_FIELDS = ("truth_step", "dictionary", "activations")
+
+
 @dataclass(frozen=True)
 class CaseStudyConfig:
     """Every setting of a run, validated at construction.
@@ -73,6 +80,14 @@ class CaseStudyConfig:
     # -- validation -------------------------------------------------------
 
     def validate(self) -> None:
+        for name in _INT_FIELDS:
+            value = getattr(self, name)
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise ConfigError(f"{name} must be an integer, got {value!r}")
+        for name in _STR_TUPLE_FIELDS:
+            for entry in getattr(self, name):
+                if not isinstance(entry, str):
+                    raise ConfigError(f"{name} entries must be strings, got {entry!r}")
         if len(self.truth_step) != self.n:
             raise ConfigError("truth model needs one step expression per dimension")
         if len(self.x0) != self.n:

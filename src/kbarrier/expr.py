@@ -28,6 +28,9 @@ Two evaluation modes are provided:
   what two chained `np.nextafter` calls give at a few integer passes.
   add, sub, mul and scale (a product with a constant) still round to
   nearest, so an enclosure can miss the exact real range by an ulp.
+
+Each op's point rule and box rule sit side by side in one table, `_RULES`,
+and `Tape` runs both modes through one loop over it.
 """
 
 from __future__ import annotations
@@ -516,6 +519,42 @@ def _column(register, m: int) -> np.ndarray:
     return register if np.ndim(register) == 1 else np.full(m, register)
 
 
+def _box_mul(x, y):
+    (xl, xh), (yl, yh) = x, y
+    p1, p2, p3, p4 = xl * yl, xl * yh, xh * yl, xh * yh
+    return (np.minimum(np.minimum(p1, p2), np.minimum(p3, p4)),
+            np.maximum(np.maximum(p1, p2), np.maximum(p3, p4)))
+
+
+def _box_scale(c, x):
+    p1, p2 = c[0] * x[0], c[0] * x[1]
+    return np.minimum(p1, p2), np.maximum(p1, p2)
+
+
+# The op table: each op a Tape runs, with its point rule and its box rule.
+# A rule takes the op's two operand registers (floats, or (lo, hi) pairs on
+# boxes); a unary op ignores the second, and pow's is its exponent.  "scale"
+# is a product with a constant first operand: c * [l, h] needs min/max over
+# {c*l, c*h} once, where the four-product rule takes them twice over.
+# "sub_self" and "mul_self" have one register as both operands and are
+# resolved exactly on boxes (x - x = 0, x * x = x^2): composed dynamics
+# repeat subtrees, and this keeps those enclosures from collapsing to the
+# naive dependency-blind bound.
+_RULES = {
+    "add": (operator.add, lambda x, y: (x[0] + y[0], x[1] + y[1])),
+    "sub": (operator.sub, lambda x, y: (x[0] - y[1], x[1] - y[0])),
+    "sub_self": (operator.sub, lambda x, _: (0.0, 0.0)),
+    "mul": (operator.mul, _box_mul),
+    "mul_self": (operator.mul, lambda x, _: _pow_range(x[0], x[1], 2)),
+    "scale": (operator.mul, _box_scale),
+    "neg": (lambda x, _: -x, lambda x, _: (-x[1], -x[0])),
+    "pow": (np.power, lambda x, p: _pow_range(x[0], x[1], p)),
+    "sin": (lambda x, _: np.sin(x), lambda x, _: _sin_range(x[0], x[1])),
+    "cos": (lambda x, _: np.cos(x), lambda x, _: _cos_range(x[0], x[1])),
+    "exp": (lambda x, _: np.exp(x), lambda x, _: _pad_out(np.exp(x[0]), np.exp(x[1]))),
+}
+
+
 class Tape:
     """Flat evaluation program for a set of expressions over a shared DAG.
 
@@ -524,7 +563,12 @@ class Tape:
     one instruction per DAG node.  Constants stay Python floats in both
     evaluation modes and numpy broadcasts them; only a root that is constant
     is materialised as an (m,) array.  A product with a constant operand
-    compiles to "scale" (c, register), which needs two products, not four.
+    compiles to "scale" (c, register).
+
+    Each op's rules live in the one table `_RULES`.  Compiling resolves
+    every op to its rule pair and two operand registers, once, and both
+    modes run the one loop `_run`, which places the leaves (variables,
+    constants, pow's exponents) and then calls each op's rule.
 
     Registers are released as soon as they are dead: `release[i]` lists the
     registers whose last reader is op i (the constant folded into a "scale"
@@ -535,29 +579,38 @@ class Tape:
 
     def __init__(self, roots: Sequence[Expr]):
         self.ops: list[tuple] = []
+        self._steps: list[tuple] = []   # (register, rule pair, operand, operand) per non-leaf
+        exponents: dict[int, int] = {}  # pow's exponents, kept at registers -1, -2, ...
         register: dict[int, int] = {}
         last_reader: dict[int, int] = {}
         for node, kids in _postorder(roots):
+            i, name = len(self.ops), type(node).__name__.lower()
+            a = b = register[id(kids[0])] if kids else None
             if isinstance(node, Var):
                 instr = ("var", node.index, None)
             elif isinstance(node, Const):
                 instr = ("const", node.value, None)
             elif isinstance(node, Pow):
-                instr = ("pow", register[id(kids[0])], node.exponent)
+                instr = ("pow", a, node.exponent)
+                b = exponents.setdefault(node.exponent, -1 - len(exponents))
             elif isinstance(node, _Unary):
-                instr = (type(node).__name__.lower(), register[id(kids[0])], None)
+                instr = (name, a, None)
             else:
                 left, right = kids
-                a, b = register[id(left)], register[id(right)]
-                instr = (type(node).__name__.lower(), a, b)
-                if isinstance(node, Mul) and a != b:
+                b = register[id(right)]
+                instr = (name, a, b)
+                if a == b and isinstance(node, (Sub, Mul)):
+                    name += "_self"
+                elif isinstance(node, Mul):
                     if isinstance(left, Const):
-                        instr = ("scale", left.value, b)
+                        instr, name = ("scale", left.value, b), "scale"
                     elif isinstance(right, Const):
-                        instr = ("scale", right.value, a)
+                        instr, name, a, b = ("scale", right.value, a), "scale", b, a
+            if kids:
+                self._steps.append((i, _RULES[name], a, b))
             for kid in kids:
-                last_reader[register[id(kid)]] = len(self.ops)
-            register[id(node)] = len(self.ops)
+                last_reader[register[id(kid)]] = i
+            register[id(node)] = i
             self.ops.append(instr)
         self.outputs: list[int] = [register[id(r)] for r in roots]
         outputs = set(self.outputs)
@@ -565,9 +618,25 @@ class Tape:
         for r, i in last_reader.items():
             if r not in outputs:
                 self.release[i] += (r,)
-        self.n_vars = 1 + max(
-            (instr[1] for instr in self.ops if instr[0] == "var"), default=-1
-        )
+        self._vars = [(i, j) for i, (op, j, _) in enumerate(self.ops) if op == "var"]
+        self._consts = [(i, c) for i, (op, c, _) in enumerate(self.ops) if op == "const"]
+        self._blank = [None] * len(self.ops) + list(exponents)[::-1]
+        self.n_vars = 1 + max((j for _, j in self._vars), default=-1)
+
+    def _run(self, mode: int, var, const) -> list:
+        """The evaluation loop: `mode` picks the point (0) or box (1) rules,
+        `var(j)` and `const(c)` give the leaves' registers."""
+        regs = self._blank.copy()
+        for i, j in self._vars:
+            regs[i] = var(j)
+        for i, c in self._consts:
+            regs[i] = const(c)
+        release = self.release
+        for i, rules, a, b in self._steps:
+            regs[i] = rules[mode](regs[a], regs[b])
+            for r in release[i]:
+                regs[r] = None
+        return [regs[i] for i in self.outputs]
 
     def eval_points(self, points: np.ndarray) -> list[np.ndarray]:
         """Evaluate every root at each row of `points` (shape (m, n))."""
@@ -576,91 +645,20 @@ class Tape:
             raise ValueError("points must be a 2-D array (m, n)")
         if points.shape[1] < self.n_vars:
             raise ValueError("variable index out of range")
-        regs: list = []
-        for (op, a, b), dead in zip(self.ops, self.release):
-            if op == "var":
-                regs.append(points[:, a])
-            elif op == "const":
-                regs.append(a)
-            elif op == "scale":
-                regs.append(a * regs[b])
-            elif op == "add":
-                regs.append(regs[a] + regs[b])
-            elif op == "sub":
-                regs.append(regs[a] - regs[b])
-            elif op == "mul":
-                regs.append(regs[a] * regs[b])
-            elif op == "neg":
-                regs.append(-regs[a])
-            elif op == "sin":
-                regs.append(np.sin(regs[a]))
-            elif op == "cos":
-                regs.append(np.cos(regs[a]))
-            elif op == "exp":
-                regs.append(np.exp(regs[a]))
-            else:  # pow
-                regs.append(np.power(regs[a], b))
-            for r in dead:
-                regs[r] = None
         m = points.shape[0]
-        return [_column(regs[i], m) for i in self.outputs]
+        return [_column(r, m) for r in self._run(0, lambda j: points[:, j], lambda c: c)]
 
     def eval_boxes(self, lo: np.ndarray, hi: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
-        """Enclosures of every root over each box (rows of lo/hi, shape (m, n)).
-
-        Subtraction and multiplication of a register with itself are resolved
-        exactly (x - x = 0, x * x = x^2): composed dynamics repeat subtrees,
-        and this keeps those enclosures from collapsing to the naive
-        dependency-blind bound.  For c * [l, h] the four-product rule gives
-        min/max over {c*l, c*h} twice over, so "scale" takes them once.
-        """
+        """Enclosures of every root over each box (rows of lo/hi, shape (m, n))."""
         lo = np.asarray(lo, dtype=float)
         hi = np.asarray(hi, dtype=float)
         if lo.shape != hi.shape or lo.ndim != 2:
             raise ValueError("lo/hi must be matching 2-D arrays")
         if lo.shape[1] < self.n_vars:
             raise ValueError("variable index out of range")
-        regs: list = []
-        for (op, a, b), dead in zip(self.ops, self.release):
-            if op == "var":
-                regs.append((lo[:, a], hi[:, a]))
-            elif op == "const":
-                regs.append((a, a))
-            elif op == "scale":
-                p1, p2 = a * regs[b][0], a * regs[b][1]
-                regs.append((np.minimum(p1, p2), np.maximum(p1, p2)))
-            elif op == "add":
-                regs.append((regs[a][0] + regs[b][0], regs[a][1] + regs[b][1]))
-            elif op == "sub":
-                if a == b:
-                    regs.append((0.0, 0.0))
-                else:
-                    regs.append((regs[a][0] - regs[b][1], regs[a][1] - regs[b][0]))
-            elif op == "mul":
-                if a == b:
-                    regs.append(_pow_range(regs[a][0], regs[a][1], 2))
-                else:
-                    al, ah = regs[a]
-                    bl, bh = regs[b]
-                    p1, p2, p3, p4 = al * bl, al * bh, ah * bl, ah * bh
-                    regs.append((
-                        np.minimum(np.minimum(p1, p2), np.minimum(p3, p4)),
-                        np.maximum(np.maximum(p1, p2), np.maximum(p3, p4)),
-                    ))
-            elif op == "neg":
-                regs.append((-regs[a][1], -regs[a][0]))
-            elif op == "sin":
-                regs.append(_sin_range(*regs[a]))
-            elif op == "cos":
-                regs.append(_cos_range(*regs[a]))
-            elif op == "exp":
-                regs.append(_pad_out(np.exp(regs[a][0]), np.exp(regs[a][1])))
-            else:  # pow
-                regs.append(_pow_range(regs[a][0], regs[a][1], b))
-            for r in dead:
-                regs[r] = None
         m = lo.shape[0]
-        return [(_column(regs[i][0], m), _column(regs[i][1], m)) for i in self.outputs]
+        return [(_column(r[0], m), _column(r[1], m))
+                for r in self._run(1, lambda j: (lo[:, j], hi[:, j]), lambda c: (c, c))]
 
 
 def eval_point(e: Expr, x: Sequence[float]) -> float:

@@ -40,7 +40,7 @@ from typing import Sequence
 import numpy as np
 
 from .dynamics import DataDrivenModel
-from .expr import Box, Const, Expr, cos, lin_comb, power, sin
+from .expr import Box, Const, Expr, Var, cos, lin_comb, power, sin
 
 __all__ = [
     "ACTIVATIONS", "NetworkParams", "NetworkGradient", "KBCSpec", "SafetySpec",
@@ -48,7 +48,14 @@ __all__ = [
     "mixed_sin_cos", "init_params", "sample_dataset", "loss", "gradient", "train",
 ]
 
-ACTIVATIONS = ("square", "sin", "cos")
+# each activation kind: its expression builder, and its elementwise function
+# and derivative on numpy arrays
+_ACTIVATION_RULES = {
+    "square": (lambda z: power(z, 2), lambda z: z * z, lambda z: 2.0 * z),
+    "sin": (sin, np.sin, np.cos),
+    "cos": (cos, np.cos, lambda z: -np.sin(z)),
+}
+ACTIVATIONS = tuple(_ACTIVATION_RULES)
 
 # Adam's moment decay rates and denominator guard
 _BETA1, _BETA2, _ADAM_EPSILON = 0.9, 0.999, 1e-8
@@ -161,8 +168,6 @@ class NetworkParams:
 
     def to_expr(self) -> Expr:
         """Export the candidate as a closed-form expression."""
-        from .expr import Var
-
         xs = [Var(i) for i in range(self.n)]
         acc: Expr = Const(self.out_bias)
         for j in range(self.width):
@@ -170,24 +175,9 @@ class NetworkParams:
             if v == 0.0:
                 continue
             z = lin_comb(self.weights[j], xs, constant=float(self.biases[j]))
-            g = _ACT_EXPR[self.activations[j]](z)
+            g = _ACTIVATION_RULES[self.activations[j]][0](z)
             acc = acc + Const(v) * g
         return acc
-
-
-_ACT_EXPR = {
-    "square": lambda z: power(z, 2),
-    "sin": sin,
-    "cos": cos,
-}
-
-
-# elementwise activation and its derivative, per kind
-_ACT_NUMPY = {
-    "square": (lambda z: z * z, lambda z: 2.0 * z),
-    "sin": (np.sin, np.cos),
-    "cos": (np.cos, lambda z: -np.sin(z)),
-}
 
 
 def _activate(z: np.ndarray, activations: tuple[str, ...],
@@ -202,12 +192,12 @@ def _activate(z: np.ndarray, activations: tuple[str, ...],
     """
     kinds = set(activations)
     if len(kinds) == 1:
-        f, df = _ACT_NUMPY[kinds.pop()]
+        _, f, df = _ACTIVATION_RULES[kinds.pop()]
         return f(z), (df(z) if with_grad else None)
     g = np.empty_like(z)
     gp = np.empty_like(z) if with_grad else None
     for j, a in enumerate(activations):
-        f, df = _ACT_NUMPY[a]
+        _, f, df = _ACTIVATION_RULES[a]
         col = z[:, j]
         g[:, j] = f(col)
         if with_grad:

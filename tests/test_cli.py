@@ -171,6 +171,14 @@ class TestSynthesizeAndVerify:
         assert main(["synthesize", str(path), "--output-dir", str(outdir)]) == 2
         assert not outdir.exists()
 
+    def test_mistyped_setting_exits_before_training(self, tmp_path, capsys):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(dict(TOY, k=2.0)))
+        outdir = tmp_path / "o"
+        assert main(["synthesize", str(path), "--output-dir", str(outdir)]) == 2
+        assert capsys.readouterr().err == "config error: k must be an integer, got 2.0\n"
+        assert not (outdir / "report.json").exists()
+
     def test_diverged_training_exit_code(self, tmp_path, capsys):
         config = builtin_config("polynomial").to_dict()
         config.update(learning_rate=1e200, epochs=20, max_iterations=1)
@@ -278,6 +286,10 @@ class TestConfigValidation:
         ("max_boxes", 0), ("epsilon", math.nan), ("epsilon", math.inf),
         ("cex_radius", math.inf), ("cex_radius", math.nan), ("epochs", -1),
         ("eta", [math.nan, 0.0, 0.0, 0.0]),
+        ("k", 2.0), ("k", True), ("n", 2.0), ("trajectory_length", 2.0), ("width", 1.0),
+        ("epochs", 10.0), ("max_iterations", 3.0), ("cex_points", 20.0), ("samples", 50.0),
+        ("max_boxes", 100.0), ("truth_step", [5, 6]), ("dictionary", ["(var 0)", 1]),
+        ("activations", [None]),
     ])
     def test_out_of_range_rejected_at_load(self, field, value):
         with pytest.raises(ConfigError):

@@ -13,7 +13,7 @@ from kbarrier import (
 )
 from kbarrier.expr import (
     Add, Box, Const, Cos, Exp, Interval, Mul, Neg, Pow, Sin, Sub, Tape, Var,
-    lin_comb, max_var_index, node_count, _pad_out,
+    lin_comb, max_var_index, node_count, _NODES, _RULES, _pad_out,
 )
 from kbarrier.verifier import _margin_expr
 
@@ -472,6 +472,28 @@ class TestTapeParity:
         z_lo -= 1.0
         assert (c_hi == 2.0).all() and (z_hi == 0.0).all()
         np.testing.assert_array_equal(tape.eval_points(lo)[0], np.full(m, 2.0))
+
+
+class TestOpTable:
+    """`_RULES` holds one (point rule, box rule) pair for each op a Tape can emit."""
+
+    # one expression per table entry; its last op is the entry
+    EMITTED_BY = {
+        "add": Add(X1, X2), "sub": Sub(X1, X2), "sub_self": Sub(X1, X1),
+        "mul": Mul(X1, X2), "mul_self": Mul(X1, X1), "scale": Mul(X1, Const(2.0)),
+        "neg": Neg(X1), "pow": Pow(X1, 3), "sin": Sin(X1), "cos": Cos(X1), "exp": Exp(X1),
+    }
+
+    def test_entries_are_the_emittable_ops(self):
+        emittable = set(_NODES) - {"var", "const"} | {"scale", "sub_self", "mul_self"}
+        assert set(_RULES) == set(self.EMITTED_BY) == emittable
+        for rules in _RULES.values():
+            assert len(rules) == 2 and all(callable(rule) for rule in rules)
+
+    @pytest.mark.parametrize("name", sorted(EMITTED_BY))
+    def test_compiler_emits_each_entry(self, name):
+        _, rules, _, _ = Tape([self.EMITTED_BY[name]])._steps[-1]
+        assert rules is _RULES[name]
 
 
 class TestBatchIndependence:
