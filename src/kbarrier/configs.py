@@ -30,6 +30,16 @@ _INT_FIELDS = ("n", "trajectory_length", "k", "width", "epochs", "max_iterations
                "cex_points", "samples", "max_boxes")
 # fields whose entries must be strings: expression texts and activation names
 _STR_TUPLE_FIELDS = ("truth_step", "dictionary", "activations")
+# fields that must be an int or a float (a bool, a string or null is rejected)
+_REAL_FIELDS = ("dt", "epsilon", "learning_rate", "lr_retrain", "cex_radius", "delta")
+_REGION_FIELDS = ("state_space", "initial_region", "unsafe_region")
+
+
+def _real(name: str, value) -> float:
+    """`value` as a float, if it is an int or a float; else a ConfigError naming `name`."""
+    if not isinstance(value, (int, float)) or isinstance(value, bool):
+        raise ConfigError(f"{name}: expected a number, got {value!r}")
+    return float(value)
 
 
 @dataclass(frozen=True)
@@ -69,11 +79,11 @@ class CaseStudyConfig:
     def __post_init__(self):
         object.__setattr__(self, "truth_step", tuple(self.truth_step))
         object.__setattr__(self, "dictionary", tuple(self.dictionary))
-        object.__setattr__(self, "x0", tuple(float(v) for v in self.x0))
-        object.__setattr__(self, "eta", tuple(float(v) for v in self.eta))
+        object.__setattr__(self, "x0", tuple(_real("x0", v) for v in self.x0))
+        object.__setattr__(self, "eta", tuple(_real("eta", v) for v in self.eta))
         object.__setattr__(self, "activations", tuple(self.activations))
-        for name in ("state_space", "initial_region", "unsafe_region"):
-            bounds = tuple((float(lo), float(hi)) for lo, hi in getattr(self, name))
+        for name in _REGION_FIELDS:
+            bounds = tuple((_real(name, lo), _real(name, hi)) for lo, hi in getattr(self, name))
             object.__setattr__(self, name, bounds)
         self.validate()
 
@@ -84,6 +94,8 @@ class CaseStudyConfig:
             value = getattr(self, name)
             if not isinstance(value, int) or isinstance(value, bool):
                 raise ConfigError(f"{name} must be an integer, got {value!r}")
+        for name in _REAL_FIELDS:
+            _real(name, getattr(self, name))
         for name in _STR_TUPLE_FIELDS:
             for entry in getattr(self, name):
                 if not isinstance(entry, str):
@@ -92,7 +104,7 @@ class CaseStudyConfig:
             raise ConfigError("truth model needs one step expression per dimension")
         if len(self.x0) != self.n:
             raise ConfigError("initial state dimension mismatch")
-        for name in ("state_space", "initial_region", "unsafe_region"):
+        for name in _REGION_FIELDS:
             if len(getattr(self, name)) != self.n:
                 raise ConfigError(f"{name} must have one bound pair per dimension")
         if self.trajectory_length < len(self.dictionary):
@@ -104,6 +116,8 @@ class CaseStudyConfig:
             raise ConfigError("one activation per hidden node required")
         if len(self.eta) != 4:
             raise ConfigError("eta must have four entries")
+        if not 0 < self.dt < math.inf:
+            raise ConfigError("dt must be > 0 and finite")
         if not 0 < self.delta < math.inf:
             raise ConfigError("delta must be > 0 and finite")
         if not self.max_boxes >= 1:

@@ -30,7 +30,11 @@ Two evaluation modes are provided:
   nearest, so an enclosure can miss the exact real range by an ulp.
 
 Each op's point rule and box rule sit side by side in one table, `_RULES`,
-and `Tape` runs both modes through one loop over it.
+and `Tape` runs both modes through one loop over it.  The constructors
+(`add`, `sub`, `mul`, `neg`, `power`, `sin`, `cos`, `exp`) are the node
+classes themselves and fold nothing, so a constant subtree such as
+`sin(Const(c))` is evaluated by `_RULES` too, with the same padded
+enclosure as any other `sin`.
 """
 
 from __future__ import annotations
@@ -201,35 +205,10 @@ def _coerce(value) -> Expr:
 
 
 # ---------------------------------------------------------------------------
-# Smart constructors (constant folding only, no other rewriting)
+# Constructors: the node classes themselves, with no folding or rewriting
 # ---------------------------------------------------------------------------
 
-def _folding(cls: type, fold):
-    """Constructor of `cls` nodes that folds all-constant operands with `fold`."""
-    def make(*operands: Expr) -> Expr:
-        for a in operands:
-            if not isinstance(a, Const):
-                return cls(*operands)
-        return Const(fold(*[a.value for a in operands]))
-
-    make.__name__ = make.__qualname__ = cls.__name__.lower()
-    return make
-
-
-add = _folding(Add, operator.add)
-sub = _folding(Sub, operator.sub)
-mul = _folding(Mul, operator.mul)
-neg = _folding(Neg, operator.neg)
-sin = _folding(Sin, math.sin)
-cos = _folding(Cos, math.cos)
-exp = _folding(Exp, math.exp)
-
-
-def power(a: Expr, exponent: int) -> Expr:
-    if isinstance(a, Const):
-        Pow(a, exponent)  # validate the exponent even when folding
-        return Const(a.value ** exponent)
-    return Pow(a, exponent)
+add, sub, mul, neg, power, sin, cos, exp = Add, Sub, Mul, Neg, Pow, Sin, Cos, Exp
 
 
 def lin_comb(coefficients: Sequence[float], terms: Sequence[Expr], constant: float = 0.0) -> Expr:

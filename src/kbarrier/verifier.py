@@ -24,6 +24,11 @@ delta-sat verdict, or `valid` when there is none.  Two predicates decide
 whether a constraint set can hold: `_may_hold` on interval enclosures,
 where NaN keeps a box, and `_holds` at points, where NaN never holds.
 `check_point` is built from the same constraint sets and `_holds`.
+
+A Tape compiles exactly a condition's constraints, and the margin (the
+violation amount) is read from their outputs by `_margin`: B for I, the
+increase (the last constraint) for E1 and E2, and lam - B = -(B - lam) for
+U, where negation is exact.
 """
 
 from __future__ import annotations
@@ -36,7 +41,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .expr import Box, Const, Expr, Tape, neg, sub, substitute
+from .expr import Box, Const, Expr, Tape, sub, substitute
 from .learner import KBCSpec, SafetySpec
 
 __all__ = [
@@ -50,7 +55,6 @@ CONDITION_TAGS = ("I", "U", "E1", "E2")
 # constraint kinds: "le0" requires expr <= 0, "gt0" requires expr > 0
 Constraint = tuple[Expr, str]
 
-_PRUNED_SINK_CAP = 50_000
 # evaluation batch size: bounds peak register memory at wide search fronts
 _EVAL_CHUNK = 32_768
 
@@ -152,20 +156,17 @@ def check_point(task: VerificationTask, x: Sequence[float]) -> list[tuple[str, f
             constraints = constraints[-1:]      # the increase alone, ungated
         elif not region.contains(x[0]):
             continue
-        tape = Tape([e for e, _ in constraints] + [_margin_expr(tag, constraints)])
-        values = tape.eval_points(x)
-        if _holds(values[:-1], [kind for _, kind in constraints])[0]:
-            violations.append((tag, float(values[-1][0])))
+        values = Tape([e for e, _ in constraints]).eval_points(x)
+        if _holds(values, [kind for _, kind in constraints])[0]:
+            value = values[-1][0]
+            violations.append((tag, float(_margin(tag, value, value))))
     return violations
 
 
-def _margin_expr(tag: str, constraints: list[Constraint]) -> Expr:
-    """Violation-amount expression, sharing subtrees with the constraints."""
-    if tag == "I":
-        return constraints[0][0]          # B itself
-    if tag == "U":
-        return neg(constraints[0][0])     # lam - B
-    return constraints[-1][0]             # the evolution increase
+def _margin(tag: str, lo, hi):
+    """Upper bound of the violation amount over the last constraint's
+    enclosure [lo, hi]; at a point, lo = hi = its value."""
+    return -lo if tag == "U" else hi
 
 
 def _holds(values: Sequence[np.ndarray], kinds: Sequence[str]) -> np.ndarray:
@@ -192,14 +193,14 @@ def _chunks(m: int):
 
 
 def _search(tag: str, constraints: list[Constraint], region: Box, delta: float,
-            budget: int, pruned_sink: list | None) -> Verdict:
+            budget: int) -> Verdict:
     """Breadth-first interval subdivision over one negated-condition set.
 
     The verdict is for this condition alone: "valid" means every box was
     discarded.  `boxes_explored` counts this search's boxes.
     """
     kinds = [kind for _, kind in constraints]
-    tape = Tape([e for e, _ in constraints] + [_margin_expr(tag, constraints)])
+    tape = Tape([e for e, _ in constraints])
     lo = region.lo()[None, :].astype(float)
     hi = region.hi()[None, :].astype(float)
     used = 0
@@ -214,12 +215,8 @@ def _search(tag: str, constraints: list[Constraint], region: Box, delta: float,
         margin_hi = np.empty(lo.shape[0])
         for sl in _chunks(lo.shape[0]):
             enclosures = tape.eval_boxes(lo[sl], hi[sl])
-            feasible[sl] = _may_hold(enclosures[:-1], kinds)
-            margin_hi[sl] = enclosures[-1][1]
-        if pruned_sink is not None and not feasible.all():
-            drop = ~feasible
-            if len(pruned_sink) < _PRUNED_SINK_CAP:
-                pruned_sink.extend((tag, bl, bh) for bl, bh in zip(lo[drop], hi[drop]))
+            feasible[sl] = _may_hold(enclosures, kinds)
+            margin_hi[sl] = _margin(tag, *enclosures[-1])
         lo, hi = lo[feasible], hi[feasible]
         margin_hi = margin_hi[feasible]
         if not lo.shape[0]:
@@ -228,15 +225,16 @@ def _search(tag: str, constraints: list[Constraint], region: Box, delta: float,
         mid = 0.5 * (lo + hi)
         confirmed = np.empty(mid.shape[0], dtype=bool)
         for sl in _chunks(mid.shape[0]):
-            confirmed[sl] = _holds(tape.eval_points(mid[sl])[:-1], kinds)
+            confirmed[sl] = _holds(tape.eval_points(mid[sl]), kinds)
         if confirmed.any():
             point = mid[int(np.argmax(confirmed))]
             # re-evaluate the single point: vector and scalar libm paths may
             # disagree in the last bit, and a confirmed witness must re-verify
             single = tape.eval_points(point[None, :])
-            if _holds(single[:-1], kinds)[0]:
+            if _holds(single, kinds)[0]:
+                value = single[-1][0]
                 return Verdict("counterexample", tag, point=tuple(float(v) for v in point),
-                               margin=float(single[-1][0]), boxes_explored=used)
+                               margin=float(_margin(tag, value, value)), boxes_explored=used)
 
         small = (hi - lo).max(axis=1) < delta
         if small.any() and first_delta is None:
@@ -262,16 +260,15 @@ def _search(tag: str, constraints: list[Constraint], region: Box, delta: float,
     return replace(first_delta or Verdict("valid"), boxes_explored=used)
 
 
-def verify(task: VerificationTask, pruned_sink: list | None = None) -> Verdict:
+def verify(task: VerificationTask) -> Verdict:
     """Run all four negated-condition searches and aggregate the verdict.
 
     A confirmed counterexample returns immediately (searches run in the
     fixed order I, U, E1, E2).  Otherwise the first delta-sat box found, if
     any, is reported; exceeding the box budget reports exhaustion; and only
-    a fully discarded search space yields `valid`.
-
-    `pruned_sink`, when given, collects (condition tag, lo, hi) triples of
-    discarded boxes for soundness auditing.
+    a fully discarded search space yields `valid`.  The margin of a
+    counterexample or delta-sat verdict comes from the constraint outputs
+    (see `_margin`).
     """
     t0 = time.perf_counter()
     total = 0
@@ -279,8 +276,7 @@ def verify(task: VerificationTask, pruned_sink: list | None = None) -> Verdict:
     for tag, constraints, region in condition_exprs(task):
         if total >= task.max_boxes:
             return Verdict("exhausted", boxes_explored=total, wall_time=time.perf_counter() - t0)
-        result = _search(tag, constraints, region, task.delta, task.max_boxes - total,
-                         pruned_sink)
+        result = _search(tag, constraints, region, task.delta, task.max_boxes - total)
         total += result.boxes_explored
         if result.kind in ("counterexample", "exhausted"):
             return replace(result, boxes_explored=total, wall_time=time.perf_counter() - t0)

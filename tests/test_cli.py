@@ -290,6 +290,14 @@ class TestConfigValidation:
         ("epochs", 10.0), ("max_iterations", 3.0), ("cex_points", 20.0), ("samples", 50.0),
         ("max_boxes", 100.0), ("truth_step", [5, 6]), ("dictionary", ["(var 0)", 1]),
         ("activations", [None]),
+        ("x0", ["1.1", 2.8]), ("x0", [True, 2.8]), ("eta", ["0.1", 0, 0, 0]),
+        ("eta", [True, 0.001, 0.0, 0.0]), ("state_space", [["-2", 2], [1.0, 3.0]]),
+        ("initial_region", [[1.0, None], [2.0, 3.0]]),
+        ("unsafe_region", [[2.5, 3.0], [False, 3.0]]),
+        ("epsilon", True), ("epsilon", "0.1"), ("learning_rate", True),
+        ("lr_retrain", "0.05"), ("cex_radius", "0.1"), ("delta", "0.01"), ("delta", None),
+        ("dt", "x"), ("dt", None), ("dt", True), ("dt", 0.0), ("dt", -0.1), ("dt", math.nan),
+        ("dt", math.inf),
     ])
     def test_out_of_range_rejected_at_load(self, field, value):
         with pytest.raises(ConfigError):

@@ -14,8 +14,8 @@ from kbarrier import (
 from kbarrier.expr import (
     Add, Box, Const, Cos, Exp, Interval, Mul, Neg, Pow, Sin, Sub, Tape, Var,
     lin_comb, max_var_index, node_count, _NODES, _RULES, _pad_out,
+    add, cos, exp, mul, neg, power, sin, sub,
 )
-from kbarrier.verifier import _margin_expr
 
 from conftest import random_expr, random_finite_pair
 
@@ -214,10 +214,20 @@ class TestGrammar:
         with pytest.raises(ValueError):
             Pow(X1, -2)
 
-    def test_constant_folding(self):
-        e = Const(2.0) + Const(3.0)
-        assert isinstance(e, Const) and e.value == 5.0
-        assert isinstance(-(Const(4.0)), Const)
+    def test_constructors_do_not_fold(self):
+        c, d = Const(2.0), Const(3.0)
+        built = [add(c, d), sub(c, d), mul(c, d), neg(c), power(c, 2), sin(c), cos(c),
+                 exp(c), c + d, c - d, c * d, -c, c ** 3, 2.0 * c, c + 1.0]
+        assert not any(isinstance(e, Const) for e in built)
+        assert [type(e) for e in built[:8]] == [Add, Sub, Mul, Neg, Pow, Sin, Cos, Exp]
+        with pytest.raises(ValueError):
+            power(c, 0)
+
+    def test_constant_subtree_gets_padded_enclosure(self):
+        box = Box.from_bounds([(0.0, 1.0)])
+        enclosure = eval_interval(sin(Const(0.7)), box)
+        assert enclosure.lo < math.sin(0.7) < enclosure.hi
+        assert eval_point(sin(Const(0.7)), [0.0]) == np.sin(0.7)
 
     def test_lin_comb_drops_zero_and_unit_coefficients(self):
         e = lin_comb([0.0, 1.0], [X1, X2])
@@ -414,8 +424,7 @@ def k3_roots(highly_nonlinear, reference_nonlinear_cert):
     task = VerificationTask(B=reference_nonlinear_cert, f1_sym=model.symbolic_step(),
                             fk_sym=model.symbolic_k_step(3), spec=config.safety_spec(),
                             kbc=KBCSpec(k=3, epsilon=config.epsilon))
-    return [root for tag, constraints, _ in condition_exprs(task)
-            for root in [e for e, _ in constraints] + [_margin_expr(tag, constraints)]]
+    return [e for _, constraints, _ in condition_exprs(task) for e, _ in constraints]
 
 
 class TestTapeParity:

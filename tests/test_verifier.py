@@ -9,7 +9,8 @@ from kbarrier import (
     Box, KBCSpec, SafetySpec, TrajectoryData, VerificationTask,
     build_model, check_point, condition_exprs, verify,
 )
-from kbarrier.expr import Add, Const, Exp, Mul, Tape, Var, eval_point, substitute
+from kbarrier import verifier
+from kbarrier.expr import Add, Const, Exp, Mul, Neg, Tape, Var, eval_point, substitute
 
 from conftest import identity_dictionary
 
@@ -259,12 +260,16 @@ class TestCheckPointReference:
         assert seen == {"I", "U"}
 
 
-def verify_under(B, A, spec, kbc):
-    """Verify B against x+ = A x, recovered by build_model over the identity dictionary."""
+def linear_task(B, A, spec, kbc):
+    """B against x+ = A x, recovered by build_model over the identity dictionary."""
     model = build_model(TrajectoryData(X0=np.eye(2), X1=A, D0=np.eye(2)), identity_dictionary(2))
     f1 = model.symbolic_step()
     fk = model.symbolic_k_step(kbc.k) if kbc.k > 1 else f1
-    return verify(VerificationTask(B=B, f1_sym=f1, fk_sym=fk, spec=spec, kbc=kbc))
+    return VerificationTask(B=B, f1_sym=f1, fk_sym=fk, spec=spec, kbc=kbc)
+
+
+def verify_under(B, A, spec, kbc):
+    return verify(linear_task(B, A, spec, kbc))
 
 
 class TestVerifyLinear:
@@ -306,28 +311,62 @@ class TestVerifyLinear:
         assert verdict.condition == "E1"
         assert verdict.margin > 0
 
+    @pytest.mark.parametrize("tag, B, scale", [
+        ("I", X1 ** 2 + Const(0.5), 1.0),
+        ("U", X1 - X2 - Const(1.0), 1.0),
+        ("E1", B_CIRCLE, 2.0),
+        ("E2", B_CIRCLE, 1.01),     # one step stays within eps, two steps grow
+    ])
+    def test_margin_equals_violation_amount(self, tag, B, scale):
+        # the margin is read from the constraint outputs; it must equal, bit
+        # for bit, the violation-amount expression evaluated at the witness
+        task = linear_task(B, scale * np.eye(2), self.SPEC, KBCSpec(k=2, epsilon=0.1))
+        verdict = verify(task)
+        assert (verdict.kind, verdict.condition) == ("counterexample", tag)
+        constraints = {t: cons for t, cons, _ in condition_exprs(task)}[tag]
+        margin_expr = Neg(constraints[0][0]) if tag == "U" else constraints[-1][0]
+        assert verdict.margin == eval_point(margin_expr, verdict.point) > 0.0
+        assert dict(check_point(task, verdict.point))[tag] == verdict.margin
+
 
 class TestSearchSoundness:
-    def test_pruned_boxes_contain_no_violations(self, highly_nonlinear,
+    def test_pruned_boxes_contain_no_violations(self, monkeypatch, highly_nonlinear,
                                                 reference_nonlinear_cert):
+        """Every box any search discards, point-sampled: none holds a violation."""
         task = hn_task(highly_nonlinear, reference_nonlinear_cert, k=2, epsilon=0.1,
                        delta=0.01)
-        sink = []
-        verify(task, pruned_sink=sink)
-        assert sink
-        conditions = {tag: cons for tag, cons, _ in condition_exprs(task)}
+        eval_boxes, may_hold = Tape.eval_boxes, verifier._may_hold
+        evaluated, pruned = [], []
+
+        def recording_eval_boxes(tape, lo, hi):
+            evaluated[:] = [(lo, hi)]
+            return eval_boxes(tape, lo, hi)
+
+        def recording_may_hold(enclosures, kinds):
+            ok = may_hold(enclosures, kinds)
+            (lo, hi), = evaluated
+            pruned.append((lo[~ok], hi[~ok]))
+            return ok
+
+        monkeypatch.setattr(Tape, "eval_boxes", recording_eval_boxes)
+        monkeypatch.setattr(verifier, "_may_hold", recording_may_hold)
         rng = np.random.default_rng(0)
-        chosen = rng.choice(len(sink), size=min(100, len(sink)), replace=False)
-        for idx in chosen:
-            tag, lo, hi = sink[idx]
-            cons = conditions[tag]
-            tape = Tape([c[0] for c in cons])
-            pts = rng.uniform(lo, hi, size=(1000, len(lo)))
-            vals = tape.eval_points(pts)
-            satisfied = np.ones(1000, dtype=bool)
+        audited = 0
+        for tag, cons, region in condition_exprs(task):
+            pruned.clear()
+            verifier._search(tag, cons, region, task.delta, task.max_boxes)
+            lo = np.vstack([lo for lo, _ in pruned])
+            hi = np.vstack([hi for _, hi in pruned])
+            audited += lo.shape[0]
+            # 20 uniform points in each pruned box
+            u = rng.uniform(size=(lo.shape[0], 20, lo.shape[1]))
+            pts = (lo[:, None, :] + u * (hi - lo)[:, None, :]).reshape(-1, lo.shape[1])
+            vals = Tape([c[0] for c in cons]).eval_points(pts)
+            satisfied = np.ones(len(pts), dtype=bool)
             for v, (_, kind) in zip(vals, cons):
                 satisfied &= (v <= 0.0) if kind == "le0" else (v > 0.0)
-            assert not satisfied.any()
+            assert not satisfied.any(), tag
+        assert audited > 1000
 
     def test_valid_implies_grid_clean(self):
         # the identity-dynamics equality case verifies valid; a dense grid
