@@ -50,8 +50,8 @@ fresh = spec.X.sample(rng, 20000)
 b = params.forward_batch(fresh)
 b1 = params.forward_batch(model.step_batch(fresh))
 bk = params.forward_batch(model.k_step_batch(fresh, kbc.k))
-in_i = np.all((fresh >= spec.X_I.lo()) & (fresh <= spec.X_I.hi()), axis=1)
-in_u = np.all((fresh >= spec.X_U.lo()) & (fresh <= spec.X_U.hi()), axis=1)
+in_i = spec.X_I.contains(fresh)
+in_u = spec.X_U.contains(fresh)
 print()
 print("empirical margins on 20000 fresh samples (negative = satisfied):")
 print(f"  init level     max B          = {b[in_i].max():+.4f}")

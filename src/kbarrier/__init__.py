@@ -1,7 +1,7 @@
 """Data-driven synthesis and interval verification of k-inductive neural barrier certificates."""
 
 from .expr import (
-    Box, Const, Expr, Interval, Tape, Var,
+    Box, Const, Expr, Tape, Var,
     eval_interval, eval_point, format_expr, parse_expr, substitute,
 )
 from .dynamics import (
@@ -10,11 +10,11 @@ from .dynamics import (
     trajectory_to_csv,
 )
 from .learner import (
-    DatasetTriple, KBCSpec, NetworkParams, SafetySpec, TrainConfig, TrainingDiverged,
+    DatasetTriple, NetworkParams, TrainConfig, TrainingDiverged,
     gradient, init_params, loss, mixed_sin_cos, sample_dataset, train,
 )
 from .verifier import (
-    Verdict, VerificationTask, check_point, condition_exprs, verify,
+    KBCSpec, SafetySpec, Verdict, VerificationTask, check_point, condition_exprs, verify,
 )
 from .cegis import CegisConfig, CegisReport, augment, run
 from .configs import BUILTIN_NAMES, CaseStudyConfig, ConfigError, builtin_config, load_config

@@ -19,11 +19,8 @@ import numpy as np
 
 from .dynamics import DataDrivenModel
 from .expr import Expr, format_expr
-from .learner import (
-    DatasetTriple, KBCSpec, NetworkParams, SafetySpec, TrainConfig,
-    init_params, loss, sample_dataset, train,
-)
-from .verifier import Verdict, VerificationTask, verify
+from .learner import DatasetTriple, NetworkParams, TrainConfig, loss, sample_dataset, train
+from .verifier import KBCSpec, SafetySpec, Verdict, VerificationTask, verify
 
 __all__ = ["CegisConfig", "IterationRecord", "CegisReport", "augment", "run"]
 
@@ -33,8 +30,8 @@ class CegisConfig:
     """Loop controls: iteration cap, counterexample cloud, learning-rate schedule, seed.
 
     Iteration 1 trains at `train.learning_rate`, later ones at `lr_retrain`.
-    `seed` drives the initial dataset, the initial parameters and every
-    counterexample cloud, so one seed gives one report.
+    `seed` drives the initial dataset and every counterexample cloud, so one
+    seed and one start network give one report.
     """
 
     max_iterations: int = 20
@@ -53,7 +50,7 @@ class CegisConfig:
         if not 0 < self.cex_radius < math.inf:
             raise ValueError("cex_radius must be > 0 and finite")
         if not 0 < self.lr_retrain <= self.train.learning_rate:
-            raise ValueError("retraining rate must be > 0 and not exceed the initial rate")
+            raise ValueError("lr_retrain must be > 0 and not exceed learning_rate")
         if self.seed < 0:
             raise ValueError("seed must be >= 0")
 
@@ -94,7 +91,6 @@ class CegisReport:
     iterations: int
     records: tuple[IterationRecord, ...]
     certificate: Expr | None
-    params: NetworkParams | None
     final_verdict: Verdict | None
     seed: int
     reason: str = ""
@@ -147,23 +143,23 @@ def run(spec: SafetySpec, model: DataDrivenModel, kbc: KBCSpec,
         net: NetworkParams, cfg: CegisConfig,
         delta: float = VerificationTask.delta,
         max_boxes: int = VerificationTask.max_boxes) -> CegisReport:
-    """Run the synthesis loop from a parameter template until valid or capped.
+    """Run the synthesis loop from the network `net` until valid or capped.
 
-    `net` provides the architecture (width, activations); its numeric values
-    are replaced by a seeded initialisation, so two runs with the same
-    configuration and seed produce identical reports.
+    The first iteration trains `net` itself.  `cfg.seed` drives the dataset
+    and the counterexample clouds, so two runs from the same network with the
+    same configuration and seed produce identical reports.
     """
     seed = cfg.seed
     if cfg.max_iterations == 0:
         return CegisReport(outcome="terminated", iterations=0, records=(),
-                           certificate=None, params=None, final_verdict=None,
+                           certificate=None, final_verdict=None,
                            seed=seed, reason="iteration cap is zero")
 
     f1_sym = model.symbolic_step()
     fk_sym = model.symbolic_k_step(kbc.k)
 
     data = sample_dataset(spec, model, kbc, cfg.samples, seed)
-    params = init_params(spec.n, net.width, net.activations, seed)
+    params = net
     records: list[IterationRecord] = []
     certificate: Expr | None = None
     reason = "iteration cap reached without a valid certificate"
@@ -203,5 +199,5 @@ def run(spec: SafetySpec, model: DataDrivenModel, kbc: KBCSpec,
 
     return CegisReport(outcome="terminated" if certificate is None else "verified",
                        iterations=len(records), records=tuple(records),
-                       certificate=certificate, params=params, final_verdict=verdict,
+                       certificate=certificate, final_verdict=verdict,
                        seed=seed, reason=reason)

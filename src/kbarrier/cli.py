@@ -155,17 +155,13 @@ def cmd_grid(args) -> int:
     spec = config.safety_spec()
     lam = config.kbc().lam
     res = args.resolution
-    axes = [np.linspace(iv.lo, iv.hi, res) for iv in spec.X.intervals]
+    axes = [np.linspace(lo, hi, res) for lo, hi in spec.X.bounds()]
     g1, g2 = np.meshgrid(axes[0], axes[1], indexing="ij")
     points = np.column_stack([g1.ravel(), g2.ravel()])
     values = Tape([certificate]).eval_points(points)[0]
     band = (values.max() - values.min()) / (2.0 * res) if values.max() > values.min() else 1e-9
-
-    def inside(box, pts):
-        return np.all((pts >= box.lo()) & (pts <= box.hi()), axis=1)
-
-    in_init = inside(spec.X_I, points)
-    in_unsafe = inside(spec.X_U, points)
+    in_init = spec.X_I.contains(points)
+    in_unsafe = spec.X_U.contains(points)
     out = Path(args.output)
     with out.open("w", newline="") as fh:
         writer = csv.writer(fh)

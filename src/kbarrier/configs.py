@@ -15,8 +15,8 @@ from dataclasses import dataclass, asdict
 from .cegis import CegisConfig
 from .dynamics import ExprMap
 from .expr import Box, parse_expr
-from .learner import KBCSpec, SafetySpec, TrainConfig, mixed_sin_cos
-from .verifier import VerificationTask
+from .learner import TrainConfig, mixed_sin_cos
+from .verifier import KBCSpec, SafetySpec, VerificationTask
 
 __all__ = ["CaseStudyConfig", "ConfigError", "BUILTIN_NAMES", "builtin_config", "load_config"]
 

@@ -21,11 +21,12 @@ Two evaluation modes are provided:
 * point evaluation (`eval_point`, `Tape.eval_points`) -- ordinary float
   arithmetic, vectorised over sample batches;
 * interval evaluation (`eval_interval`, `Tape.eval_boxes`) -- returns an
-  enclosure of the expression's range over a box.  Results of sin, cos,
-  exp and pow are widened by two ulps so the enclosure holds despite
-  last-bit rounding differences between code paths; the step is taken on
-  the IEEE bit pattern read as int64 (`_pad_out`), which gives exactly
-  what two chained `np.nextafter` calls give at a few integer passes.
+  enclosure of the expression's range over a box, as a (lo, hi) pair of
+  floats (arrays of them over a batch of boxes).  Results of sin, cos, exp
+  and pow are widened by two ulps so the enclosure holds despite last-bit
+  rounding differences between code paths; the step is taken on the IEEE
+  bit pattern read as int64 (`_pad_out`), which gives exactly what two
+  chained `np.nextafter` calls give at a few integer passes.
   add, sub, mul and scale (a product with a constant) still round to
   nearest, so an enclosure can miss the exact real range by an ulp.
 
@@ -35,6 +36,9 @@ and `Tape` runs both modes through one loop over it.  The constructors
 classes themselves and fold nothing, so a constant subtree such as
 `sin(Const(c))` is evaluated by `_RULES` too, with the same padded
 enclosure as any other `sin`.
+
+A `Box` is two read-only float arrays, `lower` and `upper`: the form that
+the interval search, the samplers and the region tests (`Box.contains`) use.
 """
 
 from __future__ import annotations
@@ -48,7 +52,7 @@ import numpy as np
 
 __all__ = [
     "Expr", "Var", "Const", "Add", "Sub", "Mul", "Neg", "Pow", "Sin", "Cos", "Exp",
-    "Interval", "Box",
+    "Box",
     "add", "sub", "mul", "neg", "power", "sin", "cos", "exp", "lin_comb",
     "eval_point", "eval_interval", "substitute",
     "format_expr", "parse_expr", "node_count", "max_var_index",
@@ -297,90 +301,74 @@ def substitute(e: Expr, replacements: Sequence[Expr]) -> Expr:
 
 
 # ---------------------------------------------------------------------------
-# Intervals and boxes
+# Boxes
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Interval:
-    """Closed interval [lo, hi] with finite endpoints."""
-
-    lo: float
-    hi: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "lo", float(self.lo))
-        object.__setattr__(self, "hi", float(self.hi))
-        if not (math.isfinite(self.lo) and math.isfinite(self.hi)):
-            raise ValueError(f"interval endpoints must be finite: [{self.lo}, {self.hi}]")
-        if self.lo > self.hi:
-            raise ValueError(f"invalid interval: lo={self.lo} > hi={self.hi}")
-
-    @property
-    def width(self) -> float:
-        return self.hi - self.lo
-
-    @property
-    def mid(self) -> float:
-        return 0.5 * (self.lo + self.hi)
-
-    def contains(self, x: float) -> bool:
-        return self.lo <= x <= self.hi
-
-    def hull(self, other: "Interval") -> "Interval":
-        return Interval(min(self.lo, other.lo), max(self.hi, other.hi))
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Box:
-    """Axis-aligned hyperrectangle: one Interval per dimension."""
+    """Axis-aligned hyperrectangle: read-only (n,) float arrays of finite
+    bounds, lower <= upper.  Boxes compare by identity."""
 
-    intervals: tuple[Interval, ...]
+    lower: np.ndarray
+    upper: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "intervals", tuple(self.intervals))
-        if not self.intervals:
-            raise ValueError("box needs at least one dimension")
+        lower = np.array(self.lower, dtype=float)
+        upper = np.array(self.upper, dtype=float)
+        if lower.ndim != 1 or lower.shape != upper.shape or not lower.size:
+            raise ValueError(f"box bounds must be non-empty 1-D arrays of one shape, "
+                             f"got {lower.shape} and {upper.shape}")
+        if not np.all(np.isfinite(lower) & np.isfinite(upper) & (lower <= upper)):
+            raise ValueError(f"box bounds must be finite with lower <= upper: {lower}, {upper}")
+        lower.flags.writeable = upper.flags.writeable = False
+        object.__setattr__(self, "lower", lower)
+        object.__setattr__(self, "upper", upper)
 
     @classmethod
     def from_bounds(cls, bounds: Iterable[Sequence[float]]) -> "Box":
-        return cls(tuple(Interval(lo, hi) for lo, hi in bounds))
+        pairs = [(lo, hi) for lo, hi in bounds]
+        return cls([lo for lo, _ in pairs], [hi for _, hi in pairs])
 
     @property
     def n(self) -> int:
-        return len(self.intervals)
+        return self.lower.shape[0]
 
     def lo(self) -> np.ndarray:
-        return np.array([iv.lo for iv in self.intervals])
+        return self.lower
 
     def hi(self) -> np.ndarray:
-        return np.array([iv.hi for iv in self.intervals])
+        return self.upper
 
     def midpoint(self) -> np.ndarray:
-        return np.array([iv.mid for iv in self.intervals])
+        return 0.5 * (self.lower + self.upper)
 
     def widths(self) -> np.ndarray:
-        return np.array([iv.width for iv in self.intervals])
+        return self.upper - self.lower
 
-    def contains(self, x: Sequence[float]) -> bool:
-        x = np.asarray(x, dtype=float)
-        return len(x) == self.n and all(iv.contains(v) for iv, v in zip(self.intervals, x))
+    def contains(self, points: Sequence[float] | np.ndarray) -> bool | np.ndarray:
+        """Whether one point (shape (n,)) lies in the box, or a mask of shape
+        (m,) over the rows of an (m, n) batch.  A point of another dimension
+        is not contained; NaN never is."""
+        points = np.asarray(points, dtype=float)
+        if points.ndim == 1 and points.shape != self.lower.shape:
+            return False
+        inside = np.all((points >= self.lower) & (points <= self.upper), axis=-1)
+        return bool(inside) if points.ndim == 1 else inside
 
     def contains_box(self, other: "Box") -> bool:
-        return other.n == self.n and all(
-            s.lo <= o.lo and o.hi <= s.hi for s, o in zip(self.intervals, other.intervals)
-        )
+        return other.n == self.n and bool(
+            np.all(self.lower <= other.lower) and np.all(other.upper <= self.upper))
 
     def intersects(self, other: "Box") -> bool:
-        return other.n == self.n and all(
-            s.lo <= o.hi and o.lo <= s.hi for s, o in zip(self.intervals, other.intervals)
-        )
+        return other.n == self.n and bool(
+            np.all(self.lower <= other.upper) and np.all(other.lower <= self.upper))
 
     def sample(self, rng: np.random.Generator, m: int) -> np.ndarray:
         """m uniform points inside the box, shape (m, n)."""
-        return rng.uniform(self.lo(), self.hi(), size=(m, self.n))
+        return rng.uniform(self.lower, self.upper, size=(m, self.n))
 
     def bounds(self) -> list[tuple[float, float]]:
-        return [(iv.lo, iv.hi) for iv in self.intervals]
+        return list(zip(self.lower.tolist(), self.upper.tolist()))
 
 
 # ---------------------------------------------------------------------------
@@ -649,10 +637,10 @@ def eval_point(e: Expr, x: Sequence[float]) -> float:
     return float(tape.eval_points(x[None, :])[0][0])
 
 
-def eval_interval(e: Expr, box: Box) -> Interval:
-    """Sound enclosure of the expression's range over the box.
+def eval_interval(e: Expr, box: Box) -> tuple[float, float]:
+    """Sound enclosure (lo, hi) of the expression's range over the box.
 
-    Raises ValueError if the enclosure overflows to infinity (possible with
+    Raises ValueError if a bound is not finite (an overflow is possible with
     deeply nested exp over wide boxes); callers needing raw, possibly
     non-finite bounds can use Tape.eval_boxes directly.
     """
@@ -662,7 +650,10 @@ def eval_interval(e: Expr, box: Box) -> Interval:
     # an overflow surfaces as the ValueError below, not as a numpy warning
     with np.errstate(over="ignore", invalid="ignore"):
         (lo, hi), = tape.eval_boxes(box.lo()[None, :], box.hi()[None, :])
-    return Interval(float(lo[0]), float(hi[0]))
+    lo, hi = float(lo[0]), float(hi[0])
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise ValueError(f"enclosure bounds must be finite: [{lo}, {hi}]")
+    return lo, hi
 
 
 # ---------------------------------------------------------------------------

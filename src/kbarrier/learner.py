@@ -40,12 +40,13 @@ from typing import Sequence
 import numpy as np
 
 from .dynamics import DataDrivenModel
-from .expr import Box, Const, Expr, Var, cos, lin_comb, power, sin
+from .expr import Const, Expr, Var, cos, lin_comb, power, sin
+from .verifier import KBCSpec, SafetySpec
 
 __all__ = [
-    "ACTIVATIONS", "NetworkParams", "NetworkGradient", "KBCSpec", "SafetySpec",
-    "DatasetTriple", "TrainConfig", "TrainingDiverged",
-    "mixed_sin_cos", "init_params", "sample_dataset", "loss", "gradient", "train",
+    "ACTIVATIONS", "NetworkParams", "NetworkGradient", "DatasetTriple", "TrainConfig",
+    "TrainingDiverged", "mixed_sin_cos", "init_params", "sample_dataset", "loss", "gradient",
+    "train",
 ]
 
 # each activation kind: its expression builder, and its elementwise function
@@ -63,43 +64,6 @@ _BETA1, _BETA2, _ADAM_EPSILON = 0.9, 0.999, 1e-8
 
 class TrainingDiverged(RuntimeError):
     """Raised when the loss becomes non-finite during training."""
-
-
-@dataclass(frozen=True)
-class KBCSpec:
-    """Induction horizon k and per-step slack epsilon; lam = (k-1) * epsilon."""
-
-    k: int
-    epsilon: float
-    lam: float = field(init=False)
-
-    def __post_init__(self):
-        if self.k < 1:
-            raise ValueError("k must be >= 1")
-        if not 0 <= self.epsilon < math.inf:
-            raise ValueError("epsilon must be >= 0 and finite")
-        object.__setattr__(self, "lam", (self.k - 1) * self.epsilon)
-
-
-@dataclass(frozen=True)
-class SafetySpec:
-    """State space X with initial region X_I and unsafe region X_U inside it."""
-
-    X: Box
-    X_I: Box
-    X_U: Box
-
-    def __post_init__(self):
-        if not self.X.contains_box(self.X_I):
-            raise ValueError("initial region must lie inside the state space")
-        if not self.X.contains_box(self.X_U):
-            raise ValueError("unsafe region must lie inside the state space")
-        if self.X_I.intersects(self.X_U):
-            raise ValueError("initial and unsafe regions must be disjoint")
-
-    @property
-    def n(self) -> int:
-        return self.X.n
 
 
 def mixed_sin_cos(width: int) -> tuple[str, ...]:
@@ -282,7 +246,7 @@ class TrainConfig:
         if self.epochs < 0:
             raise ValueError("epochs must be >= 0")
         if not 0 < self.learning_rate < math.inf:
-            raise ValueError("learning rate must be > 0 and finite")
+            raise ValueError("learning_rate must be > 0 and finite")
 
 
 @dataclass(frozen=True, eq=False)
@@ -309,7 +273,7 @@ class DatasetTriple:
         if self.S_plus.shape != self.S.shape or self.S_kplus.shape != self.S.shape:
             raise ValueError("evolution arrays must match the sample array")
         for suffix, box in (("init", self.spec.X_I), ("unsafe", self.spec.X_U)):
-            mask = np.all((self.S >= box.lo()) & (self.S <= box.hi()), axis=1)
+            mask = box.contains(self.S)
             object.__setattr__(self, f"mask_{suffix}", mask)
             object.__setattr__(self, f"idx_{suffix}", np.flatnonzero(mask))
 

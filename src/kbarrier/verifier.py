@@ -1,4 +1,10 @@
-"""Interval branch-and-bound verification of candidate certificates.
+"""The certificate problem and its interval branch-and-bound verification.
+
+The problem statement lives here: `SafetySpec` is the state box X with the
+initial and unsafe region boxes, `KBCSpec` the horizon k and slack epsilon.
+The module imports nothing from the package but `expr`, so a `valid`
+verdict rests on `expr.py`, this module, and the composed maps f1 and fk
+that the caller passes in.
 
 A candidate B is checked against the four certificate conditions over the
 full state box by searching each *negated* condition for a satisfying
@@ -36,16 +42,15 @@ from __future__ import annotations
 import json
 import math
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Sequence
 
 import numpy as np
 
 from .expr import Box, Const, Expr, Tape, sub, substitute
-from .learner import KBCSpec, SafetySpec
 
 __all__ = [
-    "VerificationTask", "Verdict", "Constraint",
+    "KBCSpec", "SafetySpec", "VerificationTask", "Verdict", "Constraint",
     "condition_exprs", "check_point", "verify",
     "CONDITION_TAGS",
 ]
@@ -57,6 +62,43 @@ Constraint = tuple[Expr, str]
 
 # evaluation batch size: bounds peak register memory at wide search fronts
 _EVAL_CHUNK = 32_768
+
+
+@dataclass(frozen=True)
+class KBCSpec:
+    """Induction horizon k and per-step slack epsilon; lam = (k-1) * epsilon."""
+
+    k: int
+    epsilon: float
+    lam: float = field(init=False)
+
+    def __post_init__(self):
+        if self.k < 1:
+            raise ValueError("k must be >= 1")
+        if not 0 <= self.epsilon < math.inf:
+            raise ValueError("epsilon must be >= 0 and finite")
+        object.__setattr__(self, "lam", (self.k - 1) * self.epsilon)
+
+
+@dataclass(frozen=True)
+class SafetySpec:
+    """State space X with initial region X_I and unsafe region X_U inside it."""
+
+    X: Box
+    X_I: Box
+    X_U: Box
+
+    def __post_init__(self):
+        if not self.X.contains_box(self.X_I):
+            raise ValueError("initial region must lie inside the state space")
+        if not self.X.contains_box(self.X_U):
+            raise ValueError("unsafe region must lie inside the state space")
+        if self.X_I.intersects(self.X_U):
+            raise ValueError("initial and unsafe regions must be disjoint")
+
+    @property
+    def n(self) -> int:
+        return self.X.n
 
 
 @dataclass(frozen=True)
@@ -201,8 +243,8 @@ def _search(tag: str, constraints: list[Constraint], region: Box, delta: float,
     """
     kinds = [kind for _, kind in constraints]
     tape = Tape([e for e, _ in constraints])
-    lo = region.lo()[None, :].astype(float)
-    hi = region.hi()[None, :].astype(float)
+    lo = region.lo()[None, :]
+    hi = region.hi()[None, :]
     used = 0
     first_delta: Verdict | None = None
 
@@ -240,7 +282,7 @@ def _search(tag: str, constraints: list[Constraint], region: Box, delta: float,
         if small.any() and first_delta is None:
             idx = int(np.argmax(small))
             # worst possible violation the enclosure allows over this box
-            box = Box.from_bounds(list(zip(lo[idx], hi[idx])))
+            box = Box(lo[idx], hi[idx])
             first_delta = Verdict("delta_sat", tag, box=box, margin=float(margin_hi[idx]))
         keep = ~small
         lo, hi = lo[keep], hi[keep]

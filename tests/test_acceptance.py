@@ -19,7 +19,7 @@ from kbarrier import (
     init_params, loss, run, trajectory_from_states, verify,
 )
 from kbarrier.expr import Add, Const, Mul, Neg, Pow, Sub, Tape, Var, parse_expr
-from kbarrier.learner import SafetySpec
+from kbarrier.verifier import SafetySpec
 
 import conftest as helpers
 from test_learner import manual_triple, toy_spec, _flatten, _unflatten, _near_kink
@@ -128,7 +128,7 @@ def _grid_oracle(config, model, B, kbc, resolution=401):
     """Dense-grid worst-case violation margin of each condition (positive =
     violated).  Built before and independently of the branch-and-bound run."""
     spec = config.safety_spec()
-    axes = [np.linspace(iv.lo, iv.hi, resolution) for iv in spec.X.intervals]
+    axes = [np.linspace(lo, hi, resolution) for lo, hi in spec.X.bounds()]
     g1, g2 = np.meshgrid(axes[0], axes[1], indexing="ij")
     pts = np.column_stack([g1.ravel(), g2.ravel()])
     tape = Tape([B])
@@ -340,10 +340,10 @@ def test_criterion_8_interval_soundness():
     violations = 0
     for _ in range(1000):
         e, box = helpers.random_finite_pair(rng)
-        iv = eval_interval(e, box)
+        lo, hi = eval_interval(e, box)
         for x in box.sample(rng, 5):
             v = eval_point(e, x)
-            if not (iv.lo <= v <= iv.hi):
+            if not (lo <= v <= hi):
                 violations += 1
     ok = violations == 0
     report(8, "interval soundness", ok, f"violations={violations}/5000 samples")
@@ -360,10 +360,10 @@ def _conventional_search(bounds, constraints, delta):
     interval evaluation."""
     box = Box.from_bounds(bounds)
     for e, kind in constraints:
-        iv = eval_interval(e, box)
-        if kind == "le0" and iv.lo > 0.0:
+        lo, hi = eval_interval(e, box)
+        if kind == "le0" and lo > 0.0:
             return "empty"
-        if kind == "gt0" and iv.hi <= 0.0:
+        if kind == "gt0" and hi <= 0.0:
             return "empty"
     mid = box.midpoint()
     satisfied = True

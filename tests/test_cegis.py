@@ -9,7 +9,7 @@ import pytest
 import kbarrier.cegis
 from kbarrier import (
     Box, CegisConfig, KBCSpec, SafetySpec, TrainConfig, VerificationTask,
-    augment, check_point, init_params, parse_expr, run, sample_dataset, verify,
+    augment, check_point, init_params, loss, parse_expr, run, sample_dataset, verify,
 )
 from kbarrier.dynamics import DataDrivenModel
 
@@ -115,6 +115,16 @@ class TestRunToy:
         assert [r.seed for r in reports] == [4, 4, 5]
         assert np.array_equal(first_datasets[0].S, first_datasets[1].S)
         assert not np.array_equal(first_datasets[0].S, first_datasets[2].S)
+
+    def test_starts_from_the_given_network(self):
+        spec, model, kbc, cfg = toy_setup()
+        assert cfg.seed == 0
+        start = init_params(2, 2, ("square", "square"), 7)
+        report = run(spec, model, kbc, start, replace(cfg, max_iterations=1))
+        data = sample_dataset(spec, model, kbc, cfg.samples, 0)
+        assert report.records[0].loss_start == loss(start, data, kbc, cfg.train)[0]
+        reseeded = init_params(2, 2, ("square", "square"), 0)
+        assert report.records[0].loss_start != loss(reseeded, data, kbc, cfg.train)[0]
 
     def test_replay_is_bitwise(self):
         spec, model, kbc, cfg = toy_setup()

@@ -300,7 +300,7 @@ class TestConfigValidation:
         ("dt", math.inf),
     ])
     def test_out_of_range_rejected_at_load(self, field, value):
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match=field):
             CaseStudyConfig.from_dict(dict(TOY, **{field: value}))
 
     def test_boundary_values_load(self):

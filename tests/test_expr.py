@@ -12,7 +12,7 @@ from kbarrier import (
     parse_expr, substitute,
 )
 from kbarrier.expr import (
-    Add, Box, Const, Cos, Exp, Interval, Mul, Neg, Pow, Sin, Sub, Tape, Var,
+    Add, Box, Const, Cos, Exp, Mul, Neg, Pow, Sin, Sub, Tape, Var,
     lin_comb, max_var_index, node_count, _NODES, _RULES, _pad_out,
     add, cos, exp, mul, neg, power, sin, sub,
 )
@@ -40,29 +40,28 @@ class TestEvalPoint:
 
 class TestEvalInterval:
     def test_even_power_is_tight(self):
-        iv = eval_interval(X1 ** 2, Box.from_bounds([(-1.0, 2.0)]))
-        assert iv.lo == pytest.approx(0.0, abs=1e-12)
-        assert iv.hi == pytest.approx(4.0, abs=1e-12)
-        assert iv.lo > -1.0  # not the naive [-2, 4]
+        lo, hi = eval_interval(X1 ** 2, Box.from_bounds([(-1.0, 2.0)]))
+        assert lo == pytest.approx(0.0, abs=1e-12)
+        assert hi == pytest.approx(4.0, abs=1e-12)
+        assert lo > -1.0  # not the naive [-2, 4]
 
     def test_sin_interior_max(self):
-        iv = eval_interval(Sin(X1), Box.from_bounds([(0.0, math.pi)]))
-        assert iv.hi == 1.0
-        assert iv.lo == pytest.approx(0.0, abs=1e-12)
+        lo, hi = eval_interval(Sin(X1), Box.from_bounds([(0.0, math.pi)]))
+        assert hi == 1.0
+        assert lo == pytest.approx(0.0, abs=1e-12)
 
     def test_bilinear_containment(self):
         # oracle: random in-box samples must land inside the enclosure
         e = X1 * X2 - X1
         box = Box.from_bounds([(0.0, 1.0), (0.0, 1.0)])
-        iv = eval_interval(e, box)
-        assert iv.lo <= -1.0 + 1e-12 and iv.hi >= 1.0 - 1e-12
+        lo, hi = eval_interval(e, box)
+        assert lo <= -1.0 + 1e-12 and hi >= 1.0 - 1e-12
         rng = np.random.default_rng(7)
         for p in box.sample(rng, 100):
-            assert iv.contains(eval_point(e, p))
+            assert lo <= eval_point(e, p) <= hi
 
     def test_cos_full_period(self):
-        iv = eval_interval(Cos(X1), Box.from_bounds([(0.0, 7.0)]))
-        assert iv.lo == -1.0 and iv.hi == 1.0
+        assert eval_interval(Cos(X1), Box.from_bounds([(0.0, 7.0)])) == (-1.0, 1.0)
 
     def test_overflow_raises_only_value_error(self):
         box = Box.from_bounds([(0.0, 10.0), (0.0, 1.0)])
@@ -75,9 +74,9 @@ class TestEvalInterval:
                     eval_interval(e, box)
 
     def test_odd_power_monotone(self):
-        iv = eval_interval(X1 ** 3, Box.from_bounds([(-2.0, 1.5)]))
-        assert iv.lo == pytest.approx(-8.0, rel=1e-12)
-        assert iv.hi == pytest.approx(3.375, rel=1e-12)
+        lo, hi = eval_interval(X1 ** 3, Box.from_bounds([(-2.0, 1.5)]))
+        assert lo == pytest.approx(-8.0, rel=1e-12)
+        assert hi == pytest.approx(3.375, rel=1e-12)
 
 
 class TestSubstitute:
@@ -130,10 +129,10 @@ class TestIntervalProperties:
         rng = np.random.default_rng(0)
         for _ in range(1000):
             e, box = random_finite_pair(rng)
-            iv = eval_interval(e, box)
+            lo, hi = eval_interval(e, box)
             x = box.sample(rng, 1)[0]
             v = eval_point(e, x)
-            assert iv.lo <= v <= iv.hi
+            assert lo <= v <= hi
 
     def test_split_hull_never_widens(self):
         rng = np.random.default_rng(1)
@@ -141,7 +140,7 @@ class TestIntervalProperties:
             e, box = random_finite_pair(rng)
             whole = eval_interval(e, box)
             dim = int(np.argmax(box.widths()))
-            mid = box.intervals[dim].mid
+            mid = box.midpoint()[dim]
             lo_b = box.bounds()
             hi_b = box.bounds()
             lo_b[dim] = (lo_b[dim][0], mid)
@@ -151,14 +150,66 @@ class TestIntervalProperties:
                 right = eval_interval(e, Box.from_bounds(hi_b))
             except ValueError:
                 continue
-            hull = left.hull(right)
-            assert hull.lo >= whole.lo and hull.hi <= whole.hi
+            hull = (min(left[0], right[0]), max(left[1], right[1]))
+            assert hull[0] >= whole[0] and hull[1] <= whole[1]
 
-    def test_interval_validation(self):
+
+class TestBox:
+    def test_validation(self):
+        # lower > upper, inf, NaN, no dimensions, mismatched lengths, not 1-D
+        for lower, upper in [([2.0], [1.0]), ([0.0], [math.inf]), ([-math.inf], [0.0]),
+                             ([math.nan], [1.0]), ([0.0, 0.0], [1.0, math.nan]), ([], []),
+                             ([0.0, 0.0], [1.0]), ([[0.0]], [[1.0]])]:
+            with pytest.raises(ValueError):
+                Box(lower, upper)
+        for bounds in ([(2.0, 1.0)], [], [(0.0, math.nan)]):
+            with pytest.raises(ValueError):
+                Box.from_bounds(bounds)
+        Box([1.0], [1.0])  # a degenerate box is a box
+
+    def test_batch_contains_is_the_row_rule(self):
+        box = Box.from_bounds([(-1.0, 0.5), (0.0, 2.0)])
+        rng = np.random.default_rng(5)
+        points = rng.uniform(-1.5, 2.5, size=(400, 2))
+        points[:4] = [[-1.0, 0.0], [0.5, 2.0], [0.5, 2.0 + 1e-12], [math.nan, 1.0]]
+        mask = box.contains(points)
+        assert mask.shape == (400,) and mask.dtype == bool
+        (lo0, hi0), (lo1, hi1) = box.bounds()
+        rule = [lo0 <= x <= hi0 and lo1 <= y <= hi1 for x, y in points]
+        assert mask.tolist() == rule
+        assert mask[:4].tolist() == [True, True, False, False]
+        assert [box.contains(p) for p in points] == rule
+        assert box.contains(np.empty((0, 2))).shape == (0,)
+
+    def test_single_point_and_wrong_dimension(self):
+        box = Box.from_bounds([(0.0, 1.0), (0.0, 1.0)])
+        assert box.contains([0.5, 0.5]) is True
+        assert box.contains((1.5, 0.5)) is False
+        assert box.contains([0.5]) is False
+        assert box.contains([0.5, 0.5, 0.5]) is False
+
+    def test_bounds_round_trip_exactly(self):
+        bounds = [(-2.0, 0.1), (1 / 3, 0.7), (5e-324, 1e300)]
+        box = Box.from_bounds(bounds)
+        assert box.bounds() == bounds
+        assert Box.from_bounds(box.bounds()).bounds() == bounds
+        assert box.n == 3
+        assert box.lo().tolist() == [-2.0, 1 / 3, 5e-324]
+
+    def test_bounds_are_read_only(self):
+        source = np.array([0.0, 1.0])
+        box = Box(source, [1.0, 2.0])
+        source[0] = -5.0  # the box keeps its own copy
+        assert box.lo()[0] == 0.0
         with pytest.raises(ValueError):
-            Interval(2.0, 1.0)
+            box.lo()[0] = -1.0
         with pytest.raises(ValueError):
-            Interval(0.0, math.inf)
+            box.hi()[:] = 3.0
+
+    def test_compares_by_identity(self):
+        a, b = Box.from_bounds([(0.0, 1.0)]), Box.from_bounds([(0.0, 1.0)])
+        assert a != b and a == a
+        assert len({a, b}) == 2
 
 
 class TestTextForm:
@@ -225,8 +276,8 @@ class TestGrammar:
 
     def test_constant_subtree_gets_padded_enclosure(self):
         box = Box.from_bounds([(0.0, 1.0)])
-        enclosure = eval_interval(sin(Const(0.7)), box)
-        assert enclosure.lo < math.sin(0.7) < enclosure.hi
+        lo, hi = eval_interval(sin(Const(0.7)), box)
+        assert lo < math.sin(0.7) < hi
         assert eval_point(sin(Const(0.7)), [0.0]) == np.sin(0.7)
 
     def test_lin_comb_drops_zero_and_unit_coefficients(self):

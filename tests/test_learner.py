@@ -57,7 +57,7 @@ class TestSpecs:
         ("eta1", math.inf), ("eta4", math.nan),
     ])
     def test_train_settings_must_be_finite(self, field, value):
-        with pytest.raises(ValueError, match=field.replace("_", " ")):
+        with pytest.raises(ValueError, match=field):
             TrainConfig(**{field: value})
 
     def test_train_settings_boundaries_accepted(self):

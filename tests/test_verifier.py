@@ -412,7 +412,7 @@ class TestSearchSoundness:
 
 def _grid_margins(config, model, B, kbc, resolution=401):
     spec = config.safety_spec()
-    axes = [np.linspace(iv.lo, iv.hi, resolution) for iv in spec.X.intervals]
+    axes = [np.linspace(lo, hi, resolution) for lo, hi in spec.X.bounds()]
     g1, g2 = np.meshgrid(axes[0], axes[1], indexing="ij")
     pts = np.column_stack([g1.ravel(), g2.ravel()])
     tape = Tape([B])
