@@ -31,7 +31,7 @@ for record in report.records:
         witness = (f" at ({record.counterexample[0]:+.3f}, "
                    f"{record.counterexample[1]:+.3f})")
     print(f"  iteration {record.iteration}: loss {record.loss_start:.5f} -> "
-          f"{record.loss_end:.6f}, verdict {record.verdict_kind}"
+          f"{record.loss_end:.6f}, verdict {record.verdict}"
           f"{' on ' + record.condition if record.condition else ''}{witness}, "
           f"|S| = {record.dataset_size}")
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from typing import Sequence
 
 import numpy as np
@@ -51,16 +51,20 @@ class CegisConfig:
             raise ValueError("cex_radius must be > 0 and finite")
         if not 0 < self.lr_retrain <= self.train.learning_rate:
             raise ValueError("lr_retrain must be > 0 and not exceed learning_rate")
+        if self.samples < 1:
+            raise ValueError("samples must be >= 1")
         if self.seed < 0:
             raise ValueError("seed must be >= 0")
 
 
 @dataclass(frozen=True)
 class IterationRecord:
+    """One loop iteration; the field order is the key order of its `report.json` entry."""
+
     iteration: int
     loss_start: float
     loss_end: float
-    verdict_kind: str
+    verdict: str
     condition: str | None
     counterexample: tuple[float, ...] | None
     margin: float | None
@@ -69,26 +73,16 @@ class IterationRecord:
     candidate: str  # candidate certificate in expression text form
 
     def to_dict(self) -> dict:
-        return {
-            "iteration": self.iteration,
-            "loss_start": self.loss_start,
-            "loss_end": self.loss_end,
-            "verdict": self.verdict_kind,
-            "condition": self.condition,
-            "counterexample": list(self.counterexample) if self.counterexample else None,
-            "margin": self.margin,
-            "dataset_size": self.dataset_size,
-            "boxes_explored": self.boxes_explored,
-            "candidate": self.candidate,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
 class CegisReport:
-    """Everything needed to replay a synthesis run."""
+    """Everything needed to replay a synthesis run.
 
-    outcome: str  # "verified" | "terminated"
-    iterations: int
+    `outcome` and `iterations` are derived from `certificate` and `records`.
+    """
+
     records: tuple[IterationRecord, ...]
     certificate: Expr | None
     final_verdict: Verdict | None
@@ -96,8 +90,16 @@ class CegisReport:
     reason: str = ""
 
     @property
+    def outcome(self) -> str:
+        return "verified" if self.verified else "terminated"
+
+    @property
+    def iterations(self) -> int:
+        return len(self.records)
+
+    @property
     def verified(self) -> bool:
-        return self.outcome == "verified"
+        return self.certificate is not None
 
     def to_json(self) -> str:
         payload = {
@@ -151,8 +153,7 @@ def run(spec: SafetySpec, model: DataDrivenModel, kbc: KBCSpec,
     """
     seed = cfg.seed
     if cfg.max_iterations == 0:
-        return CegisReport(outcome="terminated", iterations=0, records=(),
-                           certificate=None, final_verdict=None,
+        return CegisReport(records=(), certificate=None, final_verdict=None,
                            seed=seed, reason="iteration cap is zero")
 
     f1_sym = model.symbolic_step()
@@ -183,7 +184,7 @@ def run(spec: SafetySpec, model: DataDrivenModel, kbc: KBCSpec,
             witness = tuple(verdict.box.midpoint())
         records.append(IterationRecord(
             iteration=iteration, loss_start=loss_start, loss_end=loss_end,
-            verdict_kind=verdict.kind, condition=verdict.condition,
+            verdict=verdict.kind, condition=verdict.condition,
             counterexample=witness, margin=verdict.margin,
             dataset_size=data.size, boxes_explored=verdict.boxes_explored,
             candidate=format_expr(candidate),
@@ -197,7 +198,5 @@ def run(spec: SafetySpec, model: DataDrivenModel, kbc: KBCSpec,
             break
         data = augment(data, witness, cfg, model, kbc, seed + iteration)
 
-    return CegisReport(outcome="terminated" if certificate is None else "verified",
-                       iterations=len(records), records=tuple(records),
-                       certificate=certificate, final_verdict=verdict,
+    return CegisReport(records=tuple(records), certificate=certificate, final_verdict=verdict,
                        seed=seed, reason=reason)

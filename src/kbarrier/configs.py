@@ -15,7 +15,7 @@ from dataclasses import dataclass, asdict
 from .cegis import CegisConfig
 from .dynamics import ExprMap
 from .expr import Box, parse_expr
-from .learner import TrainConfig, mixed_sin_cos
+from .learner import ACTIVATIONS, TrainConfig, mixed_sin_cos
 from .verifier import KBCSpec, SafetySpec, VerificationTask
 
 __all__ = ["CaseStudyConfig", "ConfigError", "BUILTIN_NAMES", "builtin_config", "load_config"]
@@ -26,12 +26,12 @@ class ConfigError(ValueError):
 
 
 # fields that must be Python ints (a bool or a float such as 2.0 is rejected)
-_INT_FIELDS = ("n", "trajectory_length", "k", "width", "epochs", "max_iterations",
-               "cex_points", "samples", "max_boxes")
+_INT_FIELDS = ("trajectory_length", "k", "epochs", "max_iterations", "cex_points", "samples",
+               "max_boxes")
 # fields whose entries must be strings: expression texts and activation names
 _STR_TUPLE_FIELDS = ("truth_step", "dictionary", "activations")
 # fields that must be an int or a float (a bool, a string or null is rejected)
-_REAL_FIELDS = ("dt", "epsilon", "learning_rate", "lr_retrain", "cex_radius", "delta")
+_REAL_FIELDS = ("epsilon", "learning_rate", "lr_retrain", "cex_radius", "delta")
 _REGION_FIELDS = ("state_space", "initial_region", "unsafe_region")
 
 
@@ -48,12 +48,12 @@ class CaseStudyConfig:
 
     Command-line flags arrive through `dataclasses.replace`, so they pass the
     same checks as values read from JSON.  Defaults are those of the class
-    that consumes each setting.
+    that consumes each setting.  The state dimension `n` and the network
+    `width` are not settings: they are the lengths of `truth_step` and
+    `activations`.
     """
 
     name: str
-    n: int
-    dt: float
     truth_step: tuple[str, ...]       # expression text per dimension
     dictionary: tuple[str, ...]       # expression text per term
     x0: tuple[float, ...]
@@ -64,7 +64,6 @@ class CaseStudyConfig:
     k: int
     epsilon: float
     eta: tuple[float, float, float, float]
-    width: int
     activations: tuple[str, ...]
     epochs: int = TrainConfig.epochs
     learning_rate: float = TrainConfig.learning_rate
@@ -87,6 +86,14 @@ class CaseStudyConfig:
             object.__setattr__(self, name, bounds)
         self.validate()
 
+    @property
+    def n(self) -> int:
+        return len(self.truth_step)
+
+    @property
+    def width(self) -> int:
+        return len(self.activations)
+
     # -- validation -------------------------------------------------------
 
     def validate(self) -> None:
@@ -100,24 +107,22 @@ class CaseStudyConfig:
             for entry in getattr(self, name):
                 if not isinstance(entry, str):
                     raise ConfigError(f"{name} entries must be strings, got {entry!r}")
-        if len(self.truth_step) != self.n:
-            raise ConfigError("truth model needs one step expression per dimension")
         if len(self.x0) != self.n:
-            raise ConfigError("initial state dimension mismatch")
+            raise ConfigError(f"x0 must have {self.n} entries, one per truth_step expression")
         for name in _REGION_FIELDS:
             if len(getattr(self, name)) != self.n:
-                raise ConfigError(f"{name} must have one bound pair per dimension")
+                raise ConfigError(
+                    f"{name} must have {self.n} bound pairs, one per truth_step expression")
         if self.trajectory_length < len(self.dictionary):
             raise ConfigError(
                 f"trajectory length {self.trajectory_length} is below the dictionary size "
                 f"{len(self.dictionary)}; the rank condition cannot hold"
             )
-        if len(self.activations) != self.width:
-            raise ConfigError("one activation per hidden node required")
+        if not self.activations or not set(self.activations) <= set(ACTIVATIONS):
+            raise ConfigError(f"activations must name one or more of {', '.join(ACTIVATIONS)}, "
+                              f"got {list(self.activations)!r}")
         if len(self.eta) != 4:
             raise ConfigError("eta must have four entries")
-        if not 0 < self.dt < math.inf:
-            raise ConfigError("dt must be > 0 and finite")
         if not 0 < self.delta < math.inf:
             raise ConfigError("delta must be > 0 and finite")
         if not self.max_boxes >= 1:
@@ -199,8 +204,6 @@ def _highly_nonlinear() -> CaseStudyConfig:
     drift2 = f"(add (sub {x1} (pow (sin {x1}) 2)) (pow (cos {x1}) 2))"
     return CaseStudyConfig(
         name="highly-nonlinear",
-        n=2,
-        dt=dt,
         truth_step=(
             f"(add {x1} (mul (const {dt}) {drift1}))",
             f"(add {x2} (mul (const {dt}) {drift2}))",
@@ -218,7 +221,6 @@ def _highly_nonlinear() -> CaseStudyConfig:
         k=2,
         epsilon=0.1,
         eta=(0.0, 0.001, 0.0, 0.0),
-        width=4,
         activations=mixed_sin_cos(4),
         samples=1000,
         cex_points=20,
@@ -234,8 +236,6 @@ def _polynomial() -> CaseStudyConfig:
               f" (neg (mul (const 2.0) (pow {x2} 2))))")
     return CaseStudyConfig(
         name="polynomial",
-        n=2,
-        dt=dt,
         truth_step=(
             f"(add {x1} (mul (const {dt}) {drift1}))",
             f"(add {x2} (mul (const {dt}) {drift2}))",
@@ -249,7 +249,6 @@ def _polynomial() -> CaseStudyConfig:
         k=3,
         epsilon=0.1,
         eta=(0.1, 0.001, 0.0, 0.0),
-        width=2,
         activations=("square", "square"),
         samples=100,
         cex_points=20,
@@ -269,8 +268,6 @@ def _pendulum() -> CaseStudyConfig:
               f" (mul (const {c_x2}) {x2}))")
     return CaseStudyConfig(
         name="pendulum",
-        n=2,
-        dt=dt,
         truth_step=(
             f"(add {x1} (mul (const {dt}) {x2}))",
             f"(add {x2} (mul (const {dt}) {drift2}))",
@@ -284,7 +281,6 @@ def _pendulum() -> CaseStudyConfig:
         k=2,
         epsilon=0.1,
         eta=(0.1, 0.001, 0.0, 0.0),
-        width=32,
         activations=("square",) * 32,
         samples=1000,
         cex_points=10,

@@ -24,9 +24,10 @@ it returns (see `train`).
 An epoch costs little beyond its arithmetic.  Adam keeps its state in one
 flat vector [W.ravel(), b, v, c], of which the per-epoch parameters are
 views, wrapped without re-validation (`train` argues why that is safe).
-`DatasetTriple` holds the row indices of its region masks.  Biases and
-output weights are tiled to full (m, h) arrays once per epoch (`_rows`),
-so no element-wise step broadcasts a row at a time.  Every one of these
+`DatasetTriple` holds the row indices of its samples in X_I and X_U, its
+only record of region membership.  Biases and output weights are tiled to
+full (m, h) arrays once per epoch (`_rows`), so no element-wise step
+broadcasts a row at a time.  Every one of these
 gives the same bits as the plain formulation; the tests compare against it.
 """
 
@@ -253,17 +254,15 @@ class TrainConfig:
 class DatasetTriple:
     """Sampled states with their 1-step and k-step data-driven evolutions.
 
-    The region masks of S in X_I and X_U, and their row indices `idx_init`
-    and `idx_unsafe`, are derived from S and `spec` at construction (and so
-    again by `dataclasses.replace`).
+    `idx_init` and `idx_unsafe` are the row indices of the samples in X_I
+    and X_U, derived from S and `spec` at construction (and so again by
+    `dataclasses.replace`).
     """
 
     S: np.ndarray
     S_plus: np.ndarray
     S_kplus: np.ndarray
     spec: SafetySpec
-    mask_init: np.ndarray = field(init=False, repr=False)
-    mask_unsafe: np.ndarray = field(init=False, repr=False)
     idx_init: np.ndarray = field(init=False, repr=False)
     idx_unsafe: np.ndarray = field(init=False, repr=False)
 
@@ -272,10 +271,8 @@ class DatasetTriple:
             object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float))
         if self.S_plus.shape != self.S.shape or self.S_kplus.shape != self.S.shape:
             raise ValueError("evolution arrays must match the sample array")
-        for suffix, box in (("init", self.spec.X_I), ("unsafe", self.spec.X_U)):
-            mask = box.contains(self.S)
-            object.__setattr__(self, f"mask_{suffix}", mask)
-            object.__setattr__(self, f"idx_{suffix}", np.flatnonzero(mask))
+        object.__setattr__(self, "idx_init", np.flatnonzero(self.spec.X_I.contains(self.S)))
+        object.__setattr__(self, "idx_unsafe", np.flatnonzero(self.spec.X_U.contains(self.S)))
 
     @property
     def size(self) -> int:

@@ -1,5 +1,6 @@
 """Synthesis loop behaviour: augmentation, termination, replayability."""
 
+import json
 import math
 from dataclasses import replace
 
@@ -8,9 +9,10 @@ import pytest
 
 import kbarrier.cegis
 from kbarrier import (
-    Box, CegisConfig, KBCSpec, SafetySpec, TrainConfig, VerificationTask,
+    Box, CegisConfig, CegisReport, KBCSpec, SafetySpec, TrainConfig, VerificationTask,
     augment, check_point, init_params, loss, parse_expr, run, sample_dataset, verify,
 )
+from kbarrier.cegis import IterationRecord
 from kbarrier.dynamics import DataDrivenModel
 
 from conftest import identity_dictionary
@@ -116,6 +118,22 @@ class TestRunToy:
         assert np.array_equal(first_datasets[0].S, first_datasets[1].S)
         assert not np.array_equal(first_datasets[0].S, first_datasets[2].S)
 
+    def test_record_keys_are_the_report_keys(self):
+        record = IterationRecord(iteration=1, loss_start=0.5, loss_end=0.25,
+                                 verdict="counterexample", condition="U",
+                                 counterexample=(0.1, 0.2), margin=0.01, dataset_size=300,
+                                 boxes_explored=7, candidate="(var 0)")
+        keys = ["iteration", "loss_start", "loss_end", "verdict", "condition",
+                "counterexample", "margin", "dataset_size", "boxes_explored", "candidate"]
+        assert list(record.to_dict()) == keys
+        report = CegisReport(records=(record,), certificate=None, final_verdict=None, seed=0)
+        payload = json.loads(report.to_json())
+        assert list(payload) == ["outcome", "iterations", "seed", "reason", "certificate",
+                                 "records"]
+        assert (payload["outcome"], payload["iterations"]) == ("terminated", 1)
+        assert payload["records"] == [dict(record.to_dict(), counterexample=[0.1, 0.2])]
+        assert list(payload["records"][0]) == keys
+
     def test_starts_from_the_given_network(self):
         spec, model, kbc, cfg = toy_setup()
         assert cfg.seed == 0
@@ -153,11 +171,11 @@ class TestRunToy:
             task = VerificationTask(B=parse_expr(record.candidate), f1_sym=f1,
                                     fk_sym=fk, spec=spec, kbc=kbc, delta=0.001)
             violations = check_point(task, record.counterexample)
-            if record.verdict_kind == "counterexample":
+            if record.verdict == "counterexample":
                 assert violations and max(m for _, m in violations) > 0
             # delta-sat centres may sit on the undecided boundary; flagged as such
             else:
-                assert record.verdict_kind == "delta_sat"
+                assert record.verdict == "delta_sat"
 
 
 class TestEndToEndSmoke:
@@ -173,8 +191,8 @@ class TestEndToEndSmoke:
         assert report.outcome in ("verified", "terminated")
         assert 1 <= report.iterations <= cap
         for record in report.records:
-            assert record.verdict_kind in ("valid", "counterexample",
-                                           "delta_sat", "exhausted")
+            assert record.verdict in ("valid", "counterexample",
+                                      "delta_sat", "exhausted")
             assert record.loss_end <= record.loss_start + 1e-12
 
 
@@ -188,6 +206,6 @@ class TestRunNonlinear:
                      delta=config.delta, max_boxes=config.max_boxes)
         assert report.verified
         assert report.iterations >= 2
-        assert report.records[0].verdict_kind in ("counterexample", "delta_sat")
-        assert report.records[-1].verdict_kind == "valid"
+        assert report.records[0].verdict in ("counterexample", "delta_sat")
+        assert report.records[-1].verdict == "valid"
         assert report.final_verdict.is_valid

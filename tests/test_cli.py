@@ -14,7 +14,8 @@ import pytest
 
 import kbarrier.cegis
 from kbarrier import (
-    CaseStudyConfig, ConfigError, build_model, builtin_config, trajectory_from_csv,
+    BUILTIN_NAMES, CaseStudyConfig, ConfigError, build_model, builtin_config,
+    trajectory_from_csv,
 )
 from kbarrier.cli import main
 from kbarrier.expr import format_expr
@@ -25,7 +26,6 @@ REPO = Path(__file__).resolve().parents[1]
 
 TOY = {
     "name": "toy-shear",
-    "n": 2, "dt": 1.0,
     "truth_step": ["(mul (const 1.5) (var 0))", "(mul (const 0.5) (var 1))"],
     "dictionary": ["(var 0)", "(var 1)"],
     "x0": [1.1, 2.8],
@@ -35,7 +35,7 @@ TOY = {
     "unsafe_region": [[2.5, 3.0], [2.5, 3.0]],
     "k": 2, "epsilon": 0.1,
     "eta": [0.05, 0.001, 0.0, 0.0],
-    "width": 3, "activations": ["square", "square", "square"],
+    "activations": ["square", "square", "square"],
     "epochs": 400, "learning_rate": 0.1, "lr_retrain": 0.05,
     "max_iterations": 10, "cex_points": 20, "cex_radius": 0.1,
     "samples": 300, "delta": 0.001,
@@ -296,12 +296,20 @@ class TestConfigValidation:
         ("unsafe_region", [[2.5, 3.0], [False, 3.0]]),
         ("epsilon", True), ("epsilon", "0.1"), ("learning_rate", True),
         ("lr_retrain", "0.05"), ("cex_radius", "0.1"), ("delta", "0.01"), ("delta", None),
+        # n and width are derived and dt is gone: a document carrying one of them is
+        # rejected, naming the key, whatever its value (so also ("n", 2.0) and
+        # ("width", 1.0) above)
         ("dt", "x"), ("dt", None), ("dt", True), ("dt", 0.0), ("dt", -0.1), ("dt", math.nan),
-        ("dt", math.inf),
+        ("dt", math.inf), ("dt", 0.1), ("n", 2), ("width", 3),
+        ("samples", 0), ("samples", -5), ("activations", []), ("activations", ["relu", "relu"]),
     ])
     def test_out_of_range_rejected_at_load(self, field, value):
         with pytest.raises(ConfigError, match=field):
             CaseStudyConfig.from_dict(dict(TOY, **{field: value}))
+
+    def test_short_truth_step_names_x0(self):
+        with pytest.raises(ConfigError, match="x0 must have 1 entries"):
+            CaseStudyConfig.from_dict(dict(TOY, truth_step=TOY["truth_step"][:1]))
 
     def test_boundary_values_load(self):
         config = CaseStudyConfig.from_dict(dict(TOY, lr_retrain=0.1, epsilon=0.0, max_boxes=1))
@@ -337,11 +345,12 @@ class TestGrid:
 
 
 class TestShowConfig:
-    def test_builtin_dump_reloads(self, tmp_path, capsys):
-        assert main(["show-config", "pendulum"]) == 0
+    @pytest.mark.parametrize("name", BUILTIN_NAMES)
+    def test_builtin_dump_reloads(self, name, tmp_path, capsys):
+        assert main(["show-config", name]) == 0
         dumped = capsys.readouterr().out
         payload = json.loads(dumped)
-        path = tmp_path / "pendulum.json"
+        path = tmp_path / f"{name}.json"
         path.write_text(dumped)
         assert main(["show-config", str(path)]) == 0
         assert json.loads(capsys.readouterr().out) == payload

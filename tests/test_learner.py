@@ -91,19 +91,25 @@ def manual_triple(spec: SafetySpec, rng: np.random.Generator, m: int = 40,
     return DatasetTriple(S=S, S_plus=S_plus, S_kplus=S_kplus, spec=spec)
 
 
+def region_masks(data):
+    """Boolean masks of the samples in X_I and X_U, computed from the spec."""
+    return data.spec.X_I.contains(data.S), data.spec.X_U.contains(data.S)
+
+
 def reference_loss(params, data, kbc, cfg):
     """Straight-line re-evaluation of the four-term hinge loss."""
     relu = lambda t: max(t, 0.0)
+    in_init, in_unsafe = region_masks(data)
     li = lu = l1 = lk = 0.0
     n_i = n_u = 0
     for i in range(data.size):
         b = params.forward(data.S[i])
         b1 = params.forward(data.S_plus[i])
         bk = params.forward(data.S_kplus[i])
-        if data.mask_init[i]:
+        if in_init[i]:
             li += relu(b + cfg.eta1)
             n_i += 1
-        if data.mask_unsafe[i]:
+        if in_unsafe[i]:
             lu += relu(-b + kbc.lam + cfg.eta2)
             n_u += 1
         l1 += relu(b1 - b - kbc.epsilon + cfg.eta3)
@@ -131,8 +137,9 @@ def reference_gradient(params, data, kbc, cfg):
     B_s = reference_activate(data.S @ W.T + bias, acts)[0] @ v + c
     B_1 = reference_activate(data.S_plus @ W.T + bias, acts)[0] @ v + c
     B_k = reference_activate(data.S_kplus @ W.T + bias, acts)[0] @ v + c
-    arg_i = B_s[data.mask_init] + cfg.eta1
-    arg_u = -B_s[data.mask_unsafe] + kbc.lam + cfg.eta2
+    in_init, in_unsafe = region_masks(data)
+    arg_i = B_s[in_init] + cfg.eta1
+    arg_u = -B_s[in_unsafe] + kbc.lam + cfg.eta2
     arg_1 = B_1 - B_s - kbc.epsilon + cfg.eta3
     arg_k = B_k - B_s + cfg.eta4
     total = float(sum((
@@ -144,8 +151,8 @@ def reference_gradient(params, data, kbc, cfg):
 
     m = data.size
     coef_s = np.zeros(m)
-    coef_s[data.mask_init] += (arg_i > 0).astype(float) / int(data.mask_init.sum())
-    coef_s[data.mask_unsafe] -= (arg_u > 0).astype(float) / int(data.mask_unsafe.sum())
+    coef_s[in_init] += (arg_i > 0).astype(float) / int(in_init.sum())
+    coef_s[in_unsafe] -= (arg_u > 0).astype(float) / int(in_unsafe.sum())
     act_1 = (arg_1 > 0).astype(float) / m
     act_k = (arg_k > 0).astype(float) / m
     coef_s -= act_1 + act_k
@@ -236,7 +243,7 @@ class TestLoss:
         spec = toy_spec()
         S = spec.X_U.sample(np.random.default_rng(0), 10)
         data = DatasetTriple(S=S, S_plus=S, S_kplus=S, spec=spec)
-        assert not data.mask_init.any() and data.mask_unsafe.all()
+        assert data.idx_init.size == 0 and data.idx_unsafe.size == data.size
         with pytest.raises(ValueError, match="region mask empty"):
             loss(constant_net(0.0), data, KBCSpec(k=1, epsilon=0.0), TrainConfig())
 
@@ -247,7 +254,7 @@ class TestLoss:
         net = init_params(2, 2, ("sin", "cos"), seed=9)
         cfg = TrainConfig(eta2=0.01)
         _, parts = loss(net, data, KBCSpec(k=1, epsilon=0.7), cfg)
-        b = net.forward_batch(data.S[data.mask_unsafe])
+        b = net.forward_batch(data.S[region_masks(data)[1]])
         expected = np.maximum(-b + 0.01, 0.0).mean()
         assert parts[1] == pytest.approx(expected, rel=1e-12)
 
@@ -377,9 +384,10 @@ def _near_kink(net, data, kbc, cfg, tol):
     b = net.forward_batch(data.S)
     b1 = net.forward_batch(data.S_plus)
     bk = net.forward_batch(data.S_kplus)
+    in_init, in_unsafe = region_masks(data)
     args = np.concatenate([
-        b[data.mask_init] + cfg.eta1,
-        -b[data.mask_unsafe] + kbc.lam + cfg.eta2,
+        b[in_init] + cfg.eta1,
+        -b[in_unsafe] + kbc.lam + cfg.eta2,
         b1 - b - kbc.epsilon + cfg.eta3,
         bk - b + cfg.eta4,
     ])
@@ -539,8 +547,9 @@ class TestTrain:
         b = net.forward_batch(data.S)
         b1 = net.forward_batch(data.S_plus)
         bk = net.forward_batch(data.S_kplus)
-        assert np.all(b[data.mask_init] < 0.0)
-        assert np.all(b[data.mask_unsafe] > kbc.lam)
+        in_init, in_unsafe = region_masks(data)
+        assert np.all(b[in_init] < 0.0)
+        assert np.all(b[in_unsafe] > kbc.lam)
         assert np.all(b1 - b < kbc.epsilon)
         assert np.all(bk - b < 0.0)
 
@@ -598,8 +607,9 @@ class TestToExpr:
 class TestRegionIndices:
     @staticmethod
     def assert_indices_match(data):
-        assert np.array_equal(data.idx_init, np.flatnonzero(data.mask_init))
-        assert np.array_equal(data.idx_unsafe, np.flatnonzero(data.mask_unsafe))
+        in_init, in_unsafe = region_masks(data)
+        assert np.array_equal(data.idx_init, np.flatnonzero(in_init))
+        assert np.array_equal(data.idx_unsafe, np.flatnonzero(in_unsafe))
 
     def test_recomputed_by_replace(self):
         data = manual_triple(toy_spec(), np.random.default_rng(40))
@@ -625,8 +635,8 @@ class TestSampleDataset:
         config, _, _, _, model = highly_nonlinear
         data = sample_dataset(config.safety_spec(), model, config.kbc(), 1000, seed=0)
         assert data.size >= 1000
-        assert data.mask_init.sum() >= 50
-        assert data.mask_unsafe.sum() >= 50
+        assert data.idx_init.size >= 50
+        assert data.idx_unsafe.size >= 50
 
     def test_seeded_repeatability(self, highly_nonlinear):
         config, _, _, _, model = highly_nonlinear
