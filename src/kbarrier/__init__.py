@@ -7,7 +7,6 @@ from .expr import (
 from .dynamics import (
     DataDrivenModel, ExprMap, RankDeficientData, TrajectoryData,
     build_model, collect_trajectory, trajectory_from_csv, trajectory_from_states,
-    trajectory_to_csv,
 )
 from .learner import (
     DatasetTriple, NetworkParams, TrainConfig, TrainingDiverged,

@@ -23,7 +23,7 @@ import numpy as np
 
 from . import cegis as cegis_mod
 from .configs import BUILTIN_NAMES, CaseStudyConfig, ConfigError, load_config
-from .dynamics import RankDeficientData, build_model, collect_trajectory, states_to_csv
+from .dynamics import RankDeficientData, build_model, collect_trajectory, rollout, states_to_csv
 from .expr import Tape, format_expr, max_var_index, parse_expr
 from .learner import TrainingDiverged, init_params
 from .verifier import VerificationTask, verify
@@ -47,11 +47,11 @@ def _config(args) -> CaseStudyConfig:
                    **{name: value for name, value in flags.items() if value is not None})
 
 
-def _build_model(config: CaseStudyConfig):
-    truth = config.truth_model()
+def _data_model(config: CaseStudyConfig):
     dictionary = config.dictionary_obj()
-    trajectory = collect_trajectory(truth, dictionary, config.x0, config.trajectory_length)
-    return truth, dictionary, build_model(trajectory, dictionary)
+    trajectory = collect_trajectory(config.truth_model(), dictionary, config.x0,
+                                    config.trajectory_length)
+    return build_model(trajectory, dictionary)
 
 
 def cmd_simulate(args) -> int:
@@ -61,29 +61,24 @@ def cmd_simulate(args) -> int:
     # --x0 only moves the start of this rollout; the model keeps config.x0's data
     x0 = np.asarray(config.x0 if args.x0 is None else args.x0, dtype=float)
     if x0.shape != (config.n,):
-        raise ConfigError("initial state dimension mismatch")
-    truth, _, model = _build_model(config)
-    stepper = truth.eval if args.model == "truth" else model.step
-    rows = [x0]
-    # a diverging rollout stops at its first non-finite state, before any
-    # overflow could reach the CSV, which trajectory_from_csv would reject
-    with np.errstate(over="ignore", invalid="ignore"):
-        for step in range(1, args.steps + 1):
-            rows.append(np.asarray(stepper(rows[-1]), dtype=float))
-            if not np.isfinite(rows[-1]).all():
-                print(f"rollout diverged: state {step} is not finite; no CSV written",
-                      file=sys.stderr)
-                return EXIT_CONFIG
+        raise ConfigError(f"--x0 must have {config.n} entries, one per truth_step expression")
+    step = config.truth_model().eval if args.model == "truth" else _data_model(config).step
+    try:
+        states = rollout(step, x0, args.steps)
+    except ValueError as err:
+        # trajectory_from_csv would reject a CSV with the non-finite state
+        print(f"{err}; no CSV written", file=sys.stderr)
+        return EXIT_CONFIG
     out = Path(args.output)
-    states_to_csv(rows, out)
-    print(f"wrote {len(rows)} states to {out}")
+    states_to_csv(states, out)
+    print(f"wrote {len(states)} states to {out}")
     return EXIT_OK
 
 
 def cmd_synthesize(args) -> int:
     config = _config(args)
     loop = config.cegis_config(args.seed)
-    _, _, model = _build_model(config)
+    model = _data_model(config)
     template = init_params(config.n, config.width, config.activations, args.seed)
     # an unwritable output path fails here, not after the whole loop has run
     outdir = Path(args.output_dir)
@@ -128,7 +123,7 @@ def _load_certificate(path, n: int):
 def cmd_verify(args) -> int:
     config = _config(args)
     certificate = _load_certificate(args.certificate, config.n)
-    _, _, model = _build_model(config)
+    model = _data_model(config)
     task = VerificationTask(B=certificate, f1_sym=model.symbolic_step(),
                             fk_sym=model.symbolic_k_step(config.k),
                             spec=config.safety_spec(), kbc=config.kbc(),

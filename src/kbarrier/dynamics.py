@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -25,8 +25,8 @@ from .expr import Expr, Tape, Var, lin_comb, max_var_index, substitute
 
 __all__ = [
     "ExprMap", "TrajectoryData", "DataDrivenModel", "RankDeficientData",
-    "collect_trajectory", "trajectory_from_states", "build_model",
-    "states_to_csv", "trajectory_to_csv", "trajectory_from_csv",
+    "rollout", "collect_trajectory", "trajectory_from_states", "build_model",
+    "states_to_csv", "trajectory_from_csv",
 ]
 
 # relative sigma_min/sigma_max below this is treated as genuine rank deficiency
@@ -75,28 +75,32 @@ class ExprMap:
 
 @dataclass(frozen=True, eq=False)
 class TrajectoryData:
-    """The three data matrices recorded from one rollout."""
+    """One recorded rollout: states x(0)..x(T), of which X0 and X1 are views, and D0."""
 
-    X0: np.ndarray  # n x T
-    X1: np.ndarray  # n x T
+    states: np.ndarray  # (T+1) x n, one state per row
     D0: np.ndarray  # N x T
 
     def __post_init__(self):
-        object.__setattr__(self, "X0", np.asarray(self.X0, dtype=float))
-        object.__setattr__(self, "X1", np.asarray(self.X1, dtype=float))
+        object.__setattr__(self, "states", np.asarray(self.states, dtype=float))
         object.__setattr__(self, "D0", np.asarray(self.D0, dtype=float))
-        if self.X0.shape != self.X1.shape:
-            raise ValueError("inconsistent data matrix shapes")
         if self.D0.shape[1] != self.T:
             raise ValueError("dictionary data must have one column per sample")
 
     @property
+    def X0(self) -> np.ndarray:  # n x T
+        return self.states[:-1].T
+
+    @property
+    def X1(self) -> np.ndarray:  # n x T
+        return self.states[1:].T
+
+    @property
     def n(self) -> int:
-        return self.X0.shape[0]
+        return self.states.shape[1]
 
     @property
     def T(self) -> int:
-        return self.X0.shape[1]
+        return self.states.shape[0] - 1
 
 
 def trajectory_from_states(states: Sequence[Sequence[float]],
@@ -118,23 +122,34 @@ def trajectory_from_states(states: Sequence[Sequence[float]],
         raise ValueError(
             f"insufficient samples for rank condition: T={T} < N={dictionary.size}"
         )
-    return TrajectoryData(X0=states[:T].T, X1=states[1:].T,
-                          D0=dictionary.eval_batch(states[:T]).T)
+    return TrajectoryData(states=states, D0=dictionary.eval_batch(states[:T]).T)
+
+
+def rollout(step: Callable[[np.ndarray], np.ndarray], x0: np.ndarray, steps: int) -> np.ndarray:
+    """States x(0)..x(steps) of  x+ = step(x), one per row.
+
+    Stops at the first non-finite state with a ValueError naming it, so an
+    overflow never reaches the recorded states.
+    """
+    states = np.empty((max(steps, 0) + 1, len(x0)))
+    states[0] = x0
+    with np.errstate(all="ignore"):
+        for i in range(1, steps + 1):
+            states[i] = step(states[i - 1])
+            if not np.isfinite(states[i]).all():
+                raise ValueError(f"rollout diverged: state {i} is not finite")
+    return states
 
 
 def collect_trajectory(truth: ExprMap, dictionary: ExprMap,
                        x0: Sequence[float], T: int) -> TrajectoryData:
-    """Roll the truth map T steps from x0 and record X0, X1 and D0."""
+    """Roll the truth map T steps from x0 and record the states and D0."""
     if truth.size != truth.n:
         raise ValueError("truth map needs one step expression per dimension")
     x = np.asarray(x0, dtype=float)
     if x.shape != (truth.n,):
         raise ValueError("initial state dimension mismatch")
-    states = np.empty((max(T, 0) + 1, truth.n))
-    states[0] = x
-    for i in range(T):
-        states[i + 1] = truth.eval(states[i])
-    return trajectory_from_states(states, dictionary)
+    return trajectory_from_states(rollout(truth.eval, x, T), dictionary)
 
 
 def _right_inverse(data: np.ndarray) -> tuple[np.ndarray, float]:
@@ -163,22 +178,15 @@ def _right_inverse(data: np.ndarray) -> tuple[np.ndarray, float]:
 
 @dataclass(frozen=True, eq=False)
 class DataDrivenModel:
-    """Closed-loop reconstruction  x+ = X1 @ Q @ dict(x)  from one trajectory."""
+    """Closed-loop reconstruction  x+ = coeff @ dict(x),  coeff = X1 @ Q,  from one trajectory."""
 
-    Q: np.ndarray  # T x N
-    X1: np.ndarray  # n x T
+    coeff: np.ndarray  # n x N
     dictionary: ExprMap
     sigma_min: float
-    coeff: np.ndarray = field(init=False, repr=False, compare=False)  # n x N
-
-    def __post_init__(self):
-        object.__setattr__(self, "Q", np.asarray(self.Q, dtype=float))
-        object.__setattr__(self, "X1", np.asarray(self.X1, dtype=float))
-        object.__setattr__(self, "coeff", self.X1 @ self.Q)
 
     @property
     def n(self) -> int:
-        return self.X1.shape[0]
+        return self.coeff.shape[0]
 
     def step(self, x: Sequence[float]) -> np.ndarray:
         """One-step evolution under the data-driven closed loop."""
@@ -227,7 +235,7 @@ class DataDrivenModel:
 def build_model(trajectory: TrajectoryData, dictionary: ExprMap) -> DataDrivenModel:
     """Construct the data-driven model; fails loudly if D0 is rank deficient."""
     Q, sigma_min = _right_inverse(trajectory.D0)
-    return DataDrivenModel(Q=Q, X1=trajectory.X1, dictionary=dictionary, sigma_min=sigma_min)
+    return DataDrivenModel(coeff=trajectory.X1 @ Q, dictionary=dictionary, sigma_min=sigma_min)
 
 
 # ---------------------------------------------------------------------------
@@ -242,11 +250,6 @@ def states_to_csv(states: Sequence[Sequence[float]], path) -> None:
         writer.writerow([f"x{i + 1}" for i in range(states.shape[1])])
         for row in states:
             writer.writerow([repr(float(v)) for v in row])
-
-
-def trajectory_to_csv(trajectory: TrajectoryData, path) -> None:
-    """Write the recorded states x(0)..x(T) as CSV."""
-    states_to_csv(np.column_stack([trajectory.X0, trajectory.X1[:, -1:]]).T, path)
 
 
 def trajectory_from_csv(path, dictionary: ExprMap) -> TrajectoryData:

@@ -19,8 +19,7 @@ from conftest import identity_dictionary
 
 
 def identity_model() -> DataDrivenModel:
-    return DataDrivenModel(Q=np.eye(2), X1=np.eye(2), dictionary=identity_dictionary(2),
-                           sigma_min=1.0)
+    return DataDrivenModel(coeff=np.eye(2), dictionary=identity_dictionary(2), sigma_min=1.0)
 
 
 def toy_setup():

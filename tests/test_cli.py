@@ -130,6 +130,24 @@ class TestSimulate:
         assert main(["simulate", "no-such-system",
                      "--output", str(tmp_path / "x.csv")]) == 2
 
+    def test_x0_of_the_wrong_length_names_the_flag(self, tmp_path, capsys):
+        out = tmp_path / "traj.csv"
+        assert main(["simulate", "polynomial", "--x0", "1,2,3", "--output", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            "config error: --x0 must have 2 entries, one per truth_step expression\n")
+        assert not out.exists()
+
+    def test_truth_rollout_does_not_build_the_model(self, tmp_path, capsys):
+        # a rank-deficient dictionary fails the data model, not the truth map
+        path = tmp_path / "rank.json"
+        path.write_text(json.dumps(dict(TOY, dictionary=["(var 0)", "(var 0)"])))
+        out = tmp_path / "traj.csv"
+        assert main(["simulate", str(path), "--steps", "3", "--model", "truth",
+                     "--output", str(out)]) == 0
+        assert main(["simulate", str(path), "--steps", "3", "--model", "data",
+                     "--output", str(out)]) == 3
+        assert capsys.readouterr().err.startswith("rank failure: ")
+
 
 class TestSynthesizeAndVerify:
     def test_round_trip(self, toy_config, tmp_path):
@@ -188,6 +206,19 @@ class TestSynthesizeAndVerify:
         assert code == 5
         err = capsys.readouterr().err
         assert err.startswith("training diverged: ") and err.count("\n") == 1
+
+    def test_diverging_recorded_trajectory_exits_2(self, tmp_path, capsys):
+        # the polynomial rollout from its x0 overflows at state 13; a leaked
+        # RuntimeWarning would fail here, since warnings are errors
+        path = tmp_path / "long.json"
+        path.write_text(json.dumps(dict(builtin_config("polynomial").to_dict(),
+                                        trajectory_length=20)))
+        outdir = tmp_path / "o"
+        assert main(["synthesize", str(path), "--output-dir", str(outdir)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "config error: rollout diverged: state 13 is not finite\n"
+        assert captured.out == ""
+        assert not outdir.exists()
 
     def test_disjointness_enforced(self, tmp_path):
         bad = dict(TOY)

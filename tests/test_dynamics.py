@@ -6,9 +6,8 @@ import pytest
 from kbarrier import (
     Box, ExprMap, RankDeficientData, TrajectoryData,
     build_model, collect_trajectory, trajectory_from_csv, trajectory_from_states,
-    trajectory_to_csv,
 )
-from kbarrier.dynamics import DataDrivenModel
+from kbarrier.dynamics import DataDrivenModel, _right_inverse, states_to_csv
 from kbarrier.expr import Const, Tape, Var, eval_interval, eval_point, lin_comb, substitute
 
 from conftest import identity_dictionary
@@ -21,6 +20,13 @@ class TestCollectTrajectory:
         config, truth, dictionary, trajectory, _ = highly_nonlinear
         assert trajectory.X0[:, 0] == pytest.approx([0.5, -1.0])
         assert trajectory.X1[:, 0] == pytest.approx(truth.eval([0.5, -1.0]))
+
+    def test_data_matrices_are_views_of_the_states(self, highly_nonlinear):
+        _, _, _, trajectory, _ = highly_nonlinear
+        assert np.shares_memory(trajectory.X0, trajectory.states)
+        assert np.shares_memory(trajectory.X1, trajectory.states)
+        assert np.array_equal(trajectory.X0, trajectory.states[:-1].T)
+        assert np.array_equal(trajectory.X1, trajectory.states[1:].T)
 
     def test_constant_dictionary_row(self):
         truth = ExprMap((Const(0.5) * Var(0),), 1)
@@ -38,6 +44,13 @@ class TestCollectTrajectory:
         _, truth, dictionary, _, _ = polynomial
         with pytest.raises(ValueError, match="insufficient samples"):
             collect_trajectory(truth, dictionary, [0.5, -2.0], T=4)
+
+    def test_diverging_rollout_names_the_first_non_finite_state(self, polynomial):
+        # from x0 = (0.5, -2.0) the polynomial system overflows at state 13;
+        # a leaked RuntimeWarning would fail here, since warnings are errors
+        config, truth, dictionary, _, _ = polynomial
+        with pytest.raises(ValueError, match=r"^rollout diverged: state 13 is not finite$"):
+            collect_trajectory(truth, dictionary, config.x0, T=20)
 
     def test_truth_needs_one_expression_per_dimension(self):
         truth = ExprMap((Var(0) + Var(1),), 2)
@@ -64,15 +77,16 @@ class TestExprMap:
 class TestBuildModel:
     def test_identity_dictionary_data(self):
         dictionary = ExprMap((X1, X2, X1 * X2), 2)
-        trajectory = TrajectoryData(
-            X0=np.arange(6.0).reshape(2, 3), X1=np.ones((2, 3)), D0=np.eye(3),
-        )
+        trajectory = TrajectoryData(states=np.arange(8.0).reshape(4, 2), D0=np.eye(3))
+        Q, _ = _right_inverse(trajectory.D0)
+        assert np.allclose(Q, np.eye(3), atol=1e-12)
         model = build_model(trajectory, dictionary)
-        assert np.allclose(model.Q, np.eye(3), atol=1e-12)
+        assert np.allclose(model.coeff, trajectory.X1, atol=1e-12)
 
     def test_polynomial_residual_contract(self, polynomial):
-        _, _, _, trajectory, model = polynomial
-        residual = np.abs(trajectory.D0 @ model.Q - np.eye(5)).max()
+        _, _, _, trajectory, _ = polynomial
+        Q, _ = _right_inverse(trajectory.D0)
+        residual = np.abs(trajectory.D0 @ Q - np.eye(5)).max()
         assert residual <= 1e-8
 
     def test_random_full_rank_residual(self):
@@ -80,16 +94,13 @@ class TestBuildModel:
         for seed in range(100):
             rng = np.random.default_rng(seed)
             D0 = rng.normal(size=(4, 9))
-            trajectory = TrajectoryData(X0=rng.normal(size=(2, 9)),
-                                        X1=rng.normal(size=(2, 9)), D0=D0)
-            dictionary = ExprMap((X1, X2, X1 * X2, X1 ** 2), 2)
-            model = build_model(trajectory, dictionary)
-            assert np.abs(D0 @ model.Q - np.eye(4)).max() <= 1e-8
+            Q, _ = _right_inverse(D0)
+            assert np.abs(D0 @ Q - np.eye(4)).max() <= 1e-8
 
     def test_rank_deficient_rejected(self):
         row = np.linspace(0.0, 1.0, 5)
         D0 = np.vstack([row, 2.0 * row])
-        trajectory = TrajectoryData(X0=np.zeros((1, 5)), X1=np.zeros((1, 5)), D0=D0)
+        trajectory = TrajectoryData(states=np.zeros((6, 1)), D0=D0)
         dictionary = ExprMap((Var(0), Var(0) ** 2), 1)
         with pytest.raises(RankDeficientData, match="persistency of excitation"):
             build_model(trajectory, dictionary)
@@ -140,7 +151,7 @@ class TestKStep:
 
 class TestSymbolicStep:
     def test_identity_dynamics(self):
-        model = DataDrivenModel(Q=np.eye(2), X1=np.eye(2), dictionary=identity_dictionary(2),
+        model = DataDrivenModel(coeff=np.eye(2), dictionary=identity_dictionary(2),
                                 sigma_min=1.0)
         f1 = model.symbolic_step()
         assert isinstance(f1[0], Var) and f1[0].index == 0
@@ -184,8 +195,7 @@ class TestSymbolicStep:
         # substituting A x into itself encloses A^k x more loosely over a box
         # (each state variable appears once per path); the closed form does not
         A = np.array([[0.9, 0.2], [-0.1, 0.8]])
-        model = DataDrivenModel(Q=np.eye(2), X1=A, dictionary=identity_dictionary(2),
-                                sigma_min=1.0)
+        model = DataDrivenModel(coeff=A, dictionary=identity_dictionary(2), sigma_min=1.0)
         X = Box.from_bounds([(-2, 2), (-2, 2)])
         for k in (2, 3):
             Ak = np.linalg.matrix_power(model.coeff, k)
@@ -195,10 +205,10 @@ class TestSymbolicStep:
                 assert eval_interval(got, X) == eval_interval(want, X)
 
 
-def linear_model(X0, X1) -> DataDrivenModel:
-    """x+ = A x from state data: build_model over the identity dictionary."""
-    X0 = np.asarray(X0, dtype=float)
-    return build_model(TrajectoryData(X0=X0, X1=X1, D0=X0), identity_dictionary(X0.shape[0]))
+def linear_model(states) -> DataDrivenModel:
+    """x+ = A x from recorded states: build_model over the identity dictionary."""
+    dictionary = identity_dictionary(np.shape(states)[1])
+    return build_model(trajectory_from_states(states, dictionary), dictionary)
 
 
 def rollout(A, x, steps):
@@ -232,21 +242,20 @@ class TestLinearModel:
             build_model(trajectory_from_states(np.zeros((4, 2)), dictionary), dictionary)
 
     def test_k_step_base(self):
-        model = linear_model(np.array([[1.0, 0.5], [0.0, 1.0]]),
-                             np.array([[0.5, 0.25], [0.5, 1.0]]))
+        model = linear_model([[1.0, 0.0], [0.5, 1.0], [0.25, 1.0]])
         x = np.array([1.0, 2.0])
         assert np.array_equal(model.k_step(x, 1), model.coeff @ x)
 
     def test_k_zero_rejected(self):
-        model = linear_model(np.eye(2), np.eye(2))
+        model = DataDrivenModel(coeff=np.eye(2), dictionary=identity_dictionary(2),
+                                sigma_min=1.0)
         with pytest.raises(ValueError):
             model.k_step([1.0, 1.0], 0)
 
     def test_k_step_matches_sequential(self):
         rng = np.random.default_rng(11)
         A = rng.uniform(-1, 1, (2, 2))
-        states = rollout(A, rng.uniform(-1, 1, 2), 2)
-        model = linear_model(np.column_stack(states[:2]), np.column_stack(states[1:3]))
+        model = linear_model(rollout(A, rng.uniform(-1, 1, 2), 2))
         x = rng.uniform(-1, 1, 2)
         expected = x.copy()
         for _ in range(4):
@@ -299,10 +308,9 @@ class TestCsvRoundTrip:
     def test_round_trip(self, polynomial, tmp_path):
         _, _, dictionary, trajectory, _ = polynomial
         path = tmp_path / "traj.csv"
-        trajectory_to_csv(trajectory, path)
+        states_to_csv(trajectory.states, path)
         back = trajectory_from_csv(path, dictionary)
-        assert np.array_equal(back.X0, trajectory.X0)
-        assert np.array_equal(back.X1, trajectory.X1)
+        assert np.array_equal(back.states, trajectory.states)
         assert np.array_equal(back.D0, trajectory.D0)
 
     def test_import_validation(self, polynomial, tmp_path):

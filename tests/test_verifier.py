@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from kbarrier import (
-    Box, KBCSpec, SafetySpec, TrajectoryData, VerificationTask,
-    build_model, check_point, condition_exprs, verify,
+    Box, DataDrivenModel, KBCSpec, SafetySpec, VerificationTask,
+    check_point, condition_exprs, verify,
 )
 from kbarrier import verifier
 from kbarrier.expr import Add, Const, Exp, Mul, Neg, Tape, Var, eval_point, substitute
@@ -261,8 +261,8 @@ class TestCheckPointReference:
 
 
 def linear_task(B, A, spec, kbc):
-    """B against x+ = A x, recovered by build_model over the identity dictionary."""
-    model = build_model(TrajectoryData(X0=np.eye(2), X1=A, D0=np.eye(2)), identity_dictionary(2))
+    """B against x+ = A x, the closed loop over the identity dictionary."""
+    model = DataDrivenModel(coeff=A, dictionary=identity_dictionary(2), sigma_min=1.0)
     f1 = model.symbolic_step()
     fk = model.symbolic_k_step(kbc.k) if kbc.k > 1 else f1
     return VerificationTask(B=B, f1_sym=f1, fk_sym=fk, spec=spec, kbc=kbc)
