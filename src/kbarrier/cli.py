@@ -62,6 +62,8 @@ def cmd_simulate(args) -> int:
     x0 = np.asarray(config.x0 if args.x0 is None else args.x0, dtype=float)
     if x0.shape != (config.n,):
         raise ConfigError(f"--x0 must have {config.n} entries, one per truth_step expression")
+    if not np.all(np.isfinite(x0)):
+        raise ConfigError(f"--x0 entries must be finite, got {args.x0!r}")
     step = config.truth_model().eval if args.model == "truth" else _data_model(config).step
     try:
         states = rollout(step, x0, args.steps)

@@ -82,6 +82,9 @@ class CaseStudyConfig:
         object.__setattr__(self, "eta", tuple(_real("eta", v) for v in self.eta))
         object.__setattr__(self, "activations", tuple(self.activations))
         for name in _REGION_FIELDS:
+            for pair in getattr(self, name):
+                if not isinstance(pair, (list, tuple)) or len(pair) != 2:
+                    raise ConfigError(f"{name}: each bound must be a [lo, hi] pair, got {pair!r}")
             bounds = tuple((_real(name, lo), _real(name, hi)) for lo, hi in getattr(self, name))
             object.__setattr__(self, name, bounds)
         self.validate()
@@ -104,11 +107,15 @@ class CaseStudyConfig:
         for name in _REAL_FIELDS:
             _real(name, getattr(self, name))
         for name in _STR_TUPLE_FIELDS:
+            if not getattr(self, name):
+                raise ConfigError(f"{name} must have at least one entry")
             for entry in getattr(self, name):
                 if not isinstance(entry, str):
                     raise ConfigError(f"{name} entries must be strings, got {entry!r}")
         if len(self.x0) != self.n:
             raise ConfigError(f"x0 must have {self.n} entries, one per truth_step expression")
+        if not all(map(math.isfinite, self.x0)):
+            raise ConfigError(f"x0 entries must be finite, got {list(self.x0)!r}")
         for name in _REGION_FIELDS:
             if len(getattr(self, name)) != self.n:
                 raise ConfigError(
@@ -118,7 +125,7 @@ class CaseStudyConfig:
                 f"trajectory length {self.trajectory_length} is below the dictionary size "
                 f"{len(self.dictionary)}; the rank condition cannot hold"
             )
-        if not self.activations or not set(self.activations) <= set(ACTIVATIONS):
+        if not set(self.activations) <= set(ACTIVATIONS):
             raise ConfigError(f"activations must name one or more of {', '.join(ACTIVATIONS)}, "
                               f"got {list(self.activations)!r}")
         if len(self.eta) != 4:

@@ -10,32 +10,31 @@ sets they would ideally be restricted to are not known until a candidate
 exists.  Everything is deterministic given the seeds, which keeps
 counterexample-guided runs replayable.
 
-The network is evaluated along one path, `_forward`: one matmul per batch
-of states, then the activations, with their derivatives alongside when a
-gradient needs them.  `forward_batch`, `loss` and `gradient` all go through
-it, and `gradient` returns the loss it computed on the way.  A training
-epoch is therefore one call to `gradient`: one forward pass per evaluation
-site (S, S+, Sk) and one backward pass.  The three sites keep their own
-matmuls and reductions, because stacking them into one array changes the
-BLAS path and with it the last bits of the result.  Training stops at the
-first epoch with a loss of exactly zero, which cannot change the parameters
-it returns (see `train`).
+One training pass, `_evaluate`, computes the loss and its gradient: the
+forward pass at S, S+ and Sk (`_forward`: one matmul per batch of states,
+then the activations and their derivatives), the four hinge terms, dL/dB at
+each site and the backward pass.  Each term's argument, rows and normaliser
+are written there alone.  `loss` and `gradient` both return its result, and
+a training epoch is one call to `gradient`.  The three sites keep their own
+matmuls and reductions, because stacking them changes the BLAS path and with
+it the last bits.  Training stops at the first epoch with a loss of exactly
+zero, which cannot change the parameters it returns (see `train`).
 
-An epoch costs little beyond its arithmetic.  Adam keeps its state in one
-flat vector [W.ravel(), b, v, c], of which the per-epoch parameters are
-views, wrapped without re-validation (`train` argues why that is safe).
-`DatasetTriple` holds the row indices of its samples in X_I and X_U, its
-only record of region membership.  Biases and output weights are tiled to
-full (m, h) arrays once per epoch (`_rows`), so no element-wise step
-broadcasts a row at a time.  Every one of these
-gives the same bits as the plain formulation; the tests compare against it.
+`NetworkParams` owns the flat parameter layout: `flat` writes it, `with_flat`
+reads it back and `_blocks` gives its views.  Adam's state, the per-epoch
+parameters (views, wrapped without re-validation; `train` argues why that is
+safe) and the gradient all live in such vectors.  `DatasetTriple` holds the
+row indices of its samples in X_I and X_U.  Biases and output weights are
+tiled to full (m, h) arrays once per epoch (`_rows`), so no element-wise step
+broadcasts a row at a time.  Each of these gives the same bits as the plain
+formulation; the tests compare against it.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -97,11 +96,9 @@ class NetworkParams:
         for a in self.activations:
             if a not in ACTIVATIONS:
                 raise ValueError(f"unknown activation {a!r}")
-        for arr in (self.weights, self.biases, self.out_weights):
+        for arr in (self.weights, self.biases, self.out_weights, self.out_bias):
             if not np.all(np.isfinite(arr)):
                 raise ValueError("parameters must be finite")
-        if not math.isfinite(self.out_bias):
-            raise ValueError("parameters must be finite")
 
     @classmethod
     def _trusted(cls, weights: np.ndarray, biases: np.ndarray, out_weights: np.ndarray,
@@ -124,6 +121,16 @@ class NetworkParams:
     def n(self) -> int:
         return self.weights.shape[1]
 
+    def flat(self) -> np.ndarray:
+        """The parameters as one new vector [W.ravel(), b, v, c]."""
+        return np.concatenate([self.weights.ravel(), self.biases, self.out_weights,
+                               [self.out_bias]])
+
+    def with_flat(self, theta: np.ndarray) -> NetworkParams:
+        """Validated parameters of this shape and activations: views of a `flat` vector."""
+        W, b, v, c = _blocks(np.asarray(theta, dtype=float), self.width, self.n)
+        return NetworkParams(W, b, v, c[0], self.activations)
+
     def forward(self, x: Sequence[float]) -> float:
         """Candidate value at a single state."""
         return float(self.forward_batch(np.asarray(x, dtype=float)[None, :])[0])
@@ -145,9 +152,16 @@ class NetworkParams:
         return acc
 
 
-def _activate(z: np.ndarray, activations: tuple[str, ...],
-              with_grad: bool = False) -> tuple[np.ndarray, np.ndarray | None]:
-    """Activations of the columns of z and, with_grad, their derivatives (else None).
+def _blocks(theta: np.ndarray, h: int, n: int):
+    """Views W (h x n), b, v and c (length 1) of a vector in the `NetworkParams.flat` layout."""
+    w_end, b_end = h * n, h * n + h
+    if theta.shape != (b_end + h + 1,):
+        raise ValueError(f"a flat {h}x{n} network has {b_end + h + 1} entries, got {theta.shape}")
+    return theta[:w_end].reshape(h, n), theta[w_end:b_end], theta[b_end:-1], theta[-1:]
+
+
+def _activate(z: np.ndarray, activations: tuple[str, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """Activations of the columns of z and their derivatives.
 
     A network of one kind takes one call per function over the whole of z.
     A mixed one goes a column at a time: sin and cos cost the same per
@@ -158,15 +172,14 @@ def _activate(z: np.ndarray, activations: tuple[str, ...],
     kinds = set(activations)
     if len(kinds) == 1:
         _, f, df = _ACTIVATION_RULES[kinds.pop()]
-        return f(z), (df(z) if with_grad else None)
+        return f(z), df(z)
     g = np.empty_like(z)
-    gp = np.empty_like(z) if with_grad else None
+    gp = np.empty_like(z)
     for j, a in enumerate(activations):
         _, f, df = _ACTIVATION_RULES[a]
         col = z[:, j]
         g[:, j] = f(col)
-        if with_grad:
-            gp[:, j] = df(col)
+        gp[:, j] = df(col)
     return g, gp
 
 
@@ -187,15 +200,14 @@ def _rows(x: np.ndarray, m: int) -> np.ndarray:
     return x[_tile_index(m, x.shape[0])]
 
 
-def _forward(params: NetworkParams, states: np.ndarray, bias: np.ndarray,
-             with_grad: bool = False):
-    """Activations, their derivatives (or None) and B at a batch of states.
+def _forward(params: NetworkParams, states: np.ndarray, bias: np.ndarray):
+    """Activations, their derivatives and B at a batch of states.
 
     `bias` is params.biases, or `_rows` of it for len(states) rows.
     """
     z = states @ params.weights.T
     z += bias
-    g, gp = _activate(z, params.activations, with_grad)
+    g, gp = _activate(z, params.activations)
     return g, gp, g @ params.out_weights + params.out_bias
 
 
@@ -213,20 +225,12 @@ def init_params(n: int, width: int, activations: Sequence[str], seed: int) -> Ne
 
 @dataclass(frozen=True, eq=False)
 class NetworkGradient:
-    """Gradient of the training loss with the same layout as NetworkParams.
+    """Gradient of the training loss in the `NetworkParams.flat` layout,
+    with the total loss and its four-term breakdown at the same parameters."""
 
-    `loss` is the total loss at the same parameters, computed on the way.
-    `flat` holds the same numbers as one vector
-    [weights.ravel(), biases, out_weights, out_bias]; the three arrays are
-    views of it.
-    """
-
-    weights: np.ndarray
-    biases: np.ndarray
-    out_weights: np.ndarray
-    out_bias: float
-    loss: float
     flat: np.ndarray
+    loss: float
+    breakdown: tuple[float, float, float, float]
 
 
 @dataclass(frozen=True)
@@ -301,12 +305,6 @@ def sample_dataset(spec: SafetySpec, model: DataDrivenModel, kbc: KBCSpec,
     return DatasetTriple(S=S, S_plus=S_plus, S_kplus=S_kplus, spec=spec)
 
 
-def _hinge_mean(arg: np.ndarray) -> float:
-    """Mean of max(arg, 0): the sum over its size, as ndarray.mean computes it in 1-D."""
-    h = np.maximum(arg, 0.0)
-    return float(np.add.reduce(h) / h.size)
-
-
 def _column_sums(t: np.ndarray) -> np.ndarray:
     """np.add.reduce(t, 0) of a C-ordered (m, h) array, bit for bit.
 
@@ -320,74 +318,70 @@ def _column_sums(t: np.ndarray) -> np.ndarray:
     return np.add.reduce(t, 0)
 
 
-def _loss_pieces(params: NetworkParams, data: DatasetTriple, kbc: KBCSpec,
-                 cfg: TrainConfig, with_grad: bool = False):
-    """Loss breakdown, hinge arguments, and the `_forward` result at S, S+, Sk."""
+def _evaluate(params: NetworkParams, data: DatasetTriple, kbc: KBCSpec,
+              cfg: TrainConfig) -> NetworkGradient:
+    """The training pass: loss, breakdown and gradient (hinge subgradient at 0 is 0).
+
+    Each hinge term is the mean of max(arg, 0) over the rows its argument is
+    taken at.  The arguments are written here once, and each one's size is
+    the normaliser of both its term and its dL/dB coefficients.
+    """
     idx_i, idx_u = data.idx_init, data.idx_unsafe
     if not idx_i.size or not idx_u.size:
         raise ValueError("region mask empty; increase quota sampling")
-    bias = _rows(params.biases, data.size)
-    sites = [_forward(params, states, bias, with_grad)
-             for states in (data.S, data.S_plus, data.S_kplus)]
-    B_s, B_1, B_k = (site[2] for site in sites)
-    args = (
-        B_s[idx_i] + cfg.eta1,
-        -B_s[idx_u] + kbc.lam + cfg.eta2,
-        B_1 - B_s - kbc.epsilon + cfg.eta3,
-        B_k - B_s + cfg.eta4,
-    )
-    return tuple(_hinge_mean(a) for a in args), args, sites
+    m = data.size
+    sites = (data.S, data.S_plus, data.S_kplus)
+    bias = _rows(params.biases, m)
+    passes = [_forward(params, states, bias) for states in sites]
+    B_s, B_1, B_k = (B for _, _, B in passes)
+    arg_i = B_s[idx_i] + cfg.eta1
+    arg_u = -B_s[idx_u] + kbc.lam + cfg.eta2
+    arg_1 = B_1 - B_s - kbc.epsilon + cfg.eta3
+    arg_k = B_k - B_s + cfg.eta4
+    terms = (arg_i, arg_u, arg_1, arg_k)
+    # a sum over the size, as ndarray.mean computes a 1-D mean
+    breakdown = tuple(float(np.add.reduce(np.maximum(a, 0.0)) / a.size) for a in terms)
+
+    # dL/dB at each evaluation site
+    d_i, d_u, act_1, act_k = ((a > 0) / a.size for a in terms)
+    coef_s = np.zeros(m)
+    coef_s[idx_i] += d_i
+    coef_s[idx_u] -= d_u
+    coef_s -= act_1 + act_k
+
+    h, n = params.weights.shape
+    flat = np.zeros(h * n + 2 * h + 1)
+    gw, gb, gv, gc = _blocks(flat, h, n)
+    v = _rows(params.out_weights, m)
+    # one accumulation per site, in this order: merging them changes the rounding
+    for states, coef, (g, gp, _) in zip(sites, (coef_s, act_1, act_k), passes):
+        gv += g.T @ coef
+        gc[0] += np.add.reduce(coef)
+        t = (coef[:, None] * gp) * v
+        gb += _column_sums(t)
+        gw += t.T @ states
+    return NetworkGradient(flat=flat, loss=float(sum(breakdown)), breakdown=breakdown)
 
 
 def loss(params: NetworkParams, data: DatasetTriple, kbc: KBCSpec,
          cfg: TrainConfig) -> tuple[float, tuple[float, float, float, float]]:
     """Total hinge loss and its four-term breakdown."""
-    breakdown, _, _ = _loss_pieces(params, data, kbc, cfg)
-    return float(sum(breakdown)), breakdown
+    g = _evaluate(params, data, kbc, cfg)
+    return g.loss, g.breakdown
 
 
 def gradient(params: NetworkParams, data: DatasetTriple, kbc: KBCSpec,
              cfg: TrainConfig) -> NetworkGradient:
-    """Analytic gradient of the total loss (hinge subgradient at 0 is 0), with the loss."""
-    breakdown, (arg_i, arg_u, arg_1, arg_k), sites = _loss_pieces(
-        params, data, kbc, cfg, with_grad=True)
-    m = data.size
-    idx_i, idx_u = data.idx_init, data.idx_unsafe
-
-    # dL/dB at each evaluation site
-    coef_s = np.zeros(m)
-    coef_s[idx_i] += (arg_i > 0) / idx_i.size
-    coef_s[idx_u] -= (arg_u > 0) / idx_u.size
-    act_1 = (arg_1 > 0) / m
-    act_k = (arg_k > 0) / m
-    coef_s -= act_1 + act_k
-
-    h, n = params.weights.shape
-    flat = np.zeros(h * n + 2 * h + 1)
-    gw = flat[:h * n].reshape(h, n)
-    gb = flat[h * n:h * n + h]
-    gv = flat[h * n + h:-1]
-    gc = 0.0
-    v = _rows(params.out_weights, m)
-    # one accumulation per site, in this order: merging them changes the rounding
-    for states, coef, (g, gp, _) in zip((data.S, data.S_plus, data.S_kplus),
-                                        (coef_s, act_1, act_k), sites):
-        gv += g.T @ coef
-        gc += float(np.add.reduce(coef))
-        t = (coef[:, None] * gp) * v
-        gb += _column_sums(t)
-        gw += t.T @ states
-    flat[-1] = gc
-    return NetworkGradient(weights=gw, biases=gb, out_weights=gv, out_bias=gc,
-                           loss=float(sum(breakdown)), flat=flat)
+    """Analytic gradient of the total loss, with the loss and its breakdown."""
+    return _evaluate(params, data, kbc, cfg)
 
 
 def train(p0: NetworkParams, data: DatasetTriple, kbc: KBCSpec,
           cfg: TrainConfig) -> NetworkParams:
     """Full-batch Adam; returns the parameters with the lowest observed loss.
 
-    Adam runs on one flat vector theta = [W.ravel(), b, v, c], with its
-    first and second moments the same shape.  W, b and v are views of
+    Adam runs on one flat vector theta = `p0.flat()`, with its first and
+    second moments the same shape.  W, b, v and c are `_blocks` views of
     theta, so each epoch is one vector update, and an improvement costs one
     copy.  Adam is element-wise, so this is the same arithmetic, in the same
     order, as updating the four parameter blocks one by one.
@@ -419,10 +413,8 @@ def train(p0: NetworkParams, data: DatasetTriple, kbc: KBCSpec,
     """
     if cfg.epochs == 0:
         return p0
-    h, n = p0.weights.shape
-    w_end, b_end = h * n, h * n + h
-    theta = np.concatenate([p0.weights.ravel(), p0.biases, p0.out_weights, [p0.out_bias]])
-    W, b, v = theta[:w_end].reshape(h, n), theta[w_end:b_end], theta[b_end:-1]
+    theta = p0.flat()
+    W, b, v, c = _blocks(theta, p0.width, p0.n)
     mom = np.zeros_like(theta)
     sec = np.zeros_like(theta)
     best_loss = math.inf
@@ -431,11 +423,7 @@ def train(p0: NetworkParams, data: DatasetTriple, kbc: KBCSpec,
     decay1, decay2 = 1.0 - beta1, 1.0 - beta2
 
     def current() -> NetworkParams:
-        return NetworkParams._trusted(W, b, v, float(theta[-1]), p0.activations)
-
-    def best_params() -> NetworkParams:
-        return replace(p0, weights=best[:w_end].reshape(h, n), biases=best[w_end:b_end],
-                       out_weights=best[b_end:-1], out_bias=best[-1])
+        return NetworkParams._trusted(W, b, v, float(c[0]), p0.activations)
 
     with np.errstate(over="ignore", invalid="ignore"):
         for t in range(1, cfg.epochs + 1):
@@ -446,7 +434,7 @@ def train(p0: NetworkParams, data: DatasetTriple, kbc: KBCSpec,
                 best_loss = g.loss
                 best = theta.copy()
             if g.loss == 0.0:
-                return best_params()
+                return p0.with_flat(best)
             grad = g.flat
             mom = beta1 * mom + decay1 * grad
             sec = beta2 * sec + decay2 * grad * grad
@@ -458,4 +446,4 @@ def train(p0: NetworkParams, data: DatasetTriple, kbc: KBCSpec,
         raise TrainingDiverged(f"non-finite loss at epoch {cfg.epochs}")
     if total < best_loss:
         best = theta
-    return best_params()
+    return p0.with_flat(best)

@@ -22,7 +22,7 @@ from kbarrier.expr import Add, Const, Mul, Neg, Pow, Sub, Tape, Var, parse_expr
 from kbarrier.verifier import SafetySpec
 
 import conftest as helpers
-from test_learner import manual_triple, toy_spec, _flatten, _unflatten, _near_kink
+from test_learner import manual_triple, toy_spec, _near_kink
 
 
 def report(number: int, name: str, ok: bool, detail: str = "") -> None:
@@ -315,13 +315,11 @@ def test_criterion_7_gradient_correctness():
         net = init_params(2, 3, ("square", "sin", "cos"), seed=seed)
         if _near_kink(net, data, kbc, cfg, 1e-3):
             continue
-        g = gradient(net, data, kbc, cfg)
-        analytic = np.concatenate([g.weights.ravel(), g.biases, g.out_weights,
-                                   [g.out_bias]])
-        flat = _flatten(net)
-        for idx in range(len(flat)):
-            plus = _unflatten(net, flat, idx, step)
-            minus = _unflatten(net, flat, idx, -step)
+        analytic = gradient(net, data, kbc, cfg).flat
+        flat = net.flat()
+        for idx, unit in enumerate(np.eye(flat.size)):
+            plus = net.with_flat(flat + step * unit)
+            minus = net.with_flat(flat - step * unit)
             fd = (loss(plus, data, kbc, cfg)[0] - loss(minus, data, kbc, cfg)[0]) / (2 * step)
             scale = max(abs(fd), abs(analytic[idx]), 1.0)
             worst = max(worst, abs(analytic[idx] - fd) / scale)

@@ -137,6 +137,26 @@ class TestSimulate:
             "config error: --x0 must have 2 entries, one per truth_step expression\n")
         assert not out.exists()
 
+    @pytest.mark.parametrize("steps", ["0", "3"])
+    def test_non_finite_x0_flag_is_rejected(self, tmp_path, capsys, steps):
+        out = tmp_path / "traj.csv"
+        assert main(["simulate", "polynomial", "--x0", "nan,1", "--steps", steps,
+                     "--output", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            "config error: --x0 entries must be finite, got [nan, 1.0]\n")
+        assert not out.exists()
+
+    def test_non_finite_x0_in_a_config_file_is_rejected(self, tmp_path, capsys):
+        # Python's json reads the NaN literal, which strict JSON lacks
+        path = tmp_path / "nan.json"
+        path.write_text(json.dumps(dict(TOY, x0=[math.nan, 1.0])))
+        assert "NaN" in path.read_text()
+        out = tmp_path / "traj.csv"
+        assert main(["simulate", str(path), "--steps", "0", "--output", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err == "config error: x0 entries must be finite, got [nan, 1.0]\n"
+        assert not out.exists()
+
     def test_truth_rollout_does_not_build_the_model(self, tmp_path, capsys):
         # a rank-deficient dictionary fails the data model, not the truth map
         path = tmp_path / "rank.json"
@@ -333,6 +353,10 @@ class TestConfigValidation:
         ("dt", "x"), ("dt", None), ("dt", True), ("dt", 0.0), ("dt", -0.1), ("dt", math.nan),
         ("dt", math.inf), ("dt", 0.1), ("n", 2), ("width", 3),
         ("samples", 0), ("samples", -5), ("activations", []), ("activations", ["relu", "relu"]),
+        ("x0", [math.nan, 1.0]), ("x0", [1.1, -math.inf]),
+        # shape errors name the field
+        ("state_space", [[-2, 2, 3], [-2, 2]]), ("initial_region", [[1.0, 1.4], 2.0]),
+        ("unsafe_region", [[2.5], [2.5, 3.0]]), ("truth_step", []), ("dictionary", []),
     ])
     def test_out_of_range_rejected_at_load(self, field, value):
         with pytest.raises(ConfigError, match=field):

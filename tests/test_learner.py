@@ -205,6 +205,40 @@ class TestForward:
             assert net.forward(x) == pytest.approx(eval_point(e, x), abs=1e-10)
 
 
+class TestFlatLayout:
+    def test_blocks_in_order(self):
+        net = init_params(3, 4, mixed_sin_cos(4), seed=2)
+        theta = net.flat()
+        assert theta.shape == (12 + 4 + 4 + 1,)
+        assert np.array_equal(theta[:12], net.weights.ravel())
+        assert np.array_equal(theta[12:16], net.biases)
+        assert np.array_equal(theta[16:20], net.out_weights)
+        assert theta[20] == net.out_bias
+
+    def test_round_trip_gives_views(self):
+        net = init_params(2, 3, ("square", "sin", "cos"), seed=5)
+        theta = net.flat()
+        back = net.with_flat(theta)
+        assert_same_params(back, net)
+        assert back.activations == net.activations
+        assert all(a.base is theta for a in (back.weights, back.biases, back.out_weights))
+        theta[0] += 1.0  # flat() is a new vector; with_flat reads through to it
+        assert back.weights[0, 0] == theta[0] != net.weights[0, 0]
+
+    @pytest.mark.parametrize("size", [0, 12, 14])
+    def test_wrong_length_rejected(self, size):
+        with pytest.raises(ValueError, match="has 13 entries"):
+            init_params(2, 3, ("sin",) * 3, seed=0).with_flat(np.zeros(size))
+
+    @pytest.mark.parametrize("idx", [0, 7, 12])
+    def test_non_finite_rejected(self, idx):
+        net = init_params(2, 3, ("sin",) * 3, seed=0)
+        theta = net.flat()
+        theta[idx] = math.nan
+        with pytest.raises(ValueError, match="finite"):
+            net.with_flat(theta)
+
+
 class TestLoss:
     def test_frozen_negative_constant(self):
         # B = -1, k=2, eps=0.1, eta=(0.1, 0.001, 0, 0)
@@ -269,7 +303,7 @@ class TestGradient:
                             biases=np.array([0.3, -0.4]),
                             out_weights=np.zeros(2), out_bias=-0.2,
                             activations=("sin", "cos"))
-        g = gradient(net, data, kbc, cfg)
+        g = net.with_flat(gradient(net, data, kbc, cfg).flat)
         assert np.all(g.weights == 0.0) and np.all(g.biases == 0.0)
         # d/dc: indicator means from the two level terms (evolution terms cancel)
         b = -0.2
@@ -289,12 +323,11 @@ class TestGradient:
             net = init_params(2, 3, ("square", "sin", "cos"), seed=seed)
             if _near_kink(net, data, kbc, cfg, 1e-3):
                 continue
-            g = gradient(net, data, kbc, cfg)
-            flat = _flatten(net)
-            analytic = np.concatenate([g.weights.ravel(), g.biases, g.out_weights, [g.out_bias]])
-            for idx in range(len(flat)):
-                plus = _unflatten(net, flat, idx, step)
-                minus = _unflatten(net, flat, idx, -step)
+            analytic = gradient(net, data, kbc, cfg).flat
+            flat = net.flat()
+            for idx, unit in enumerate(np.eye(flat.size)):
+                plus = net.with_flat(flat + step * unit)
+                minus = net.with_flat(flat - step * unit)
                 fd = (loss(plus, data, kbc, cfg)[0] - loss(minus, data, kbc, cfg)[0]) / (2 * step)
                 scale = max(abs(fd), abs(analytic[idx]), 1.0)
                 assert abs(analytic[idx] - fd) / scale <= 1e-5
@@ -309,13 +342,7 @@ class TestGradient:
         base, _ = loss(net, data, kbc, cfg)
         g = gradient(net, data, kbc, cfg)
         eta = 1e-4
-        moved = NetworkParams(
-            weights=net.weights - eta * g.weights,
-            biases=net.biases - eta * g.biases,
-            out_weights=net.out_weights - eta * g.out_weights,
-            out_bias=net.out_bias - eta * g.out_bias,
-            activations=net.activations,
-        )
+        moved = net.with_flat(net.flat() - eta * g.flat)
         assert loss(moved, data, kbc, cfg)[0] < base
 
 
@@ -336,11 +363,10 @@ class TestSinglePass:
             net = init_params(n, width, acts, seed=int(rng.integers(1 << 30)))
             gw, gb, gv, gc, total = reference_gradient(net, data, kbc, cfg)
             g = gradient(net, data, kbc, cfg)
-            assert np.array_equal(g.weights, gw)
-            assert np.array_equal(g.biases, gb)
-            assert np.array_equal(g.out_weights, gv)
-            assert g.out_bias == gc
-            assert g.loss == total == loss(net, data, kbc, cfg)[0]
+            reference = replace(net, weights=gw, biases=gb, out_weights=gv, out_bias=gc)
+            assert np.array_equal(g.flat, reference.flat())
+            assert g.loss == total
+            assert (g.loss, g.breakdown) == loss(net, data, kbc, cfg)
 
     @pytest.mark.parametrize("width", [1, 4, 8])
     def test_activate_matches_per_column(self, width):
@@ -349,10 +375,8 @@ class TestSinglePass:
             z = rng.normal(0.0, 3.0, (m, width))
             acts = tuple(str(a) for a in rng.choice(ACTIVATIONS, width))
             g_ref, gp_ref = reference_activate(z, acts)
-            g, gp = _activate(z, acts, with_grad=True)
+            g, gp = _activate(z, acts)
             assert np.array_equal(g, g_ref) and np.array_equal(gp, gp_ref)
-            g_only, none = _activate(z, acts)
-            assert np.array_equal(g_only, g_ref) and none is None
 
     @pytest.mark.parametrize("kind", ACTIVATIONS)
     def test_activate_single_kind_matches_per_column(self, kind):
@@ -360,24 +384,8 @@ class TestSinglePass:
         z = np.random.default_rng(7).normal(0.0, 3.0, (37, 5))
         acts = (kind,) * 5
         g_ref, gp_ref = reference_activate(z, acts)
-        g, gp = _activate(z, acts, with_grad=True)
+        g, gp = _activate(z, acts)
         assert np.array_equal(g, g_ref) and np.array_equal(gp, gp_ref)
-
-
-def _flatten(net):
-    return np.concatenate([net.weights.ravel(), net.biases, net.out_weights, [net.out_bias]])
-
-
-def _unflatten(net, flat, idx, delta):
-    flat = flat.copy()
-    flat[idx] += delta
-    h, n = net.weights.shape
-    w_end = h * n
-    return NetworkParams(weights=flat[:w_end].reshape(h, n),
-                         biases=flat[w_end:w_end + h],
-                         out_weights=flat[w_end + h:w_end + 2 * h],
-                         out_bias=float(flat[-1]),
-                         activations=net.activations)
 
 
 def _near_kink(net, data, kbc, cfg, tol):

@@ -329,6 +329,43 @@ class TestVerifyLinear:
         assert dict(check_point(task, verdict.point))[tag] == verdict.margin
 
 
+class TestPruningPredicates:
+    """`_may_hold` on hand-built enclosures and `_holds` at points, at the threshold 0."""
+
+    @staticmethod
+    def kept(kinds, *enclosures):
+        return verifier._may_hold([(np.array(lo), np.array(hi)) for lo, hi in enclosures],
+                                  kinds).tolist()
+
+    @staticmethod
+    def held(kinds, *values):
+        return verifier._holds([np.array(v) for v in values], kinds).tolist()
+
+    def test_le0_prunes_only_when_lo_is_positive(self):
+        lo = [5e-324, 0.01, 1.0, 0.0, -0.0, -0.01, -1.0]
+        assert self.kept(["le0"], (lo, [2.0] * 7)) == [False] * 3 + [True] * 4
+
+    def test_gt0_prunes_only_when_hi_is_not_positive(self):
+        hi = [0.0, -0.0, -0.01, -1.0, 5e-324, 0.01, 0.02, 1.0]
+        assert self.kept(["gt0"], ([-2.0] * 8, hi)) == [False] * 4 + [True] * 4
+
+    def test_nan_keeps_the_box(self):
+        nan = math.nan
+        assert self.kept(["le0"], ([nan, nan, 1.0], [nan, 1.0, nan])) == [True, True, False]
+        assert self.kept(["gt0"], ([nan, nan, -1.0], [nan, -1.0, nan])) == [True, False, True]
+
+    def test_every_constraint_must_allow_the_box(self):
+        le0 = ([-1.0, 0.5, -1.0, 0.5], [1.0, 1.0, 1.0, 1.0])
+        gt0 = ([-1.0, -1.0, -1.0, -1.0], [0.01, 0.01, 0.0, 0.0])
+        assert self.kept(["le0", "gt0"], le0, gt0) == [True, False, False, False]
+
+    def test_points_hold_on_the_closed_and_open_side(self):
+        values = [-1.0, -0.0, 0.0, 5e-324, 0.01, math.nan]
+        assert self.held(["le0"], values) == [True, True, True, False, False, False]
+        assert self.held(["gt0"], values) == [False, False, False, True, True, False]
+        assert self.held(["le0", "gt0"], [-1.0, 0.0], [0.01, math.nan]) == [True, False]
+
+
 class TestSearchSoundness:
     def test_pruned_boxes_contain_no_violations(self, monkeypatch, highly_nonlinear,
                                                 reference_nonlinear_cert):
