@@ -29,13 +29,13 @@ print(f"dataset: {data.size} samples "
       f"{data.idx_unsafe.size} in the unsafe region)")
 
 params = init_params(spec.n, config.width, config.activations, seed=0)
-start, parts = loss(params, data, kbc, train_cfg)
+start, parts = loss(params, data, train_cfg)
 print(f"loss before training: {start:.4f}  "
       f"(init {parts[0]:.4f}, unsafe {parts[1]:.4f}, "
       f"1-step {parts[2]:.4f}, k-step {parts[3]:.4f})")
 
-params = train(params, data, kbc, train_cfg)
-end, parts = loss(params, data, kbc, train_cfg)
+params = train(params, data, train_cfg)
+end, parts = loss(params, data, train_cfg)
 print(f"loss after training (at most {train_cfg.epochs} epochs): {end:.6f}  "
       f"(init {parts[0]:.6f}, unsafe {parts[1]:.6f}, "
       f"1-step {parts[2]:.6f}, k-step {parts[3]:.6f})")

@@ -16,7 +16,7 @@ import numpy as np
 
 from kbarrier import (
     Box, ExprMap, KBCSpec, SafetySpec, VerificationTask, build_model,
-    trajectory_from_csv, trajectory_from_states, verify,
+    trajectory_from_csv, verify,
 )
 from kbarrier.expr import Const, Var
 
@@ -29,7 +29,7 @@ x = np.array([1.0, 1.0])
 states = [x]
 for _ in range(3):
     states.append(A @ states[-1])
-model = build_model(trajectory_from_states(states, identity), identity)
+model = build_model(states, identity)
 print("recovered A:", np.round(model.coeff, 12).tolist())
 
 # --- verify certificates against the recovered dynamics -----------------
@@ -68,7 +68,6 @@ with csv_path.open("w") as fh:
     fh.write("x1,x2\n")
     for s in states:
         fh.write(f"{float(s[0])!r},{float(s[1])!r}\n")
-trajectory = trajectory_from_csv(csv_path, identity)
-imported = build_model(trajectory, identity)
+imported = build_model(trajectory_from_csv(csv_path, identity), identity)
 print("model rebuilt from CSV matches:",
       bool(np.allclose(imported.coeff, model.coeff, atol=1e-10)))

@@ -5,8 +5,8 @@ from .expr import (
     eval_interval, eval_point, format_expr, parse_expr, substitute,
 )
 from .dynamics import (
-    DataDrivenModel, ExprMap, RankDeficientData, TrajectoryData,
-    build_model, collect_trajectory, trajectory_from_csv, trajectory_from_states,
+    DataDrivenModel, ExprMap, RankDeficientData,
+    build_model, collect_trajectory, trajectory_from_csv,
 )
 from .learner import (
     DatasetTriple, NetworkParams, TrainConfig, TrainingDiverged,

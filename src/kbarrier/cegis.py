@@ -19,7 +19,7 @@ import numpy as np
 
 from .dynamics import DataDrivenModel
 from .expr import Expr, format_expr
-from .learner import DatasetTriple, NetworkParams, TrainConfig, loss, sample_dataset, train
+from .learner import DatasetTriple, NetworkParams, TrainConfig, evolve, loss, sample_dataset, train
 from .verifier import KBCSpec, SafetySpec, Verdict, VerificationTask, verify
 
 __all__ = ["CegisConfig", "IterationRecord", "CegisReport", "augment", "run"]
@@ -114,12 +114,12 @@ class CegisReport:
 
 
 def augment(data: DatasetTriple, cex: Sequence[float], cfg: CegisConfig,
-            model: DataDrivenModel, kbc: KBCSpec, seed: int) -> DatasetTriple:
+            model: DataDrivenModel, seed: int) -> DatasetTriple:
     """Append the witness plus cex_points samples from the ball around it.
 
     Samples are drawn uniformly from the L2 ball of radius cex_radius and
     clipped to the state box, so the dataset grows by exactly
-    cex_points + 1 rows.
+    cex_points + 1 rows.  The grown dataset keeps `data.spec` and `data.kbc`.
     """
     cex = np.asarray(cex, dtype=float)
     spec = data.spec
@@ -135,10 +135,9 @@ def augment(data: DatasetTriple, cex: Sequence[float], cfg: CegisConfig,
     cloud = np.clip(cloud, spec.X.lo(), spec.X.hi())
     new_states = np.vstack([cex[None, :], cloud])
 
-    S = np.vstack([data.S, new_states])
-    S_plus = np.vstack([data.S_plus, model.step_batch(new_states)])
-    S_kplus = np.vstack([data.S_kplus, model.k_step_batch(new_states, kbc.k)])
-    return DatasetTriple(S=S, S_plus=S_plus, S_kplus=S_kplus, spec=spec)
+    plus, kplus = evolve(model, new_states, data.kbc.k)
+    return replace(data, S=np.vstack([data.S, new_states]),
+                   S_plus=np.vstack([data.S_plus, plus]), S_kplus=np.vstack([data.S_kplus, kplus]))
 
 
 def run(spec: SafetySpec, model: DataDrivenModel, kbc: KBCSpec,
@@ -168,9 +167,9 @@ def run(spec: SafetySpec, model: DataDrivenModel, kbc: KBCSpec,
     for iteration in range(1, cfg.max_iterations + 1):
         rate = cfg.train.learning_rate if iteration == 1 else cfg.lr_retrain
         train_cfg = replace(cfg.train, learning_rate=rate)
-        loss_start, _ = loss(params, data, kbc, train_cfg)
-        params = train(params, data, kbc, train_cfg)
-        loss_end, _ = loss(params, data, kbc, train_cfg)
+        loss_start, _ = loss(params, data, train_cfg)
+        params = train(params, data, train_cfg)
+        loss_end, _ = loss(params, data, train_cfg)
 
         candidate = params.to_expr()
         task = VerificationTask(B=candidate, f1_sym=f1_sym, fk_sym=fk_sym,
@@ -196,7 +195,7 @@ def run(spec: SafetySpec, model: DataDrivenModel, kbc: KBCSpec,
         if verdict.kind == "exhausted":
             reason = "verifier exhausted its box budget; raise max_boxes"
             break
-        data = augment(data, witness, cfg, model, kbc, seed + iteration)
+        data = augment(data, witness, cfg, model, seed + iteration)
 
     return CegisReport(records=tuple(records), certificate=certificate, final_verdict=verdict,
                        seed=seed, reason=reason)

@@ -33,6 +33,8 @@ _STR_TUPLE_FIELDS = ("truth_step", "dictionary", "activations")
 # fields that must be an int or a float (a bool, a string or null is rejected)
 _REAL_FIELDS = ("epsilon", "learning_rate", "lr_retrain", "cex_radius", "delta")
 _REGION_FIELDS = ("state_space", "initial_region", "unsafe_region")
+# fields that hold a list in a config document (a string or a scalar is rejected)
+_LIST_FIELDS = _STR_TUPLE_FIELDS + ("x0", "eta") + _REGION_FIELDS
 
 
 def _real(name: str, value) -> float:
@@ -76,6 +78,11 @@ class CaseStudyConfig:
     max_boxes: int = VerificationTask.max_boxes
 
     def __post_init__(self):
+        if not isinstance(self.name, str):
+            raise ConfigError(f"name must be a string, got {self.name!r}")
+        for name in _LIST_FIELDS:
+            if not isinstance(getattr(self, name), (list, tuple)):
+                raise ConfigError(f"{name} must be a list, got {getattr(self, name)!r}")
         object.__setattr__(self, "truth_step", tuple(self.truth_step))
         object.__setattr__(self, "dictionary", tuple(self.dictionary))
         object.__setattr__(self, "x0", tuple(_real("x0", v) for v in self.x0))

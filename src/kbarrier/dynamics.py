@@ -1,12 +1,17 @@
-"""Expression maps, trajectory data matrices and the data-driven closed loop.
+"""Expression maps, recorded trajectories and the data-driven closed loop.
 
 A single persistently-exciting state trajectory is enough to reproduce the
 dynamics exactly when the dictionary spans the true nonlinearities: with
-data matrices X0, X1 and D0 (dictionary values along the trajectory) and a
-right inverse Q of D0, the map  x+ = X1 @ Q @ dict(x)  agrees with the
-unknown system everywhere, not just on the recorded samples.  Everything
-downstream (training data, symbolic composition, verification) is built on
-that reconstruction; the truth map is used only to record the trajectory.
+data matrices X0, X1 (the states x(0)..x(T-1) and x(1)..x(T) as columns),
+D0 (the dictionary along X0) and a right inverse Q of D0, the map
+x+ = X1 @ Q @ dict(x)  agrees with the unknown system everywhere, not just
+on the recorded samples.  Everything downstream (training data, symbolic
+composition, verification) is built on that reconstruction; the truth map is
+used only to record the trajectory.
+
+A trajectory is its (T+1) x n array of states.  `build_model` forms X0, X1
+and D0 from it and the dictionary it is given, so the dictionary that lifts
+the data is always the one the model evaluates.
 
 A linear system x+ = A x is the same construction over the identity
 dictionary x0..x{n-1}: X1 @ Q is then the recovered A, and the k-step map
@@ -24,8 +29,8 @@ import numpy as np
 from .expr import Expr, Tape, Var, lin_comb, max_var_index, substitute
 
 __all__ = [
-    "ExprMap", "TrajectoryData", "DataDrivenModel", "RankDeficientData",
-    "rollout", "collect_trajectory", "trajectory_from_states", "build_model",
+    "ExprMap", "DataDrivenModel", "RankDeficientData",
+    "rollout", "collect_trajectory", "build_model",
     "states_to_csv", "trajectory_from_csv",
 ]
 
@@ -73,39 +78,8 @@ class ExprMap:
         return np.column_stack(cols)
 
 
-@dataclass(frozen=True, eq=False)
-class TrajectoryData:
-    """One recorded rollout: states x(0)..x(T), of which X0 and X1 are views, and D0."""
-
-    states: np.ndarray  # (T+1) x n, one state per row
-    D0: np.ndarray  # N x T
-
-    def __post_init__(self):
-        object.__setattr__(self, "states", np.asarray(self.states, dtype=float))
-        object.__setattr__(self, "D0", np.asarray(self.D0, dtype=float))
-        if self.D0.shape[1] != self.T:
-            raise ValueError("dictionary data must have one column per sample")
-
-    @property
-    def X0(self) -> np.ndarray:  # n x T
-        return self.states[:-1].T
-
-    @property
-    def X1(self) -> np.ndarray:  # n x T
-        return self.states[1:].T
-
-    @property
-    def n(self) -> int:
-        return self.states.shape[1]
-
-    @property
-    def T(self) -> int:
-        return self.states.shape[0] - 1
-
-
-def trajectory_from_states(states: Sequence[Sequence[float]],
-                           dictionary: ExprMap) -> TrajectoryData:
-    """Data matrices from a recorded state sequence x(0)..x(T), one state per row."""
+def _checked_states(states: Sequence[Sequence[float]], dictionary: ExprMap) -> np.ndarray:
+    """A recorded state sequence x(0)..x(T), one state per row, as a checked array."""
     if len({np.size(row) for row in states}) > 1:
         raise ValueError("states have differing numbers of components (ragged rows)")
     states = np.asarray(states, dtype=float)
@@ -122,7 +96,7 @@ def trajectory_from_states(states: Sequence[Sequence[float]],
         raise ValueError(
             f"insufficient samples for rank condition: T={T} < N={dictionary.size}"
         )
-    return TrajectoryData(states=states, D0=dictionary.eval_batch(states[:T]).T)
+    return states
 
 
 def rollout(step: Callable[[np.ndarray], np.ndarray], x0: np.ndarray, steps: int) -> np.ndarray:
@@ -142,14 +116,14 @@ def rollout(step: Callable[[np.ndarray], np.ndarray], x0: np.ndarray, steps: int
 
 
 def collect_trajectory(truth: ExprMap, dictionary: ExprMap,
-                       x0: Sequence[float], T: int) -> TrajectoryData:
-    """Roll the truth map T steps from x0 and record the states and D0."""
+                       x0: Sequence[float], T: int) -> np.ndarray:
+    """Roll the truth map T steps from x0 and record the states, checked for `dictionary`."""
     if truth.size != truth.n:
         raise ValueError("truth map needs one step expression per dimension")
     x = np.asarray(x0, dtype=float)
     if x.shape != (truth.n,):
         raise ValueError("initial state dimension mismatch")
-    return trajectory_from_states(rollout(truth.eval, x, T), dictionary)
+    return _checked_states(rollout(truth.eval, x, T), dictionary)
 
 
 def _right_inverse(data: np.ndarray) -> tuple[np.ndarray, float]:
@@ -232,10 +206,14 @@ class DataDrivenModel:
         return fk
 
 
-def build_model(trajectory: TrajectoryData, dictionary: ExprMap) -> DataDrivenModel:
-    """Construct the data-driven model; fails loudly if D0 is rank deficient."""
-    Q, sigma_min = _right_inverse(trajectory.D0)
-    return DataDrivenModel(coeff=trajectory.X1 @ Q, dictionary=dictionary, sigma_min=sigma_min)
+def build_model(states: Sequence[Sequence[float]], dictionary: ExprMap) -> DataDrivenModel:
+    """The data-driven model of the recorded states x(0)..x(T) over `dictionary`.
+
+    D0 is the dictionary along x(0)..x(T-1); fails loudly if it is rank deficient.
+    """
+    states = _checked_states(states, dictionary)
+    Q, sigma_min = _right_inverse(dictionary.eval_batch(states[:-1]).T)
+    return DataDrivenModel(coeff=states[1:].T @ Q, dictionary=dictionary, sigma_min=sigma_min)
 
 
 # ---------------------------------------------------------------------------
@@ -252,13 +230,13 @@ def states_to_csv(states: Sequence[Sequence[float]], path) -> None:
             writer.writerow([repr(float(v)) for v in row])
 
 
-def trajectory_from_csv(path, dictionary: ExprMap) -> TrajectoryData:
-    """Rebuild the data matrices from an externally recorded state sequence."""
+def trajectory_from_csv(path, dictionary: ExprMap) -> np.ndarray:
+    """An externally recorded state sequence, checked as `build_model` checks it."""
     with open(path, newline="") as fh:
         rows = [r for r in csv.reader(fh) if r]
     if rows and not _is_numeric_row(rows[0]):
         rows = rows[1:]
-    return trajectory_from_states([[float(v) for v in row] for row in rows], dictionary)
+    return _checked_states([[float(v) for v in row] for row in rows], dictionary)
 
 
 def _is_numeric_row(row: list[str]) -> bool:

@@ -28,6 +28,10 @@ row indices of its samples in X_I and X_U.  Biases and output weights are
 tiled to full (m, h) arrays once per epoch (`_rows`), so no element-wise step
 broadcasts a row at a time.  Each of these gives the same bits as the plain
 formulation; the tests compare against it.
+
+A `DatasetTriple` also carries the `KBCSpec` its k-step rows were built for,
+and the loss reads k, epsilon and lambda from it.  `evolve` computes the
+evolved rows for `sample_dataset` and for the rows `cegis.augment` appends.
 """
 
 from __future__ import annotations
@@ -45,8 +49,8 @@ from .verifier import KBCSpec, SafetySpec
 
 __all__ = [
     "ACTIVATIONS", "NetworkParams", "NetworkGradient", "DatasetTriple", "TrainConfig",
-    "TrainingDiverged", "mixed_sin_cos", "init_params", "sample_dataset", "loss", "gradient",
-    "train",
+    "TrainingDiverged", "mixed_sin_cos", "init_params", "evolve", "sample_dataset", "loss",
+    "gradient", "train",
 ]
 
 # each activation kind: its expression builder, and its elementwise function
@@ -258,21 +262,24 @@ class TrainConfig:
 class DatasetTriple:
     """Sampled states with their 1-step and k-step data-driven evolutions.
 
-    `idx_init` and `idx_unsafe` are the row indices of the samples in X_I
-    and X_U, derived from S and `spec` at construction (and so again by
-    `dataclasses.replace`).
+    `S_kplus` is built for the horizon `kbc.k`.  `idx_init` and `idx_unsafe`
+    are the row indices of the samples in X_I and X_U, derived from S and
+    `spec` at construction (and so again by `dataclasses.replace`).
     """
 
     S: np.ndarray
     S_plus: np.ndarray
     S_kplus: np.ndarray
     spec: SafetySpec
+    kbc: KBCSpec
     idx_init: np.ndarray = field(init=False, repr=False)
     idx_unsafe: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         for name in ("S", "S_plus", "S_kplus"):
             object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float))
+        if self.S.ndim != 2 or self.S.shape[1] != self.spec.n:
+            raise ValueError(f"S has shape {self.S.shape}; the spec needs (m, {self.spec.n})")
         if self.S_plus.shape != self.S.shape or self.S_kplus.shape != self.S.shape:
             raise ValueError("evolution arrays must match the sample array")
         object.__setattr__(self, "idx_init", np.flatnonzero(self.spec.X_I.contains(self.S)))
@@ -281,6 +288,18 @@ class DatasetTriple:
     @property
     def size(self) -> int:
         return self.S.shape[0]
+
+
+def evolve(model: DataDrivenModel, states: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """The 1-step and k-step (k >= 1) images of `states` under `model`.
+
+    The k-step image continues from the 1-step one: the bits of
+    `model.k_step_batch(states, k)`, with one step fewer.
+    """
+    plus = kplus = model.step_batch(states)
+    for _ in range(k - 1):
+        kplus = model.step_batch(kplus)
+    return plus, kplus
 
 
 def sample_dataset(spec: SafetySpec, model: DataDrivenModel, kbc: KBCSpec,
@@ -300,9 +319,8 @@ def sample_dataset(spec: SafetySpec, model: DataDrivenModel, kbc: KBCSpec,
         spec.X_I.sample(rng, quota),
         spec.X_U.sample(rng, quota),
     ])
-    S_plus = model.step_batch(S)
-    S_kplus = model.k_step_batch(S, kbc.k)
-    return DatasetTriple(S=S, S_plus=S_plus, S_kplus=S_kplus, spec=spec)
+    S_plus, S_kplus = evolve(model, S, kbc.k)
+    return DatasetTriple(S=S, S_plus=S_plus, S_kplus=S_kplus, spec=spec, kbc=kbc)
 
 
 def _column_sums(t: np.ndarray) -> np.ndarray:
@@ -318,15 +336,14 @@ def _column_sums(t: np.ndarray) -> np.ndarray:
     return np.add.reduce(t, 0)
 
 
-def _evaluate(params: NetworkParams, data: DatasetTriple, kbc: KBCSpec,
-              cfg: TrainConfig) -> NetworkGradient:
+def _evaluate(params: NetworkParams, data: DatasetTriple, cfg: TrainConfig) -> NetworkGradient:
     """The training pass: loss, breakdown and gradient (hinge subgradient at 0 is 0).
 
     Each hinge term is the mean of max(arg, 0) over the rows its argument is
     taken at.  The arguments are written here once, and each one's size is
     the normaliser of both its term and its dL/dB coefficients.
     """
-    idx_i, idx_u = data.idx_init, data.idx_unsafe
+    idx_i, idx_u, kbc = data.idx_init, data.idx_unsafe, data.kbc
     if not idx_i.size or not idx_u.size:
         raise ValueError("region mask empty; increase quota sampling")
     m = data.size
@@ -363,21 +380,19 @@ def _evaluate(params: NetworkParams, data: DatasetTriple, kbc: KBCSpec,
     return NetworkGradient(flat=flat, loss=float(sum(breakdown)), breakdown=breakdown)
 
 
-def loss(params: NetworkParams, data: DatasetTriple, kbc: KBCSpec,
+def loss(params: NetworkParams, data: DatasetTriple,
          cfg: TrainConfig) -> tuple[float, tuple[float, float, float, float]]:
     """Total hinge loss and its four-term breakdown."""
-    g = _evaluate(params, data, kbc, cfg)
+    g = _evaluate(params, data, cfg)
     return g.loss, g.breakdown
 
 
-def gradient(params: NetworkParams, data: DatasetTriple, kbc: KBCSpec,
-             cfg: TrainConfig) -> NetworkGradient:
+def gradient(params: NetworkParams, data: DatasetTriple, cfg: TrainConfig) -> NetworkGradient:
     """Analytic gradient of the total loss, with the loss and its breakdown."""
-    return _evaluate(params, data, kbc, cfg)
+    return _evaluate(params, data, cfg)
 
 
-def train(p0: NetworkParams, data: DatasetTriple, kbc: KBCSpec,
-          cfg: TrainConfig) -> NetworkParams:
+def train(p0: NetworkParams, data: DatasetTriple, cfg: TrainConfig) -> NetworkParams:
     """Full-batch Adam; returns the parameters with the lowest observed loss.
 
     Adam runs on one flat vector theta = `p0.flat()`, with its first and
@@ -427,7 +442,7 @@ def train(p0: NetworkParams, data: DatasetTriple, kbc: KBCSpec,
 
     with np.errstate(over="ignore", invalid="ignore"):
         for t in range(1, cfg.epochs + 1):
-            g = gradient(current(), data, kbc, cfg)
+            g = gradient(current(), data, cfg)
             if not math.isfinite(g.loss):
                 raise TrainingDiverged(f"non-finite loss at epoch {t - 1}")
             if g.loss < best_loss:
@@ -441,7 +456,7 @@ def train(p0: NetworkParams, data: DatasetTriple, kbc: KBCSpec,
             m_hat = mom / (1.0 - beta1 ** t)
             v_hat = sec / (1.0 - beta2 ** t)
             theta -= lr * m_hat / (np.sqrt(v_hat) + eps)
-        total, _ = loss(current(), data, kbc, cfg)
+        total, _ = loss(current(), data, cfg)
     if not math.isfinite(total):
         raise TrainingDiverged(f"non-finite loss at epoch {cfg.epochs}")
     if total < best_loss:

@@ -16,7 +16,7 @@ import pytest
 from kbarrier import (
     Box, KBCSpec, TrainConfig, VerificationTask,
     build_model, check_point, eval_interval, eval_point, gradient,
-    init_params, loss, run, trajectory_from_states, verify,
+    init_params, loss, run, verify,
 )
 from kbarrier.expr import Add, Const, Mul, Neg, Pow, Sub, Tape, Var, parse_expr
 from kbarrier.verifier import SafetySpec
@@ -66,7 +66,7 @@ def test_criterion_2_linear_recovery():
         for _ in range(n + 1):
             states.append(A @ states[-1])
         dictionary = helpers.identity_dictionary(n)
-        model = build_model(trajectory_from_states(states, dictionary), dictionary)
+        model = build_model(states, dictionary)
         worst = max(worst, float(np.abs(model.coeff - A).max()))
     elapsed = time.perf_counter() - t0
     ok = worst <= 1e-8 and elapsed < 1.0
@@ -311,16 +311,16 @@ def test_criterion_7_gradient_correctness():
     worst = 0.0
     while checked < 20:
         seed += 1
-        data = manual_triple(spec, np.random.default_rng(seed))
+        data = manual_triple(spec, np.random.default_rng(seed), kbc=kbc)
         net = init_params(2, 3, ("square", "sin", "cos"), seed=seed)
-        if _near_kink(net, data, kbc, cfg, 1e-3):
+        if _near_kink(net, data, cfg, 1e-3):
             continue
-        analytic = gradient(net, data, kbc, cfg).flat
+        analytic = gradient(net, data, cfg).flat
         flat = net.flat()
         for idx, unit in enumerate(np.eye(flat.size)):
             plus = net.with_flat(flat + step * unit)
             minus = net.with_flat(flat - step * unit)
-            fd = (loss(plus, data, kbc, cfg)[0] - loss(minus, data, kbc, cfg)[0]) / (2 * step)
+            fd = (loss(plus, data, cfg)[0] - loss(minus, data, cfg)[0]) / (2 * step)
             scale = max(abs(fd), abs(analytic[idx]), 1.0)
             worst = max(worst, abs(analytic[idx] - fd) / scale)
         checked += 1

@@ -58,25 +58,28 @@ class TestAugment:
 
     def test_corner_witness_clipped(self):
         spec, model, kbc, cfg, data = self._data()
-        grown = augment(data, [1.0, -1.0], cfg, model, kbc, seed=3)
+        grown = augment(data, [1.0, -1.0], cfg, model, seed=3)
         new_rows = grown.S[data.size:]
         assert np.all(new_rows >= spec.X.lo()) and np.all(new_rows <= spec.X.hi())
 
     def test_grows_by_exactly_cex_points_plus_one(self):
         _, model, kbc, cfg, data = self._data()
-        grown = augment(data, [0.0, 0.0], cfg, model, kbc, seed=4)
+        grown = augment(data, [0.0, 0.0], cfg, model, seed=4)
         assert grown.size == data.size + 21
 
     def test_appended_rows_follow_the_model(self):
         _, model, kbc, cfg, data = self._data()
-        grown = augment(data, [0.3, 0.2], cfg, model, kbc, seed=5)
+        grown = augment(data, [0.3, 0.2], cfg, model, seed=5)
         tail = slice(data.size, None)
         assert grown.S_plus[tail] == pytest.approx(model.step_batch(grown.S[tail]), abs=1e-14)
+        # the grown dataset keeps the horizon its k-step rows are built for
+        assert grown.kbc is data.kbc is kbc
+        assert np.array_equal(grown.S_kplus[tail], model.k_step_batch(grown.S[tail], kbc.k))
 
     def test_witness_outside_x_rejected(self):
         _, model, kbc, cfg, data = self._data()
         with pytest.raises(ValueError, match="outside the state space"):
-            augment(data, [2.0, 0.0], cfg, model, kbc, seed=6)
+            augment(data, [2.0, 0.0], cfg, model, seed=6)
 
 
 class TestRunToy:
@@ -139,9 +142,9 @@ class TestRunToy:
         start = init_params(2, 2, ("square", "square"), 7)
         report = run(spec, model, kbc, start, replace(cfg, max_iterations=1))
         data = sample_dataset(spec, model, kbc, cfg.samples, 0)
-        assert report.records[0].loss_start == loss(start, data, kbc, cfg.train)[0]
+        assert report.records[0].loss_start == loss(start, data, cfg.train)[0]
         reseeded = init_params(2, 2, ("square", "square"), 0)
-        assert report.records[0].loss_start != loss(reseeded, data, kbc, cfg.train)[0]
+        assert report.records[0].loss_start != loss(reseeded, data, cfg.train)[0]
 
     def test_replay_is_bitwise(self):
         spec, model, kbc, cfg = toy_setup()

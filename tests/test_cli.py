@@ -110,8 +110,8 @@ class TestSimulate:
         assert main(["simulate", "polynomial", "--steps", "10", "--output", str(out)]) == 0
         _, _, dictionary, _, _ = polynomial
         trajectory = trajectory_from_csv(out, dictionary)
-        assert trajectory.X0.shape[1] == 10
-        assert np.isfinite(trajectory.X1).all()
+        assert trajectory.shape == (11, 2)
+        assert np.isfinite(trajectory).all()
 
     @pytest.mark.parametrize("command, flag, value", [
         ("simulate", "--steps", "-3"), ("simulate", "--steps", "-1"),
@@ -357,6 +357,9 @@ class TestConfigValidation:
         # shape errors name the field
         ("state_space", [[-2, 2, 3], [-2, 2]]), ("initial_region", [[1.0, 1.4], 2.0]),
         ("unsafe_region", [[2.5], [2.5, 3.0]]), ("truth_step", []), ("dictionary", []),
+        # a list field given a scalar or a string, and a name that is not a string
+        ("x0", 5), ("eta", 0.1), ("state_space", 3), ("truth_step", "(var 0)"),
+        ("dictionary", "(var 0)"), ("activations", "square"), ("name", 5),
     ])
     def test_out_of_range_rejected_at_load(self, field, value):
         with pytest.raises(ConfigError, match=field):

@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 from kbarrier import (
-    Box, ExprMap, RankDeficientData, TrajectoryData,
-    build_model, collect_trajectory, trajectory_from_csv, trajectory_from_states,
+    Box, ExprMap, RankDeficientData, build_model, collect_trajectory, trajectory_from_csv,
 )
 from kbarrier.dynamics import DataDrivenModel, _right_inverse, states_to_csv
 from kbarrier.expr import Const, Tape, Var, eval_interval, eval_point, lin_comb, substitute
@@ -18,27 +17,22 @@ X1, X2 = Var(0), Var(1)
 class TestCollectTrajectory:
     def test_nonlinear_study_first_columns(self, highly_nonlinear):
         config, truth, dictionary, trajectory, _ = highly_nonlinear
-        assert trajectory.X0[:, 0] == pytest.approx([0.5, -1.0])
-        assert trajectory.X1[:, 0] == pytest.approx(truth.eval([0.5, -1.0]))
-
-    def test_data_matrices_are_views_of_the_states(self, highly_nonlinear):
-        _, _, _, trajectory, _ = highly_nonlinear
-        assert np.shares_memory(trajectory.X0, trajectory.states)
-        assert np.shares_memory(trajectory.X1, trajectory.states)
-        assert np.array_equal(trajectory.X0, trajectory.states[:-1].T)
-        assert np.array_equal(trajectory.X1, trajectory.states[1:].T)
+        assert trajectory[0] == pytest.approx([0.5, -1.0])
+        assert trajectory[1] == pytest.approx(truth.eval([0.5, -1.0]))
 
     def test_constant_dictionary_row(self):
+        # D0 = [[1, 0.5], [1, 1]] is invertible; the constant term gets no weight
         truth = ExprMap((Const(0.5) * Var(0),), 1)
         dictionary = ExprMap((Var(0), Const(1.0)), 1)
         trajectory = collect_trajectory(truth, dictionary, [1.0], T=2)
-        assert np.all(trajectory.D0[1] == 1.0)
+        model = build_model(trajectory, dictionary)
+        assert model.coeff == pytest.approx(np.array([[0.5, 0.0]]), abs=1e-15)
 
     def test_polynomial_shift_consistency(self, polynomial):
-        _, _, _, trajectory, _ = polynomial
-        assert trajectory.T == 6
-        for i in range(trajectory.T - 1):
-            assert trajectory.X1[:, i] == pytest.approx(trajectory.X0[:, i + 1], abs=0)
+        _, truth, _, trajectory, _ = polynomial
+        assert trajectory.shape == (7, 2)
+        for i in range(6):
+            assert np.array_equal(trajectory[i + 1], truth.eval(trajectory[i]))
 
     def test_too_few_samples(self, polynomial):
         _, truth, dictionary, _, _ = polynomial
@@ -76,17 +70,21 @@ class TestExprMap:
 
 class TestBuildModel:
     def test_identity_dictionary_data(self):
-        dictionary = ExprMap((X1, X2, X1 * X2), 2)
-        trajectory = TrajectoryData(states=np.arange(8.0).reshape(4, 2), D0=np.eye(3))
-        Q, _ = _right_inverse(trajectory.D0)
+        # the dictionary maps x(0), x(1), x(2) to the unit vectors: D0 = I, coeff = X1
+        dictionary = ExprMap((X1, X2, Const(1.0) - X1 - X2), 2)
+        states = np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 0.0], [2.0, -3.0]])
+        D0 = dictionary.eval_batch(states[:-1]).T
+        assert np.array_equal(D0, np.eye(3))
+        Q, _ = _right_inverse(D0)
         assert np.allclose(Q, np.eye(3), atol=1e-12)
-        model = build_model(trajectory, dictionary)
-        assert np.allclose(model.coeff, trajectory.X1, atol=1e-12)
+        model = build_model(states, dictionary)
+        assert np.allclose(model.coeff, states[1:].T, atol=1e-12)
 
     def test_polynomial_residual_contract(self, polynomial):
-        _, _, _, trajectory, _ = polynomial
-        Q, _ = _right_inverse(trajectory.D0)
-        residual = np.abs(trajectory.D0 @ Q - np.eye(5)).max()
+        _, _, dictionary, trajectory, _ = polynomial
+        D0 = dictionary.eval_batch(trajectory[:-1]).T
+        Q, _ = _right_inverse(D0)
+        residual = np.abs(D0 @ Q - np.eye(5)).max()
         assert residual <= 1e-8
 
     def test_random_full_rank_residual(self):
@@ -98,12 +96,34 @@ class TestBuildModel:
             assert np.abs(D0 @ Q - np.eye(4)).max() <= 1e-8
 
     def test_rank_deficient_rejected(self):
-        row = np.linspace(0.0, 1.0, 5)
-        D0 = np.vstack([row, 2.0 * row])
-        trajectory = TrajectoryData(states=np.zeros((6, 1)), D0=D0)
-        dictionary = ExprMap((Var(0), Var(0) ** 2), 1)
+        # the terms x and 2x make D0's second row twice its first
+        states = np.linspace(0.0, 1.0, 6)[:, None]
+        dictionary = ExprMap((Var(0), Const(2.0) * Var(0)), 1)
         with pytest.raises(RankDeficientData, match="persistency of excitation"):
-            build_model(trajectory, dictionary)
+            build_model(states, dictionary)
+
+    def test_the_given_dictionary_lifts_the_data(self, pendulum):
+        # pendulum's trajectory under its dictionary with sin and cos swapped:
+        # the model follows the order it is given and still reproduces the truth
+        _, truth, dictionary, trajectory, _ = pendulum
+        x1, x2, sin_x1, cos_x1 = dictionary.exprs
+        swapped = ExprMap((x1, x2, cos_x1, sin_x1), 2)
+        model = build_model(trajectory, swapped)
+        assert np.abs(model.step([0.3, -0.2]) - truth.eval([0.3, -0.2])).max() <= 1e-8
+        pts = np.random.default_rng(0).uniform(-2, 2, size=(1000, 2))
+        assert np.abs(model.step_batch(pts) - truth.eval_batch(pts)).max() <= 1e-8
+
+    @pytest.mark.parametrize("states, message", [
+        ([[0.0, 1.0], [1.0], [2.0, 0.0]], "ragged rows"),
+        ([[0.0, 1.0]], "at least two states"),
+        (np.zeros((6, 3)), "state component count"),
+        ([[0.0, 1.0]] * 3 + [[np.inf, 0.0]] * 3, "state 3 has a non-finite component 0"),
+        (np.eye(2), "insufficient samples for rank condition: T=1 < N=4"),
+    ])
+    def test_states_are_checked(self, pendulum, states, message):
+        _, _, dictionary, _, _ = pendulum
+        with pytest.raises(ValueError, match=message):
+            build_model(states, dictionary)
 
 
 class TestStep:
@@ -119,7 +139,7 @@ class TestStep:
 
     def test_replays_training_column(self, highly_nonlinear):
         _, _, _, trajectory, model = highly_nonlinear
-        assert model.step([0.5, -1.0]) == pytest.approx(trajectory.X1[:, 0], abs=1e-9)
+        assert model.step([0.5, -1.0]) == pytest.approx(trajectory[1], abs=1e-9)
 
 
 class TestKStep:
@@ -207,8 +227,7 @@ class TestSymbolicStep:
 
 def linear_model(states) -> DataDrivenModel:
     """x+ = A x from recorded states: build_model over the identity dictionary."""
-    dictionary = identity_dictionary(np.shape(states)[1])
-    return build_model(trajectory_from_states(states, dictionary), dictionary)
+    return build_model(states, identity_dictionary(np.shape(states)[1]))
 
 
 def rollout(A, x, steps):
@@ -221,8 +240,7 @@ def rollout(A, x, steps):
 class TestLinearModel:
     def test_scalar_recovery(self):
         # x+ = 0.9 x, two samples from x0 = 1
-        trajectory = trajectory_from_states([[1.0], [0.9], [0.81]], identity_dictionary(1))
-        model = build_model(trajectory, identity_dictionary(1))
+        model = build_model([[1.0], [0.9], [0.81]], identity_dictionary(1))
         assert model.coeff[0, 0] == pytest.approx(0.9, abs=1e-10)
 
     def test_random_recovery(self):
@@ -232,14 +250,12 @@ class TestLinearModel:
             A = rng.uniform(-1, 1, (2, 2))
             A *= 0.9 / max(np.abs(np.linalg.eigvals(A)).max(), 1e-3)
             states = rollout(A, rng.uniform(-1, 1, 2), 3)
-            dictionary = identity_dictionary(2)
-            model = build_model(trajectory_from_states(states, dictionary), dictionary)
+            model = build_model(states, identity_dictionary(2))
             assert np.abs(model.coeff - A).max() <= 1e-8
 
     def test_zero_trajectory_rejected(self):
-        dictionary = identity_dictionary(2)
         with pytest.raises(RankDeficientData):
-            build_model(trajectory_from_states(np.zeros((4, 2)), dictionary), dictionary)
+            build_model(np.zeros((4, 2)), identity_dictionary(2))
 
     def test_k_step_base(self):
         model = linear_model([[1.0, 0.0], [0.5, 1.0], [0.25, 1.0]])
@@ -288,7 +304,7 @@ class TestModelInvariants:
         dictionary = identity_dictionary(2)
         truth = ExprMap(tuple(lin_comb(A[i], (X1, X2)) for i in range(2)), 2)
         simulated = build_model(collect_trajectory(truth, dictionary, x, 3), dictionary)
-        recorded = build_model(trajectory_from_states(rollout(A, x, 3), dictionary), dictionary)
+        recorded = build_model(rollout(A, x, 3), dictionary)
         assert np.abs(simulated.coeff - recorded.coeff).max() <= 1e-10
         assert np.abs(recorded.coeff - A).max() <= 1e-10
 
@@ -308,10 +324,8 @@ class TestCsvRoundTrip:
     def test_round_trip(self, polynomial, tmp_path):
         _, _, dictionary, trajectory, _ = polynomial
         path = tmp_path / "traj.csv"
-        states_to_csv(trajectory.states, path)
-        back = trajectory_from_csv(path, dictionary)
-        assert np.array_equal(back.states, trajectory.states)
-        assert np.array_equal(back.D0, trajectory.D0)
+        states_to_csv(trajectory, path)
+        assert np.array_equal(trajectory_from_csv(path, dictionary), trajectory)
 
     def test_import_validation(self, polynomial, tmp_path):
         _, _, dictionary, _, _ = polynomial

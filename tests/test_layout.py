@@ -4,6 +4,7 @@ attributes the traced benchmark run (bench/tracing.py) wraps."""
 import ast
 import importlib
 import pkgutil
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -75,13 +76,37 @@ def test_loss_makes_no_call_to_the_module_level_gradient(monkeypatch):
         return real(*args)
 
     monkeypatch.setattr(learner, "gradient", counted)
+    params = learner.init_params(2, 3, ("square", "sin", "cos"), seed=0)
+    total, breakdown = learner.loss(params, _toy_data(), learner.TrainConfig(eta1=0.1))
+    assert calls[0] == 0
+    assert total == sum(breakdown) > 0.0
+
+
+def test_train_calls_the_module_level_gradient_once_per_epoch(monkeypatch):
+    # the traced run wraps learner.gradient and reads `data.size` from its
+    # second positional argument to count the epochs and rows of a training
+    learner = kbarrier.learner
+    seen = []
+    real = learner.gradient
+
+    def recording(*args, **kwargs):
+        seen.append((args, kwargs))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(learner, "gradient", recording)
+    data = _toy_data()
+    # S_kplus = S makes the k-step hinge eta4 > 0 for every candidate
+    data = replace(data, S_kplus=data.S)
+    cfg = learner.TrainConfig(eta4=0.01, epochs=7)
+    learner.train(learner.init_params(2, 3, ("square", "sin", "cos"), seed=0), data, cfg)
+    assert len(seen) == cfg.epochs
+    assert all(args[1] is data and not kwargs for args, kwargs in seen)
+
+
+def _toy_data():
     spec = kbarrier.SafetySpec(X=kbarrier.Box.from_bounds([(-2, 2)] * 2),
                                X_I=kbarrier.Box.from_bounds([(0.5, 1.5)] * 2),
                                X_U=kbarrier.Box.from_bounds([(-1.5, -0.5)] * 2))
     S = np.array([[1.0, 1.0], [-1.0, -1.0], [0.0, 1.9]])
-    data = learner.DatasetTriple(S=S, S_plus=0.9 * S, S_kplus=0.5 * S, spec=spec)
-    params = learner.init_params(2, 3, ("square", "sin", "cos"), seed=0)
-    total, breakdown = learner.loss(params, data, kbarrier.KBCSpec(k=2, epsilon=0.1),
-                                    learner.TrainConfig(eta1=0.1))
-    assert calls[0] == 0
-    assert total == sum(breakdown) > 0.0
+    return kbarrier.learner.DatasetTriple(S=S, S_plus=0.9 * S, S_kplus=0.5 * S, spec=spec,
+                                          kbc=kbarrier.KBCSpec(k=2, epsilon=0.1))

@@ -1,6 +1,7 @@
 """Forward pass, loss arithmetic, analytic gradients and training behaviour."""
 
 import math
+import re
 import warnings
 from dataclasses import replace
 
@@ -12,6 +13,7 @@ from kbarrier import (
     Box, DatasetTriple, KBCSpec, NetworkParams, SafetySpec, TrainConfig, TrainingDiverged,
     augment, eval_point, gradient, init_params, loss, mixed_sin_cos, sample_dataset, train,
 )
+from kbarrier.learner import evolve
 from kbarrier.learner import ACTIVATIONS, _activate
 from kbarrier.expr import Const, Pow, Sin, Cos, Exp
 from kbarrier.expr import _children  # structural walk for the export test
@@ -79,7 +81,7 @@ def toy_spec() -> SafetySpec:
 
 
 def manual_triple(spec: SafetySpec, rng: np.random.Generator, m: int = 40,
-                  drift: float = 0.05) -> DatasetTriple:
+                  drift: float = 0.05, kbc: KBCSpec = KBCSpec(k=2, epsilon=0.1)) -> DatasetTriple:
     """Hand-built dataset with a synthetic shift standing in for the dynamics."""
     S = np.vstack([
         spec.X.sample(rng, m),
@@ -88,7 +90,7 @@ def manual_triple(spec: SafetySpec, rng: np.random.Generator, m: int = 40,
     ])
     S_plus = S + drift
     S_kplus = S + 2 * drift
-    return DatasetTriple(S=S, S_plus=S_plus, S_kplus=S_kplus, spec=spec)
+    return DatasetTriple(S=S, S_plus=S_plus, S_kplus=S_kplus, spec=spec, kbc=kbc)
 
 
 def region_masks(data):
@@ -96,8 +98,9 @@ def region_masks(data):
     return data.spec.X_I.contains(data.S), data.spec.X_U.contains(data.S)
 
 
-def reference_loss(params, data, kbc, cfg):
+def reference_loss(params, data, cfg):
     """Straight-line re-evaluation of the four-term hinge loss."""
+    kbc = data.kbc
     relu = lambda t: max(t, 0.0)
     in_init, in_unsafe = region_masks(data)
     li = lu = l1 = lk = 0.0
@@ -128,10 +131,11 @@ def reference_activate(z, activations):
     return g, gp
 
 
-def reference_gradient(params, data, kbc, cfg):
+def reference_gradient(params, data, cfg):
     """Straight-line gradient and loss: a separate forward pass per site for
     the loss and again for the gradient, with the same operations in the
     same order as `gradient`, so the results must agree bit for bit."""
+    kbc = data.kbc
     W, bias, v, c = params.weights, params.biases, params.out_weights, params.out_bias
     acts = params.activations
     B_s = reference_activate(data.S @ W.T + bias, acts)[0] @ v + c
@@ -174,14 +178,15 @@ def cube_spec(n: int) -> SafetySpec:
                       X_U=Box.from_bounds([(-1.5, -0.5)] * n))
 
 
-def region_triple(spec: SafetySpec, rng: np.random.Generator, others: int) -> DatasetTriple:
+def region_triple(spec: SafetySpec, rng: np.random.Generator, others: int,
+                  kbc: KBCSpec) -> DatasetTriple:
     """Exactly one sample in each of X_I and X_U, plus `others` outside both."""
     S = spec.X.sample(rng, 4 * others + 8)
     in_i = np.all((S >= spec.X_I.lo()) & (S <= spec.X_I.hi()), axis=1)
     in_u = np.all((S >= spec.X_U.lo()) & (S <= spec.X_U.hi()), axis=1)
     S = np.vstack([S[~in_i & ~in_u][:others], spec.X_I.sample(rng, 1), spec.X_U.sample(rng, 1)])
     drift = rng.normal(0.0, 0.1, S.shape[1])
-    return DatasetTriple(S=S, S_plus=S + drift, S_kplus=S + 3 * drift, spec=spec)
+    return DatasetTriple(S=S, S_plus=S + drift, S_kplus=S + 3 * drift, spec=spec, kbc=kbc)
 
 
 class TestForward:
@@ -243,10 +248,10 @@ class TestLoss:
     def test_frozen_negative_constant(self):
         # B = -1, k=2, eps=0.1, eta=(0.1, 0.001, 0, 0)
         spec = toy_spec()
-        data = manual_triple(spec, np.random.default_rng(1))
         kbc = KBCSpec(k=2, epsilon=0.1)
+        data = manual_triple(spec, np.random.default_rng(1), kbc=kbc)
         cfg = TrainConfig(eta1=0.1, eta2=0.001)
-        total, parts = loss(constant_net(-1.0), data, kbc, cfg)
+        total, parts = loss(constant_net(-1.0), data, cfg)
         assert parts[0] == 0.0
         assert parts[1] == pytest.approx(1.101, abs=1e-12)
         assert parts[2] == 0.0
@@ -255,10 +260,10 @@ class TestLoss:
 
     def test_frozen_positive_constant(self):
         spec = toy_spec()
-        data = manual_triple(spec, np.random.default_rng(2))
         kbc = KBCSpec(k=2, epsilon=0.1)
+        data = manual_triple(spec, np.random.default_rng(2), kbc=kbc)
         cfg = TrainConfig(eta1=0.1, eta2=0.001)
-        _, parts = loss(constant_net(1.0), data, kbc, cfg)
+        _, parts = loss(constant_net(1.0), data, cfg)
         assert parts[0] == pytest.approx(1.1, abs=1e-12)
         assert parts[1] == 0.0
 
@@ -268,26 +273,26 @@ class TestLoss:
         kbc = KBCSpec(k=3, epsilon=0.05)
         cfg = TrainConfig(eta1=0.02, eta2=0.01, eta3=0.005, eta4=0.005)
         for seed in range(5):
-            data = manual_triple(spec, np.random.default_rng(seed))
+            data = manual_triple(spec, np.random.default_rng(seed), kbc=kbc)
             net = init_params(2, 4, mixed_sin_cos(4), seed=seed)
-            total, _ = loss(net, data, kbc, cfg)
-            assert total == pytest.approx(reference_loss(net, data, kbc, cfg), rel=1e-12)
+            total, _ = loss(net, data, cfg)
+            assert total == pytest.approx(reference_loss(net, data, cfg), rel=1e-12)
 
     def test_empty_mask_rejected(self):
         spec = toy_spec()
         S = spec.X_U.sample(np.random.default_rng(0), 10)
-        data = DatasetTriple(S=S, S_plus=S, S_kplus=S, spec=spec)
+        data = DatasetTriple(S=S, S_plus=S, S_kplus=S, spec=spec, kbc=KBCSpec(k=1, epsilon=0.0))
         assert data.idx_init.size == 0 and data.idx_unsafe.size == data.size
         with pytest.raises(ValueError, match="region mask empty"):
-            loss(constant_net(0.0), data, KBCSpec(k=1, epsilon=0.0), TrainConfig())
+            loss(constant_net(0.0), data, TrainConfig())
 
     def test_k1_unsafe_threshold_reduces(self):
         # with k=1 the unsafe hinge is ReLU(-B + eta2)
         spec = toy_spec()
-        data = manual_triple(spec, np.random.default_rng(5))
+        data = manual_triple(spec, np.random.default_rng(5), kbc=KBCSpec(k=1, epsilon=0.7))
         net = init_params(2, 2, ("sin", "cos"), seed=9)
         cfg = TrainConfig(eta2=0.01)
-        _, parts = loss(net, data, KBCSpec(k=1, epsilon=0.7), cfg)
+        _, parts = loss(net, data, cfg)
         b = net.forward_batch(data.S[region_masks(data)[1]])
         expected = np.maximum(-b + 0.01, 0.0).mean()
         assert parts[1] == pytest.approx(expected, rel=1e-12)
@@ -296,14 +301,14 @@ class TestLoss:
 class TestGradient:
     def test_zero_out_weights_structure(self):
         spec = toy_spec()
-        data = manual_triple(spec, np.random.default_rng(6))
         kbc = KBCSpec(k=2, epsilon=0.1)
+        data = manual_triple(spec, np.random.default_rng(6), kbc=kbc)
         cfg = TrainConfig(eta1=0.1, eta2=0.001)
         net = NetworkParams(weights=np.arange(4.0).reshape(2, 2) + 1.0,
                             biases=np.array([0.3, -0.4]),
                             out_weights=np.zeros(2), out_bias=-0.2,
                             activations=("sin", "cos"))
-        g = net.with_flat(gradient(net, data, kbc, cfg).flat)
+        g = net.with_flat(gradient(net, data, cfg).flat)
         assert np.all(g.weights == 0.0) and np.all(g.biases == 0.0)
         # d/dc: indicator means from the two level terms (evolution terms cancel)
         b = -0.2
@@ -319,31 +324,31 @@ class TestGradient:
         seed = 0
         while checked < 20:
             seed += 1
-            data = manual_triple(spec, np.random.default_rng(seed))
+            data = manual_triple(spec, np.random.default_rng(seed), kbc=kbc)
             net = init_params(2, 3, ("square", "sin", "cos"), seed=seed)
-            if _near_kink(net, data, kbc, cfg, 1e-3):
+            if _near_kink(net, data, cfg, 1e-3):
                 continue
-            analytic = gradient(net, data, kbc, cfg).flat
+            analytic = gradient(net, data, cfg).flat
             flat = net.flat()
             for idx, unit in enumerate(np.eye(flat.size)):
                 plus = net.with_flat(flat + step * unit)
                 minus = net.with_flat(flat - step * unit)
-                fd = (loss(plus, data, kbc, cfg)[0] - loss(minus, data, kbc, cfg)[0]) / (2 * step)
+                fd = (loss(plus, data, cfg)[0] - loss(minus, data, cfg)[0]) / (2 * step)
                 scale = max(abs(fd), abs(analytic[idx]), 1.0)
                 assert abs(analytic[idx] - fd) / scale <= 1e-5
             checked += 1
 
     def test_descent_direction(self):
         spec = toy_spec()
-        data = manual_triple(spec, np.random.default_rng(8))
         kbc = KBCSpec(k=2, epsilon=0.1)
+        data = manual_triple(spec, np.random.default_rng(8), kbc=kbc)
         cfg = TrainConfig(eta1=0.1, eta2=0.001)
         net = init_params(2, 4, mixed_sin_cos(4), seed=3)
-        base, _ = loss(net, data, kbc, cfg)
-        g = gradient(net, data, kbc, cfg)
+        base, _ = loss(net, data, cfg)
+        g = gradient(net, data, cfg)
         eta = 1e-4
         moved = net.with_flat(net.flat() - eta * g.flat)
-        assert loss(moved, data, kbc, cfg)[0] < base
+        assert loss(moved, data, cfg)[0] < base
 
 
 class TestSinglePass:
@@ -358,15 +363,15 @@ class TestSinglePass:
         kbc = KBCSpec(k=3, epsilon=0.05)
         cfg = TrainConfig(eta1=0.02, eta2=0.01, eta3=0.005, eta4=0.005)
         for trial in range(3):
-            data = region_triple(spec, rng, others)
+            data = region_triple(spec, rng, others, kbc)
             acts = tuple(str(a) for a in rng.choice(ACTIVATIONS, width))
             net = init_params(n, width, acts, seed=int(rng.integers(1 << 30)))
-            gw, gb, gv, gc, total = reference_gradient(net, data, kbc, cfg)
-            g = gradient(net, data, kbc, cfg)
+            gw, gb, gv, gc, total = reference_gradient(net, data, cfg)
+            g = gradient(net, data, cfg)
             reference = replace(net, weights=gw, biases=gb, out_weights=gv, out_bias=gc)
             assert np.array_equal(g.flat, reference.flat())
             assert g.loss == total
-            assert (g.loss, g.breakdown) == loss(net, data, kbc, cfg)
+            assert (g.loss, g.breakdown) == loss(net, data, cfg)
 
     @pytest.mark.parametrize("width", [1, 4, 8])
     def test_activate_matches_per_column(self, width):
@@ -388,7 +393,8 @@ class TestSinglePass:
         assert np.array_equal(g, g_ref) and np.array_equal(gp, gp_ref)
 
 
-def _near_kink(net, data, kbc, cfg, tol):
+def _near_kink(net, data, cfg, tol):
+    kbc = data.kbc
     b = net.forward_batch(data.S)
     b1 = net.forward_batch(data.S_plus)
     bk = net.forward_batch(data.S_kplus)
@@ -402,7 +408,7 @@ def _near_kink(net, data, kbc, cfg, tol):
     return bool(np.abs(args).min() < tol)
 
 
-def reference_train(p0, data, kbc, cfg):
+def reference_train(p0, data, cfg):
     """Adam over every epoch on the four parameter blocks one by one, with the
     straight-line `reference_gradient` and no early exit; returns the best
     parameters and the first zero-loss epoch."""
@@ -415,7 +421,7 @@ def reference_train(p0, data, kbc, cfg):
         return replace(p0, weights=W, biases=b, out_weights=v, out_bias=c)
 
     for t in range(1, cfg.epochs + 1):
-        *grads, total = reference_gradient(current(), data, kbc, cfg)
+        *grads, total = reference_gradient(current(), data, cfg)
         if total < best_loss:
             best_loss, best = total, (W.copy(), b.copy(), v.copy(), c)
         if total == 0.0 and first_zero is None:
@@ -428,7 +434,7 @@ def reference_train(p0, data, kbc, cfg):
             v_hat = sec[i] / (1.0 - 0.999 ** t)
             new.append(param - cfg.learning_rate * m_hat / (np.sqrt(v_hat) + 1e-8))
         W, b, v, c = new[0], new[1], new[2], float(new[3])
-    if reference_gradient(current(), data, kbc, cfg)[-1] < best_loss:
+    if reference_gradient(current(), data, cfg)[-1] < best_loss:
         best = (W, b, v, c)
     return replace(p0, weights=best[0], biases=best[1], out_weights=best[2],
                    out_bias=best[3]), first_zero
@@ -436,11 +442,11 @@ def reference_train(p0, data, kbc, cfg):
 
 def zero_loss_instance():
     """A small instance that training drives to exactly zero loss."""
-    data = manual_triple(toy_spec(), np.random.default_rng(12), m=30)
-    kbc = KBCSpec(k=2, epsilon=0.1)
+    data = manual_triple(toy_spec(), np.random.default_rng(12), m=30,
+                         kbc=KBCSpec(k=2, epsilon=0.1))
     cfg = TrainConfig(eta1=0.01, eta2=0.001, eta3=0.001, eta4=0.001,
                       epochs=800, learning_rate=0.1)
-    return init_params(2, 4, mixed_sin_cos(4), seed=2), data, kbc, cfg
+    return init_params(2, 4, mixed_sin_cos(4), seed=2), data, cfg
 
 
 def assert_same_params(a: NetworkParams, b: NetworkParams) -> None:
@@ -454,9 +460,9 @@ def count_gradient_calls(monkeypatch) -> list[int]:
     calls = [0]
     real = kbarrier.learner.gradient
 
-    def counted(params, data, kbc, cfg):
+    def counted(params, data, cfg):
         calls[0] += 1
-        return real(params, data, kbc, cfg)
+        return real(params, data, cfg)
 
     monkeypatch.setattr(kbarrier.learner, "gradient", counted)
     return calls
@@ -464,28 +470,27 @@ def count_gradient_calls(monkeypatch) -> list[int]:
 
 class TestTrain:
     def _setup(self, seed=0):
-        spec = toy_spec()
-        data = manual_triple(spec, np.random.default_rng(seed), m=60)
-        kbc = KBCSpec(k=2, epsilon=0.1)
+        data = manual_triple(toy_spec(), np.random.default_rng(seed), m=60,
+                             kbc=KBCSpec(k=2, epsilon=0.1))
         cfg = TrainConfig(eta1=0.01, eta2=0.001, epochs=150, learning_rate=0.1)
         net = init_params(2, 4, mixed_sin_cos(4), seed=seed)
-        return data, kbc, cfg, net
+        return data, cfg, net
 
     def test_zero_epochs_is_identity(self):
-        data, kbc, cfg, net = self._setup()
+        data, cfg, net = self._setup()
         cfg = TrainConfig(epochs=0, eta1=0.01, eta2=0.001)
-        assert train(net, data, kbc, cfg) is net
+        assert train(net, data, cfg) is net
 
     def test_training_does_not_increase_best_loss(self):
-        data, kbc, cfg, net = self._setup()
-        before, _ = loss(net, data, kbc, cfg)
-        after, _ = loss(train(net, data, kbc, cfg), data, kbc, cfg)
+        data, cfg, net = self._setup()
+        before, _ = loss(net, data, cfg)
+        after, _ = loss(train(net, data, cfg), data, cfg)
         assert after <= before
 
     def test_seeded_determinism(self):
-        data, kbc, cfg, net = self._setup(seed=4)
-        a = train(net, data, kbc, cfg)
-        b = train(net, data, kbc, cfg)
+        data, cfg, net = self._setup(seed=4)
+        a = train(net, data, cfg)
+        b = train(net, data, cfg)
         assert np.array_equal(a.weights, b.weights)
         assert np.array_equal(a.biases, b.biases)
         assert np.array_equal(a.out_weights, b.out_weights)
@@ -496,15 +501,15 @@ class TestTrain:
                              ids=["square", "sin-cos"])
     def test_divergence_is_reported(self, activations, rate):
         spec = toy_spec()
-        data = manual_triple(spec, np.random.default_rng(20), m=30)
         kbc = KBCSpec(k=2, epsilon=0.1)
+        data = manual_triple(spec, np.random.default_rng(20), m=30, kbc=kbc)
         # absurd learning rates overflow the parameters within a few steps
         cfg = TrainConfig(eta1=0.1, eta2=0.001, epochs=10, learning_rate=rate)
         net = init_params(2, 3, activations, seed=0)
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # the overflow is reported once, as the exception
             with pytest.raises(TrainingDiverged, match="non-finite loss at epoch"):
-                train(net, data, kbc, cfg)
+                train(net, data, cfg)
 
     def test_parity_square_net_on_grown_polynomial_data(self, polynomial):
         config, _, _, _, model = polynomial
@@ -512,24 +517,24 @@ class TestTrain:
         cegis_cfg = config.cegis_config(0)
         data = sample_dataset(spec, model, kbc, config.samples, seed=0)
         for step, witness in enumerate(([-0.9, 0.4], [0.2, -0.3]), start=1):
-            data = augment(data, witness, cegis_cfg, model, kbc, seed=step)
+            data = augment(data, witness, cegis_cfg, model, seed=step)
         cfg = replace(config.train_config(), epochs=150)
         p0 = init_params(2, 2, ("square", "square"), seed=0)
-        expected, first_zero = reference_train(p0, data, kbc, cfg)
+        expected, first_zero = reference_train(p0, data, cfg)
         assert first_zero is None
-        assert_same_params(train(p0, data, kbc, cfg), expected)
+        assert_same_params(train(p0, data, cfg), expected)
 
     def test_epoch_parameters_are_contiguous_views_of_one_vector(self, monkeypatch):
-        data, kbc, cfg, net = self._setup()
+        data, cfg, net = self._setup()
         seen = []
         real = kbarrier.learner.gradient
 
-        def recording(params, data, kbc, cfg):
+        def recording(params, data, cfg):
             seen.append(params)
-            return real(params, data, kbc, cfg)
+            return real(params, data, cfg)
 
         monkeypatch.setattr(kbarrier.learner, "gradient", recording)
-        train(net, data, kbc, replace(cfg, epochs=3))
+        train(net, data, replace(cfg, epochs=3))
         assert len(seen) == 3
         theta = seen[0].weights.base
         for params in seen:
@@ -538,19 +543,20 @@ class TestTrain:
                 assert arr.flags.c_contiguous and arr.base is theta
 
     def test_parity_mixed_activations(self):
-        data = manual_triple(toy_spec(), np.random.default_rng(31), m=80)
         kbc = KBCSpec(k=3, epsilon=0.05)
+        data = manual_triple(toy_spec(), np.random.default_rng(31), m=80, kbc=kbc)
         cfg = TrainConfig(eta1=0.02, eta2=0.01, eta3=0.005, eta4=0.005, epochs=120,
                           learning_rate=0.05)
         p0 = init_params(2, 5, ("square", "sin", "cos", "square", "sin"), seed=3)
-        expected, _ = reference_train(p0, data, kbc, cfg)
-        assert_same_params(train(p0, data, kbc, cfg), expected)
+        expected, _ = reference_train(p0, data, cfg)
+        assert_same_params(train(p0, data, cfg), expected)
 
     def test_zero_loss_implies_strict_sample_conditions(self):
         # drive a small instance to exactly zero loss, then check every sample
-        p0, data, kbc, cfg = zero_loss_instance()
-        net = train(p0, data, kbc, cfg)
-        total, _ = loss(net, data, kbc, cfg)
+        p0, data, cfg = zero_loss_instance()
+        kbc = data.kbc
+        net = train(p0, data, cfg)
+        total, _ = loss(net, data, cfg)
         assert total == 0.0
         b = net.forward_batch(data.S)
         b1 = net.forward_batch(data.S_plus)
@@ -562,21 +568,21 @@ class TestTrain:
         assert np.all(bk - b < 0.0)
 
     def test_zero_loss_exit_is_exact_and_early(self, monkeypatch):
-        p0, data, kbc, cfg = zero_loss_instance()
-        expected, first_zero = reference_train(p0, data, kbc, cfg)
+        p0, data, cfg = zero_loss_instance()
+        expected, first_zero = reference_train(p0, data, cfg)
         calls = count_gradient_calls(monkeypatch)
-        assert_same_params(train(p0, data, kbc, cfg), expected)
+        assert_same_params(train(p0, data, cfg), expected)
         assert first_zero is not None and calls[0] == first_zero < cfg.epochs
 
     def test_one_gradient_call_per_epoch_without_zero_loss(self, monkeypatch):
-        data, kbc, cfg, net = self._setup()
+        data, cfg, net = self._setup()
         # with S_kplus = S the k-step hinge is eta4 > 0 for every candidate
         data = replace(data, S_kplus=data.S)
         cfg = replace(cfg, eta4=0.01)
-        expected, first_zero = reference_train(net, data, kbc, cfg)
+        expected, first_zero = reference_train(net, data, cfg)
         assert first_zero is None
         calls = count_gradient_calls(monkeypatch)
-        assert_same_params(train(net, data, kbc, cfg), expected)
+        assert_same_params(train(net, data, cfg), expected)
         assert calls[0] == cfg.epochs
 
 
@@ -633,9 +639,17 @@ class TestRegionIndices:
         spec, kbc = config.safety_spec(), config.kbc()
         data = sample_dataset(spec, model, kbc, 50, seed=1)
         # a witness inside X_U grows the unsafe rows
-        grown = augment(data, spec.X_U.midpoint(), config.cegis_config(1), model, kbc, seed=2)
+        grown = augment(data, spec.X_U.midpoint(), config.cegis_config(1), model, seed=2)
         self.assert_indices_match(grown)
         assert grown.idx_unsafe.size > data.idx_unsafe.size
+
+
+class TestDatasetShape:
+    @pytest.mark.parametrize("S", [np.zeros(4), np.zeros((4, 3))], ids=["1-D", "3-column"])
+    def test_samples_must_match_the_spec(self, S):
+        message = re.escape(f"S has shape {S.shape}; the spec needs (m, 2)")
+        with pytest.raises(ValueError, match=message):
+            DatasetTriple(S=S, S_plus=S, S_kplus=S, spec=toy_spec(), kbc=KBCSpec(k=2, epsilon=0.1))
 
 
 class TestSampleDataset:
@@ -660,3 +674,16 @@ class TestSampleDataset:
         for i in range(data.size):
             assert data.S_plus[i] == pytest.approx(model.step(data.S[i]), rel=1e-14, abs=1e-15)
             assert data.S_kplus[i] == pytest.approx(model.k_step(data.S[i], 2), rel=1e-14, abs=1e-15)
+
+    def test_dataset_carries_its_kbc(self, highly_nonlinear):
+        config, _, _, _, model = highly_nonlinear
+        kbc = config.kbc()
+        assert sample_dataset(config.safety_spec(), model, kbc, 20, seed=7).kbc is kbc
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_evolve_gives_the_bits_of_the_model(self, highly_nonlinear, k):
+        config, _, _, _, model = highly_nonlinear
+        S = config.safety_spec().X.sample(np.random.default_rng(k), 300)
+        plus, kplus = evolve(model, S, k)
+        assert np.array_equal(plus, model.step_batch(S))
+        assert np.array_equal(kplus, model.k_step_batch(S, k))
