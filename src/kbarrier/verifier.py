@@ -23,6 +23,21 @@ narrower than delta that can be neither discarded nor confirmed is reported
 as delta-sat.  `Valid` is returned only when all four searches discard
 everything.  Exploration is deterministic, so verdicts are reproducible.
 
+A box is judged in two passes.  `Tape.eval_boxes` gives the naive
+enclosures of every frontier box; the boxes they keep get the tighter
+centred enclosures of `Tape.eval_centred`, which may discard more of them.
+So a frontier is always a subsequence of what the naive enclosures alone
+would keep: a counterexample keeps its point and margin, `valid` stays
+`valid`, and only a delta-sat verdict can become `valid` or move its box
+and margin.  A delta-sat margin is read from the centred enclosure.
+
+`verify` searches B's collected polynomial (`expr.collect_polynomial`)
+where that form is smaller, as it is for any one-hidden-layer `square`
+network.  Its coefficients are rounded to nearest, so a `valid` verdict
+for such a network certifies the collected polynomial, and a witness's
+margin is computed on it.  `condition_exprs` and `check_point` keep B as
+written.
+
 Each search returns a `Verdict` for its own condition, "valid" meaning
 every box was discarded.  `verify` adds up their box counts, returns the
 first counterexample or exhaustion as it stands, and otherwise the first
@@ -47,7 +62,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .expr import Box, Const, Expr, Tape, sub, substitute
+from .expr import Box, Const, Expr, Tape, collect_polynomial, sub, substitute
 
 __all__ = [
     "KBCSpec", "SafetySpec", "VerificationTask", "Verdict", "Constraint",
@@ -239,7 +254,8 @@ def _search(tag: str, constraints: list[Constraint], region: Box, delta: float,
     """Breadth-first interval subdivision over one negated-condition set.
 
     The verdict is for this condition alone: "valid" means every box was
-    discarded.  `boxes_explored` counts this search's boxes.
+    discarded.  `boxes_explored` counts this search's boxes, each given to
+    `eval_boxes` once; the centred pass re-judges only the boxes it keeps.
     """
     kinds = [kind for _, kind in constraints]
     tape = Tape([e for e, _ in constraints])
@@ -259,6 +275,12 @@ def _search(tag: str, constraints: list[Constraint], region: Box, delta: float,
             enclosures = tape.eval_boxes(lo[sl], hi[sl])
             feasible[sl] = _may_hold(enclosures, kinds)
             margin_hi[sl] = _margin(tag, *enclosures[-1])
+            # the centred enclosures re-judge the boxes the naive ones keep
+            rows = sl.start + np.flatnonzero(feasible[sl])
+            if rows.size:
+                refined = tape.eval_centred(lo[rows], hi[rows])
+                feasible[rows] = _may_hold(refined, kinds)
+                margin_hi[rows] = _margin(tag, *refined[-1])
         lo, hi = lo[feasible], hi[feasible]
         margin_hi = margin_hi[feasible]
         if not lo.shape[0]:
@@ -310,12 +332,14 @@ def verify(task: VerificationTask) -> Verdict:
     any, is reported; exceeding the box budget reports exhaustion; and only
     a fully discarded search space yields `valid`.  The margin of a
     counterexample or delta-sat verdict comes from the constraint outputs
-    (see `_margin`).
+    (see `_margin`).  The searches run on B's collected polynomial where
+    `collect_polynomial` finds one, and on B as written otherwise.
     """
     t0 = time.perf_counter()
     total = 0
     first_delta: Verdict | None = None
-    for tag, constraints, region in condition_exprs(task):
+    searched = replace(task, B=collect_polynomial(task.B))
+    for tag, constraints, region in condition_exprs(searched):
         if total >= task.max_boxes:
             return Verdict("exhausted", boxes_explored=total, wall_time=time.perf_counter() - t0)
         result = _search(tag, constraints, region, task.delta, task.max_boxes - total)

@@ -2,6 +2,7 @@
 
 import math
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -17,7 +18,7 @@ from kbarrier.expr import (
     add, cos, exp, mul, neg, power, sin, sub,
 )
 
-from conftest import random_expr, random_finite_pair
+from conftest import random_box, random_expr, random_finite_pair
 
 X1, X2 = Var(0), Var(1)
 
@@ -535,7 +536,8 @@ class TestTapeParity:
 
 
 class TestOpTable:
-    """`_RULES` holds one (point rule, box rule) pair for each op a Tape can emit."""
+    """`_RULES` holds one (point rule, box rule, partials rule) triple for each op
+    a Tape can emit."""
 
     # one expression per table entry; its last op is the entry
     EMITTED_BY = {
@@ -548,12 +550,163 @@ class TestOpTable:
         emittable = set(_NODES) - {"var", "const"} | {"scale", "sub_self", "mul_self"}
         assert set(_RULES) == set(self.EMITTED_BY) == emittable
         for rules in _RULES.values():
-            assert len(rules) == 2 and all(callable(rule) for rule in rules)
+            assert len(rules) == 3 and all(callable(rule) for rule in rules)
 
     @pytest.mark.parametrize("name", sorted(EMITTED_BY))
     def test_compiler_emits_each_entry(self, name):
         _, rules, _, _ = Tape([self.EMITTED_BY[name]])._steps[-1]
         assert rules is _RULES[name]
+
+
+# each op's partial derivatives at a point, one per operand register
+POINT_PARTIALS = {
+    "add": lambda x, y: (1.0, 1.0),
+    "sub": lambda x, y: (1.0, -1.0),
+    "sub_self": lambda x, y: (0.0,),
+    "mul": lambda x, y: (y, x),
+    "mul_self": lambda x, y: (2.0 * x,),
+    "scale": lambda c, x: (x, c),
+    "neg": lambda x, y: (-1.0,),
+    "pow": lambda x, p: (p * x ** (p - 1),),
+    "sin": lambda x, y: (np.cos(x),),
+    "cos": lambda x, y: (-np.sin(x),),
+    "exp": lambda x, y: (np.exp(x),),
+}
+
+
+class TestPartialsRules:
+    @pytest.mark.parametrize("name", sorted(POINT_PARTIALS))
+    def test_enclose_the_point_partials(self, name):
+        assert set(POINT_PARTIALS) == set(_RULES)
+        _, box_rule, partials_rule = _RULES[name]
+        rng = np.random.default_rng(sorted(POINT_PARTIALS).index(name))
+        for _ in range(200):
+            x_lo = rng.uniform(-4.0, 4.0, 64)
+            x = (x_lo, x_lo + rng.uniform(0.0, 3.0, 64))
+            y_lo = rng.uniform(-4.0, 4.0, 64)
+            y = (y_lo, y_lo + rng.uniform(0.0, 3.0, 64))
+            if name == "pow":
+                y = int(rng.integers(1, 5))
+            elif name == "scale":
+                c = float(rng.uniform(-3.0, 3.0))
+                x = (c, c)
+            elif name in ("sub_self", "mul_self"):
+                y = x
+            partials = partials_rule(x, y, box_rule(x, y))
+            u, v = rng.uniform(size=(2, 64))
+            px = x[0] + u * (x[1] - x[0])
+            py = y if name == "pow" else y[0] + v * (y[1] - y[0])
+            want = POINT_PARTIALS[name](px, py)
+            assert len(partials) == len(want)
+            for enclosure, d in zip(partials, want):
+                if type(enclosure) is float:
+                    np.testing.assert_array_equal(d, enclosure)
+                else:
+                    assert np.all((enclosure[0] <= d) & (d <= enclosure[1]))
+
+
+def random_polynomial(rng, depth):
+    """Random expression over variables, constants, add, sub, mul, neg and pow."""
+    if depth == 0 or rng.uniform() < 0.2:
+        if rng.uniform() < 0.7:
+            return Var(int(rng.integers(2)))
+        return Const(float(rng.uniform(-2.0, 2.0)))
+    op = rng.choice(["add", "sub", "mul", "neg", "pow"], p=[0.3, 0.25, 0.25, 0.1, 0.1])
+    a = random_polynomial(rng, depth - 1)
+    if op == "neg":
+        return Neg(a)
+    if op == "pow":
+        return Pow(a, int(rng.integers(1, 4)))
+    return {"add": Add, "sub": Sub, "mul": Mul}[op](a, random_polynomial(rng, depth - 1))
+
+
+def exact_value(e, x):
+    """e at the point x in rational arithmetic (x's floats read exactly)."""
+    if isinstance(e, Var):
+        return Fraction(x[e.index])
+    if isinstance(e, Const):
+        return Fraction(e.value)
+    if isinstance(e, Neg):
+        return -exact_value(e.operand, x)
+    if isinstance(e, Pow):
+        return exact_value(e.base, x) ** e.exponent
+    a, b = exact_value(e.left, x), exact_value(e.right, x)
+    return a + b if isinstance(e, Add) else a - b if isinstance(e, Sub) else a * b
+
+
+class TestCentredForm:
+    """`Tape.eval_centred`: never wider than `eval_boxes`, and every point
+    value in the box, floating or exact, lies inside."""
+
+    @staticmethod
+    def centred_and_naive(e, lo, hi):
+        tape = Tape([e])
+        with np.errstate(all="ignore"):
+            (c_lo, c_hi), = tape.eval_centred(lo, hi)
+            (n_lo, n_hi), = tape.eval_boxes(lo, hi)
+        nan = np.isnan(n_lo) | np.isnan(n_hi)
+        assert np.all((c_lo >= n_lo) & (c_hi <= n_hi) | nan)
+        return tape, c_lo, c_hi
+
+    def test_random_pairs_never_escape(self):
+        # draw 582 of this sequence is (c + ((x0 + c') - (x0 + x1))) + x1 with
+        # distinct Var nodes: its gradient is exactly 0, so only the rounding
+        # allowance keeps the point values inside the centred enclosure
+        rng, narrow_rng = np.random.default_rng(0), np.random.default_rng(1)
+        tightened = 0
+        for draw in range(1200):
+            e, box = random_finite_pair(rng)
+            points = box.sample(rng, 5)
+            # and a narrow box around one of them, where the form is tight
+            narrow = Box(np.maximum(points[0] - 1e-3 * box.widths(), box.lo()),
+                         np.minimum(points[0] + 1e-3 * box.widths(), box.hi()))
+            lo, hi = np.vstack([box.lo(), narrow.lo()]), np.vstack([box.hi(), narrow.hi()])
+            tape, c_lo, c_hi = self.centred_and_naive(e, lo, hi)
+            if draw == 582:
+                assert format_expr(e).count("var") == 4 and c_hi[0] - c_lo[0] < 1e-13
+            with np.errstate(all="ignore"):
+                values = tape.eval_points(np.vstack([points, narrow.sample(narrow_rng, 5)]))
+            values = values[0].reshape(2, 5)
+            inside = (c_lo[:, None] <= values) & (values <= c_hi[:, None])
+            assert np.all(inside | ~np.isfinite(values)), draw
+            with np.errstate(all="ignore"):
+                (n_lo, n_hi), = tape.eval_boxes(narrow.lo()[None, :], narrow.hi()[None, :])
+            tightened += bool(c_hi[1] - c_lo[1] < 0.5 * (n_hi[0] - n_lo[0]))
+        assert tightened > 100
+
+    def test_exact_containment_on_polynomials(self):
+        rng = np.random.default_rng(5)
+        cases = [(parse_expr("(add (add (const -1.600948224151923) (sub (add (var 0) "
+                             "(const -1.322915519281929)) (add (var 0) (var 1)))) (var 1))"),
+                  random_box(rng, 2))]
+        # a root without variables is only a rounded constant to eval_boxes too
+        cases += [(e, random_box(rng, 2)) for e in (random_polynomial(rng, 4) for _ in range(500))
+                  if max_var_index(e) >= 0]
+        for e, box in cases:
+            narrow = Box(box.lo(), box.lo() + 1e-4 * box.widths())
+            for b in (box, narrow):
+                _, c_lo, c_hi = self.centred_and_naive(e, b.lo()[None, :], b.hi()[None, :])
+                for x in b.sample(rng, 5):
+                    value = exact_value(e, x)
+                    assert c_lo[0] <= value <= c_hi[0], format_expr(e)
+
+    def test_constant_and_variable_roots(self):
+        tape = Tape([Const(2.5), X2, Sub(X1, X1)])
+        lo = np.array([[0.0, -1.0], [1.0, 2.0]])
+        (c_lo, c_hi), (x_lo, x_hi), (z_lo, z_hi) = tape.eval_centred(lo, lo + 0.5)
+        np.testing.assert_array_equal(c_lo, [2.5, 2.5])
+        np.testing.assert_array_equal(c_hi, [2.5, 2.5])
+        np.testing.assert_array_equal(x_lo, [-1.0, 2.0])
+        np.testing.assert_array_equal(x_hi, [-0.5, 2.5])
+        np.testing.assert_array_equal(z_lo, [0.0, 0.0])
+        np.testing.assert_array_equal(z_hi, [0.0, 0.0])
+
+    def test_nan_enclosure_stays_nan(self):
+        # 0 * exp(x^2 + 710) is NaN at every point and over every box, and
+        # a NaN enclosure keeps the box in the search
+        e = Mul(Const(0.0), Exp(Add(Mul(X1, X1), Const(710.0))))
+        _, c_lo, c_hi = self.centred_and_naive(e, np.array([[0.0]]), np.array([[1.0]]))
+        assert np.isnan(c_lo[0]) and np.isnan(c_hi[0])
 
 
 class TestBatchIndependence:

@@ -103,6 +103,50 @@ def test_train_calls_the_module_level_gradient_once_per_epoch(monkeypatch):
     assert all(args[1] is data and not kwargs for args, kwargs in seen)
 
 
+def test_verify_compiles_one_tape_per_condition_and_counts_each_frontier_box_once(monkeypatch):
+    # the traced run maps the n-th Tape compiled inside `verify` to the n-th
+    # condition, and counts a condition's boxes as the rows given to
+    # eval_boxes; the centred refinement must add neither
+    expr = kbarrier.expr
+    compiled, rows = [], []
+    tape_cls = expr.Tape
+    tape_init, eval_boxes = tape_cls.__init__, tape_cls.eval_boxes
+
+    def recording_init(tape, roots):
+        compiled.append(len(roots))
+        tape_init(tape, roots)
+
+    def recording_eval_boxes(tape, lo, hi):
+        rows.append(len(lo))
+        return eval_boxes(tape, lo, hi)
+
+    monkeypatch.setattr(tape_cls, "__init__", recording_init)
+    monkeypatch.setattr(tape_cls, "eval_boxes", recording_eval_boxes)
+    # 0.5 (x0 + x1)^2 + 0.5 (x0 - x1)^2 - 1, searched as x0^2 + x1^2 - 1
+    B = kbarrier.NetworkParams(weights=[[1.0, 1.0], [1.0, -1.0]], biases=[0.0, 0.0],
+                               out_weights=[0.5, 0.5], out_bias=-1.0,
+                               activations=("square", "square")).to_expr()
+    assert expr.collect_polynomial(B) is not B
+    identity = (expr.Var(0), expr.Var(1))
+    spec = kbarrier.SafetySpec(X=kbarrier.Box.from_bounds([(-2, 2)] * 2),
+                               X_I=kbarrier.Box.from_bounds([(-0.3, 0.3)] * 2),
+                               X_U=kbarrier.Box.from_bounds([(1.2, 1.8)] * 2))
+    task = kbarrier.VerificationTask(B=B, f1_sym=identity, fk_sym=identity, spec=spec,
+                                     kbc=kbarrier.KBCSpec(k=2, epsilon=0.1))
+    verdict = kbarrier.verifier.verify(task)
+    assert verdict.kind == "valid"
+    assert compiled == [1, 1, 2, 2]
+    assert sum(rows) == verdict.boxes_explored
+
+    # the refinement evaluates its centres through the Tape's own loop
+    rows.clear()
+    tape = expr.Tape([B])
+    with monkeypatch.context() as patch:
+        patch.setattr(tape_cls, "eval_points", None)
+        tape.eval_centred(np.array([[0.0, 0.0]]), np.array([[0.5, 0.5]]))
+    assert rows == []
+
+
 def _toy_data():
     spec = kbarrier.SafetySpec(X=kbarrier.Box.from_bounds([(-2, 2)] * 2),
                                X_I=kbarrier.Box.from_bounds([(0.5, 1.5)] * 2),

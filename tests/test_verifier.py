@@ -1,18 +1,23 @@
 """Negated-condition encoding, point checks and branch-and-bound verdicts."""
 
 import math
+from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from kbarrier import (
-    Box, DataDrivenModel, KBCSpec, SafetySpec, VerificationTask,
+    Box, DataDrivenModel, KBCSpec, NetworkParams, SafetySpec, VerificationTask,
     check_point, condition_exprs, verify,
 )
-from kbarrier import verifier
-from kbarrier.expr import Add, Const, Exp, Mul, Neg, Tape, Var, eval_point, substitute
+from kbarrier import expr, verifier
+from kbarrier.expr import (
+    Add, Const, Exp, Mul, Neg, Tape, Var, collect_polynomial, eval_point, substitute,
+)
+from kbarrier.learner import init_params, mixed_sin_cos
 
-from conftest import identity_dictionary
+from conftest import identity_dictionary, make_reference_polynomial
 
 X1, X2 = Var(0), Var(1)
 
@@ -39,6 +44,31 @@ def poly_task(polynomial, B, k, epsilon, delta=0.001):
     fk = model.symbolic_k_step(k) if k > 1 else f1
     return VerificationTask(B=B, f1_sym=f1, fk_sym=fk, spec=config.safety_spec(),
                             kbc=KBCSpec(k=k, epsilon=epsilon), delta=delta)
+
+
+def case_task(pipeline, B, delta=0.001):
+    """B against a case study's model, at its own k and epsilon."""
+    config, _, _, _, model = pipeline
+    f1 = model.symbolic_step()
+    fk = model.symbolic_k_step(config.k) if config.k > 1 else f1
+    return VerificationTask(B=B, f1_sym=f1, fk_sym=fk, spec=config.safety_spec(),
+                            kbc=config.kbc(), delta=delta)
+
+
+# A highly-nonlinear candidate from the synthesis loop (seed 1, iteration 18).
+# It holds, but the naive enclosures leave a delta-sat box on I.
+HARVESTED_NONLINEAR = NetworkParams(
+    weights=np.array([[1.3167348583575036, -1.4417210319002223],
+                      [0.5392045481016496, -0.5354985172773058],
+                      [0.7654847167783516, 0.1630489832175188],
+                      [-0.5553715736124694, 1.403658669917318]]),
+    biases=np.array([-0.01938146099529291, 0.22538357289693975, 4.086584012165625,
+                     -3.055232550289903]),
+    out_weights=np.array([-0.1495822798614551, -1.5896911391835926, -0.49665292916491566,
+                          0.5558909196792704]),
+    out_bias=0.7160774379031135,
+    activations=("sin", "sin", "cos", "cos"),
+)
 
 
 class TestConditionExprs:
@@ -367,17 +397,27 @@ class TestPruningPredicates:
 
 
 class TestSearchSoundness:
-    def test_pruned_boxes_contain_no_violations(self, monkeypatch, highly_nonlinear,
+    def test_pruned_boxes_contain_no_violations(self, monkeypatch, highly_nonlinear, pendulum,
                                                 reference_nonlinear_cert):
-        """Every box any search discards, point-sampled: none holds a violation."""
-        task = hn_task(highly_nonlinear, reference_nonlinear_cert, k=2, epsilon=0.1,
-                       delta=0.01)
-        eval_boxes, may_hold = Tape.eval_boxes, verifier._may_hold
+        """Every box the searches discard, point-sampled: none holds a violation.
+
+        A chunk's boxes are discarded in two passes, by `eval_boxes` and then,
+        among the boxes it keeps, by `eval_centred`; each `_may_hold` call
+        judges the boxes of the evaluation just before it.
+        """
+        tasks = [
+            hn_task(highly_nonlinear, reference_nonlinear_cert, k=2, epsilon=0.1, delta=0.01),
+            hn_task(highly_nonlinear, HARVESTED_NONLINEAR.to_expr(), k=2, epsilon=0.1),
+            case_task(pendulum, init_params(2, 32, ("square",) * 32, seed=2).to_expr()),
+        ]
+        eval_boxes, eval_centred, may_hold = Tape.eval_boxes, Tape.eval_centred, verifier._may_hold
         evaluated, pruned = [], []
 
-        def recording_eval_boxes(tape, lo, hi):
-            evaluated[:] = [(lo, hi)]
-            return eval_boxes(tape, lo, hi)
+        def recording(evaluate):
+            def evaluate_and_record(tape, lo, hi):
+                evaluated[:] = [(lo, hi)]
+                return evaluate(tape, lo, hi)
+            return evaluate_and_record
 
         def recording_may_hold(enclosures, kinds):
             ok = may_hold(enclosures, kinds)
@@ -385,24 +425,26 @@ class TestSearchSoundness:
             pruned.append((lo[~ok], hi[~ok]))
             return ok
 
-        monkeypatch.setattr(Tape, "eval_boxes", recording_eval_boxes)
+        monkeypatch.setattr(Tape, "eval_boxes", recording(eval_boxes))
+        monkeypatch.setattr(Tape, "eval_centred", recording(eval_centred))
         monkeypatch.setattr(verifier, "_may_hold", recording_may_hold)
         rng = np.random.default_rng(0)
         audited = 0
-        for tag, cons, region in condition_exprs(task):
-            pruned.clear()
-            verifier._search(tag, cons, region, task.delta, task.max_boxes)
-            lo = np.vstack([lo for lo, _ in pruned])
-            hi = np.vstack([hi for _, hi in pruned])
-            audited += lo.shape[0]
-            # 20 uniform points in each pruned box
-            u = rng.uniform(size=(lo.shape[0], 20, lo.shape[1]))
-            pts = (lo[:, None, :] + u * (hi - lo)[:, None, :]).reshape(-1, lo.shape[1])
-            vals = Tape([c[0] for c in cons]).eval_points(pts)
-            satisfied = np.ones(len(pts), dtype=bool)
-            for v, (_, kind) in zip(vals, cons):
-                satisfied &= (v <= 0.0) if kind == "le0" else (v > 0.0)
-            assert not satisfied.any(), tag
+        for task in tasks:
+            for tag, cons, region in condition_exprs(task):
+                pruned.clear()
+                verifier._search(tag, cons, region, task.delta, task.max_boxes)
+                lo = np.vstack([lo for lo, _ in pruned])
+                hi = np.vstack([hi for _, hi in pruned])
+                audited += lo.shape[0]
+                # 20 uniform points in each pruned box
+                u = rng.uniform(size=(lo.shape[0], 20, lo.shape[1]))
+                pts = (lo[:, None, :] + u * (hi - lo)[:, None, :]).reshape(-1, lo.shape[1])
+                vals = Tape([c[0] for c in cons]).eval_points(pts)
+                satisfied = np.ones(len(pts), dtype=bool)
+                for v, (_, kind) in zip(vals, cons):
+                    satisfied &= (v <= 0.0) if kind == "le0" else (v > 0.0)
+                assert not satisfied.any(), tag
         assert audited > 1000
 
     def test_valid_implies_grid_clean(self):
@@ -445,6 +487,179 @@ class TestSearchSoundness:
                 assert not spec.X_U.contains(x)
                 assert float(tape.eval_points(x[None, :])[0][0]) <= lam + 1e-9
                 x = A @ x
+
+
+def naive_search(tag, constraints, region, delta, budget):
+    """The search as it was before the centred refinement: every box is
+    judged by its `eval_boxes` enclosure alone."""
+    kinds = [kind for _, kind in constraints]
+    tape = Tape([e for e, _ in constraints])
+    lo = region.lo()[None, :]
+    hi = region.hi()[None, :]
+    used = 0
+    first_delta = None
+
+    while lo.shape[0]:
+        used += lo.shape[0]
+        if used > budget:
+            return verifier.Verdict("exhausted", tag, boxes_explored=used)
+
+        feasible = np.empty(lo.shape[0], dtype=bool)
+        margin_hi = np.empty(lo.shape[0])
+        for sl in verifier._chunks(lo.shape[0]):
+            enclosures = tape.eval_boxes(lo[sl], hi[sl])
+            feasible[sl] = verifier._may_hold(enclosures, kinds)
+            margin_hi[sl] = verifier._margin(tag, *enclosures[-1])
+        lo, hi = lo[feasible], hi[feasible]
+        margin_hi = margin_hi[feasible]
+        if not lo.shape[0]:
+            break
+
+        mid = 0.5 * (lo + hi)
+        confirmed = np.empty(mid.shape[0], dtype=bool)
+        for sl in verifier._chunks(mid.shape[0]):
+            confirmed[sl] = verifier._holds(tape.eval_points(mid[sl]), kinds)
+        if confirmed.any():
+            point = mid[int(np.argmax(confirmed))]
+            single = tape.eval_points(point[None, :])
+            if verifier._holds(single, kinds)[0]:
+                value = single[-1][0]
+                return verifier.Verdict(
+                    "counterexample", tag, point=tuple(float(v) for v in point),
+                    margin=float(verifier._margin(tag, value, value)), boxes_explored=used)
+
+        small = (hi - lo).max(axis=1) < delta
+        if small.any() and first_delta is None:
+            idx = int(np.argmax(small))
+            first_delta = verifier.Verdict("delta_sat", tag, box=Box(lo[idx], hi[idx]),
+                                           margin=float(margin_hi[idx]))
+        keep = ~small
+        lo, hi = lo[keep], hi[keep]
+        if not lo.shape[0]:
+            break
+
+        dim = np.argmax(hi - lo, axis=1)
+        mid = 0.5 * (lo + hi)
+        rows = np.arange(lo.shape[0])
+        hi_left = hi.copy()
+        hi_left[rows, dim] = mid[rows, dim]
+        lo_right = lo.copy()
+        lo_right[rows, dim] = mid[rows, dim]
+        lo = np.vstack([lo, lo_right])
+        hi = np.vstack([hi_left, hi])
+
+    return replace(first_delta or verifier.Verdict("valid"), boxes_explored=used)
+
+
+# (case study, certificate, k, pinned (naive kind, refined kind) by condition)
+PARITY_CASES = [
+    ("highly_nonlinear", "reference", 2,
+     {"E1": ("valid", "valid"), "E2": ("counterexample", "counterexample")}),
+    ("highly_nonlinear", "reference", 1, {"E1": ("counterexample", "counterexample")}),
+    ("highly_nonlinear", "harvested", 2, {"I": ("delta_sat", "valid")}),
+    ("highly_nonlinear", 0, 2, {}),
+    ("highly_nonlinear", 1, 2, {}),
+    ("polynomial", "reference", 3, {"E2": ("counterexample", "counterexample")}),
+    ("polynomial", 0, 3, {}),
+    ("pendulum", 0, 2, {}),
+    ("pendulum", 2, 2, {"I": ("valid", "valid")}),
+]
+
+
+class TestRefinedSearchParity:
+    """The refined search against a copy of the naive one, condition by condition.
+
+    The refinement only discards boxes the naive enclosures keep, so its
+    frontier is a subsequence of the naive frontier: every counterexample
+    comes back with its point and margin, `valid` stays `valid`, and a
+    delta-sat verdict can only stay delta-sat or become `valid`.
+    """
+
+    @pytest.mark.parametrize("case, certificate, k, pinned", PARITY_CASES)
+    def test_same_witnesses_and_never_more_boxes(self, case, certificate, k, pinned, request,
+                                                 reference_nonlinear_cert):
+        pipeline = request.getfixturevalue(case)
+        config = pipeline[0]
+        if certificate == "reference":
+            B = (reference_nonlinear_cert if case == "highly_nonlinear"
+                 else make_reference_polynomial())
+        elif certificate == "harvested":
+            B = HARVESTED_NONLINEAR.to_expr()
+        else:
+            B = init_params(2, config.width, config.activations, seed=certificate).to_expr()
+        make_task = hn_task if case == "highly_nonlinear" else poly_task
+        task = (make_task(pipeline, B, k=k, epsilon=0.0 if k == 1 else 0.1)
+                if case != "pendulum" else case_task(pipeline, B))
+        for tag, cons, region in condition_exprs(task):
+            naive = naive_search(tag, cons, region, task.delta, task.max_boxes)
+            refined = verifier._search(tag, cons, region, task.delta, task.max_boxes)
+            assert refined.boxes_explored <= naive.boxes_explored, tag
+            if naive.kind == "delta_sat":
+                assert refined.kind in ("delta_sat", "valid"), tag
+            else:
+                assert (refined.kind, refined.point, refined.margin) == (
+                    naive.kind, naive.point, naive.margin), tag
+            assert pinned.get(tag, (naive.kind, refined.kind)) == (naive.kind, refined.kind)
+
+
+def exact_network_polynomial(params):
+    """c + sum_j v_j (w_j . x + b_j)^2 of a two-input square network, expanded in rationals."""
+    coefficients = {}
+    for w, b, v in zip(params.weights, params.biases, params.out_weights):
+        w0, w1, b, v = (Fraction(float(t)) for t in (w[0], w[1], b, v))
+        # monomials as exponents of x0, x1 with trailing zeros dropped
+        for key, c in (((), b * b), ((1,), 2 * b * w0), ((0, 1), 2 * b * w1),
+                       ((2,), w0 * w0), ((1, 1), 2 * w0 * w1), ((0, 2), w1 * w1)):
+            coefficients[key] = coefficients.get(key, 0) + v * c
+    coefficients[()] += Fraction(params.out_bias)
+    return coefficients
+
+
+class TestCollectedCertificate:
+    @pytest.mark.parametrize("width, seed", [(2, 0), (2, 1), (32, 0), (32, 3)])
+    def test_coefficients_are_the_rounded_exact_expansion(self, width, seed):
+        params = init_params(2, width, ("square",) * width, seed=seed)
+        collected = collect_polynomial(params.to_expr())
+        want = {k: Fraction(float(c)) for k, c in exact_network_polynomial(params).items()}
+        coefficients, s, _ = expr._expand(collected)
+        assert {k: Fraction(c, 2 ** s) for k, c in coefficients.items()} == {
+            k: c for k, c in want.items() if c}
+        assert len(Tape([collected]).ops) <= 21
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_agrees_with_the_network(self, seed):
+        params = init_params(2, 32, ("square",) * 32, seed=seed)
+        points = np.random.default_rng(seed).uniform(-2.0, 2.0, size=(2000, 2))
+        got = Tape([collect_polynomial(params.to_expr())]).eval_points(points)[0]
+        want = params.forward_batch(points)
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
+
+    def test_other_forms_are_kept(self, reference_nonlinear_cert):
+        circle = TestVerifyLinear.B_CIRCLE
+        for e in (reference_nonlinear_cert, circle, Const(-1.0), X1 - X2 - Const(1.0),
+                  init_params(2, 1, ("square",), seed=0).to_expr(),
+                  init_params(2, 4, ("square",) * 3 + ("sin",), seed=0).to_expr(),
+                  (X1 + X2) ** 8, (Const(1e200) * X1) ** 2):
+            assert collect_polynomial(e) is e
+
+    def test_verify_searches_the_collected_polynomial(self, monkeypatch, pendulum):
+        B = init_params(2, 32, ("square",) * 32, seed=0).to_expr()
+        collected = collect_polynomial(B)
+        task = case_task(pendulum, B)
+        compiled = []
+        tape_init = Tape.__init__
+
+        def recording_init(tape, roots):
+            tape_init(tape, roots)
+            compiled.append(tape)
+
+        monkeypatch.setattr(Tape, "__init__", recording_init)
+        verdict = verify(task)
+        assert (verdict.kind, verdict.condition) == ("counterexample", "I")
+        assert len(compiled) == 1 and len(compiled[0].ops) <= 21 < len(Tape([B]).ops)
+        assert verdict.margin == eval_point(collected, verdict.point)
+        assert dict(check_point(task, verdict.point))["I"] == pytest.approx(verdict.margin,
+                                                                           rel=1e-12)
 
 
 def _grid_margins(config, model, B, kbc, resolution=401):
