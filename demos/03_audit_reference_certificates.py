@@ -4,7 +4,7 @@ The interval branch-and-bound either proves a certificate over the whole
 state box or produces a concrete witness that re-confirms under exact
 arithmetic.  Both reference certificates fail the conventional (k=1, eps=0)
 reading; the polynomial one also fails its own k=3 reading -- the k-step
-decrease is violated by far more than coefficient rounding can explain,
+condition E2 is violated by far more than coefficient rounding can explain,
 which an independent dense-grid scan confirms.
 """
 

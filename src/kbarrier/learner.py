@@ -2,36 +2,34 @@
 
 The candidate has the form  B(x) = c + sum_j v_j * g_j(b_j + W_j . x)  with
 per-node activation g_j in {square, sin, cos}.  It is trained full-batch
-with Adam against a four-term hinge loss: initial-region level, unsafe-region
-level, one-step increase bounded by epsilon, and net decrease after k steps.
-The level terms average over the samples inside the respective regions; the
-two evolution terms average over the whole sample set, because the sub-level
-sets they would ideally be restricted to are not known until a candidate
+with Adam against a hinge loss with one term per condition of
+`verifier.CONDITIONS`: the violation amount of its last constraint, plus a
+margin eta, averaged over the samples in its region.  The gates are not
+applied, since the sub-level sets they select are unknown until a candidate
 exists.  Everything is deterministic given the seeds, which keeps
 counterexample-guided runs replayable.
 
 One training pass, `_evaluate`, computes the loss and its gradient: the
-forward pass at S, S+ and Sk (`_forward`: one matmul per batch of states,
-then the activations and their derivatives), the four hinge terms, dL/dB at
-each site and the backward pass.  Each term's argument, rows and normaliser
-are written there alone.  `loss` and `gradient` both return its result, and
-a training epoch is one call to `gradient`.  The three sites keep their own
-matmuls and reductions, because stacking them changes the BLAS path and with
-it the last bits.  Training stops at the first epoch with a loss of exactly
-zero, which cannot change the parameters it returns (see `train`).
+forward pass at the sites S, S+ and Sk (`_forward`), the hinge terms, dL/dB
+at each site with the signs the table gives, and the backward pass.  `loss`
+and `gradient` both return its result, and a training epoch is one call to
+`gradient`.  The sites keep their own matmuls and reductions: stacking them
+changes the BLAS path and with it the last bits.  Training stops at the
+first epoch with a loss of exactly zero, which cannot change the parameters
+it returns (see `train`).
 
 `NetworkParams` owns the flat parameter layout: `flat` writes it, `with_flat`
 reads it back and `_blocks` gives its views.  Adam's state, the per-epoch
 parameters (views, wrapped without re-validation; `train` argues why that is
-safe) and the gradient all live in such vectors.  `DatasetTriple` holds the
-row indices of its samples in X_I and X_U.  Biases and output weights are
-tiled to full (m, h) arrays once per epoch (`_rows`), so no element-wise step
-broadcasts a row at a time.  Each of these gives the same bits as the plain
-formulation; the tests compare against it.
+safe) and the gradient all live in such vectors.  Biases and output
+weights are tiled to full (m, h) arrays once per epoch (`_rows`), so no
+element-wise step broadcasts a row at a time.  Each of these gives the same
+bits as the plain formulation; the tests compare against it.
 
-A `DatasetTriple` also carries the `KBCSpec` its k-step rows were built for,
-and the loss reads k, epsilon and lambda from it.  `evolve` computes the
-evolved rows for `sample_dataset` and for the rows `cegis.augment` appends.
+A `DatasetTriple` holds the row indices of its samples in X_I and X_U and
+the `KBCSpec` its k-step rows were built for, whose constants the loss
+reads.  `evolve` computes the evolved rows for `sample_dataset` and for the
+rows `cegis.augment` appends.
 """
 
 from __future__ import annotations
@@ -45,7 +43,7 @@ import numpy as np
 
 from .dynamics import DataDrivenModel
 from .expr import Const, Expr, Var, cos, lin_comb, power, sin
-from .verifier import KBCSpec, SafetySpec
+from .verifier import CONDITIONS, KBCSpec, SafetySpec
 
 __all__ = [
     "ACTIVATIONS", "NetworkParams", "NetworkGradient", "DatasetTriple", "TrainConfig",
@@ -339,44 +337,53 @@ def _column_sums(t: np.ndarray) -> np.ndarray:
 def _evaluate(params: NetworkParams, data: DatasetTriple, cfg: TrainConfig) -> NetworkGradient:
     """The training pass: loss, breakdown and gradient (hinge subgradient at 0 is 0).
 
-    Each hinge term is the mean of max(arg, 0) over the rows its argument is
-    taken at.  The arguments are written here once, and each one's size is
-    the normaliser of both its term and its dL/dB coefficients.
-    """
-    idx_i, idx_u, kbc = data.idx_init, data.idx_unsafe, data.kbc
-    if not idx_i.size or not idx_u.size:
+    Each term's size normalises both its mean and its dL/dB coefficients."""
+    if not data.idx_init.size or not data.idx_unsafe.size:
         raise ValueError("region mask empty; increase quota sampling")
     m = data.size
-    sites = (data.S, data.S_plus, data.S_kplus)
+    sites = {"x": data.S, "f1": data.S_plus, "fk": data.S_kplus}
     bias = _rows(params.biases, m)
-    passes = [_forward(params, states, bias) for states in sites]
-    B_s, B_1, B_k = (B for _, _, B in passes)
-    arg_i = B_s[idx_i] + cfg.eta1
-    arg_u = -B_s[idx_u] + kbc.lam + cfg.eta2
-    arg_1 = B_1 - B_s - kbc.epsilon + cfg.eta3
-    arg_k = B_k - B_s + cfg.eta4
-    terms = (arg_i, arg_u, arg_1, arg_k)
+    passes = {site: _forward(params, states, bias) for site, states in sites.items()}
+    B = {site: b for site, (_, _, b) in passes.items()}
+    region_rows = {"X_I": data.idx_init, "X_U": data.idx_unsafe, "X": None}
+    terms = []
+    for (region, constraints), eta in zip(CONDITIONS.values(),
+                                          (cfg.eta1, cfg.eta2, cfg.eta3, cfg.eta4)):
+        site, minus, offset, kind = constraints[-1]
+        value = B[site] - B[minus] if minus else B[site]
+        if offset:          # subtracted even when 0.0, which is exact
+            value = value - getattr(data.kbc, offset)
+        rows = region_rows[region]
+        if rows is not None:
+            value = value[rows]
+        terms.append(((site, minus, kind, rows), (value if kind == "gt0" else -value) + eta))
     # a sum over the size, as ndarray.mean computes a 1-D mean
-    breakdown = tuple(float(np.add.reduce(np.maximum(a, 0.0)) / a.size) for a in terms)
+    breakdown = tuple(float(np.add.reduce(np.maximum(a, 0.0)) / a.size) for _, a in terms)
 
-    # dL/dB at each evaluation site
-    d_i, d_u, act_1, act_k = ((a > 0) / a.size for a in terms)
-    coef_s = np.zeros(m)
-    coef_s[idx_i] += d_i
-    coef_s[idx_u] -= d_u
-    coef_s -= act_1 + act_k
+    # dL/dB at each site.  In reverse the terms sum the E1 and E2 coefficients
+    # at x before they add the I and U ones, an order the rounding depends on.
+    coefs = dict.fromkeys(sites, np.zeros(m))
+    for (site, minus, kind, rows), a in reversed(terms):
+        # dL/d(violation amount): the bits of +-(a > 0) / a.size, faster
+        d = (a > 0) * ((1.0 if kind == "gt0" else -1.0) / a.size)
+        if rows is not None:
+            d = np.bincount(rows, d, m)     # spread over all m rows
+        coefs[site] = coefs[site] + d
+        if minus:
+            coefs[minus] = coefs[minus] - d
 
     h, n = params.weights.shape
     flat = np.zeros(h * n + 2 * h + 1)
     gw, gb, gv, gc = _blocks(flat, h, n)
     v = _rows(params.out_weights, m)
     # one accumulation per site, in this order: merging them changes the rounding
-    for states, coef, (g, gp, _) in zip(sites, (coef_s, act_1, act_k), passes):
+    for site, (g, gp, _) in passes.items():
+        coef = coefs[site]
         gv += g.T @ coef
         gc[0] += np.add.reduce(coef)
         t = (coef[:, None] * gp) * v
         gb += _column_sums(t)
-        gw += t.T @ states
+        gw += t.T @ sites[site]
     return NetworkGradient(flat=flat, loss=float(sum(breakdown)), breakdown=breakdown)
 
 

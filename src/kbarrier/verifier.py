@@ -1,27 +1,22 @@
 """The certificate problem and its interval branch-and-bound verification.
 
 The problem statement lives here: `SafetySpec` is the state box X with the
-initial and unsafe region boxes, `KBCSpec` the horizon k and slack epsilon.
-The module imports nothing from the package but `expr`, so a `valid`
-verdict rests on `expr.py`, this module, and the composed maps f1 and fk
-that the caller passes in.
+initial and unsafe region boxes, `KBCSpec` the horizon k and slack epsilon,
+and `CONDITIONS` the four certificate conditions, negated, as one table
+that the search, `check_point` and the trainer read.  The module imports
+nothing from the package but `expr`, so a `valid` verdict rests on
+`expr.py`, this module, and the composed maps f1 and fk that the caller
+passes in.
 
-A candidate B is checked against the four certificate conditions over the
-full state box by searching each *negated* condition for a satisfying
-point:
-
-    I :  x in X_I  and  B(x) > 0
-    U :  x in X_U  and  B(x) <= lam                      (lam = (k-1)*eps)
-    E1:  x in X,  B(x) <= lam  and  B(f1(x)) - B(x) - eps > 0
-    E2:  x in X,  B(x) <= 0    and  B(fk(x)) - B(x) > 0
-
-Each search subdivides its region box breadth-first, splitting along the
-widest dimension.  A box is discarded once any constraint's interval
-enclosure proves it infeasible; a box whose midpoint satisfies every
-constraint under exact point evaluation is a concrete counterexample; a box
-narrower than delta that can be neither discarded nor confirmed is reported
-as delta-sat.  `Valid` is returned only when all four searches discard
-everything.  Exploration is deterministic, so verdicts are reproducible.
+Each negated condition is searched for a satisfying point by subdividing
+its region box breadth-first, splitting along the widest dimension.  A box
+is discarded once any constraint's interval enclosure proves it
+infeasible (`_may_hold`, where NaN keeps a box); a box whose midpoint
+satisfies every constraint under exact point evaluation (`_holds`, where
+NaN never holds) is a concrete counterexample; a box narrower than delta
+that can be neither discarded nor confirmed is delta-sat.  Exploration is
+deterministic, so verdicts are reproducible.  The margin, the violation
+amount, is read from the last constraint by `_margin`.
 
 A box is judged in two passes.  `Tape.eval_boxes` gives the naive
 enclosures of every frontier box; the boxes they keep get the tighter
@@ -37,19 +32,6 @@ network.  Its coefficients are rounded to nearest, so a `valid` verdict
 for such a network certifies the collected polynomial, and a witness's
 margin is computed on it.  `condition_exprs` and `check_point` keep B as
 written.
-
-Each search returns a `Verdict` for its own condition, "valid" meaning
-every box was discarded.  `verify` adds up their box counts, returns the
-first counterexample or exhaustion as it stands, and otherwise the first
-delta-sat verdict, or `valid` when there is none.  Two predicates decide
-whether a constraint set can hold: `_may_hold` on interval enclosures,
-where NaN keeps a box, and `_holds` at points, where NaN never holds.
-`check_point` is built from the same constraint sets and `_holds`.
-
-A Tape compiles exactly a condition's constraints, and the margin (the
-violation amount) is read from their outputs by `_margin`: B for I, the
-increase (the last constraint) for E1 and E2, and lam - B = -(B - lam) for
-U, where negation is exact.
 """
 
 from __future__ import annotations
@@ -66,11 +48,8 @@ from .expr import Box, Const, Expr, Tape, collect_polynomial, sub, substitute
 
 __all__ = [
     "KBCSpec", "SafetySpec", "VerificationTask", "Verdict", "Constraint",
-    "condition_exprs", "check_point", "verify",
-    "CONDITION_TAGS",
+    "CONDITIONS", "condition_exprs", "check_point", "verify",
 ]
-
-CONDITION_TAGS = ("I", "U", "E1", "E2")
 
 # constraint kinds: "le0" requires expr <= 0, "gt0" requires expr > 0
 Constraint = tuple[Expr, str]
@@ -114,6 +93,22 @@ class SafetySpec:
     @property
     def n(self) -> int:
         return self.X.n
+
+
+# The negated certificate conditions, in search order: each tag's region (a
+# SafetySpec field) and constraints.  A constraint (site, minus, offset, kind)
+# is B(site) - B(minus) - offset, tested by `kind`: a site is "x", "f1" or
+# "fk", for B at x, f1(x) or fk(x); `minus` is an optional second site and
+# `offset` names an optional KBCSpec constant.  The last constraint is the
+# violation, any before it are its gates.
+CONDITIONS = {
+    "I": ("X_I", [("x", None, None, "gt0")]),          # B > 0
+    "U": ("X_U", [("x", None, "lam", "le0")]),         # B <= lam
+    "E1": ("X", [("x", None, "lam", "le0"),            # B <= lam and
+                 ("f1", "x", "epsilon", "gt0")]),      #   B(f1) - B - eps > 0
+    "E2": ("X", [("x", None, None, "le0"),             # B <= 0 and
+                 ("fk", "x", None, "gt0")]),           #   B(fk) - B > 0
+}
 
 
 @dataclass(frozen=True)
@@ -179,51 +174,48 @@ class Verdict:
 
 
 def condition_exprs(task: VerificationTask) -> list[tuple[str, list[Constraint], Box]]:
-    """The four negated conditions as (tag, constraint set, search region)."""
-    B = task.B
-    lam = task.kbc.lam
-    eps = task.kbc.epsilon
-    B_f1 = substitute(B, task.f1_sym)
-    B_fk = substitute(B, task.fk_sym)
-    gate_lam: Constraint = (sub(B, Const(lam)) if lam != 0.0 else B, "le0")
-    return [
-        ("I", [(B, "gt0")], task.spec.X_I),
-        ("U", [gate_lam], task.spec.X_U),
-        ("E1", [gate_lam, (sub(sub(B_f1, B), Const(eps)) if eps != 0.0 else sub(B_f1, B), "gt0")],
-         task.spec.X),
-        ("E2", [(B, "le0"), (sub(B_fk, B), "gt0")], task.spec.X),
-    ]
+    """The four negated conditions of `CONDITIONS` as (tag, constraint set, search region)."""
+    at = {"x": task.B, "f1": substitute(task.B, task.f1_sym),
+          "fk": substitute(task.B, task.fk_sym)}
+
+    def build(site, minus, offset, kind) -> Constraint:
+        e = sub(at[site], at[minus]) if minus else at[site]
+        value = getattr(task.kbc, offset) if offset else 0.0
+        # a zero offset is left out: each Tape op adds to the centred form's allowance
+        return (sub(e, Const(value)) if value else e), kind
+
+    return [(tag, [build(*c) for c in constraints], getattr(task.spec, region))
+            for tag, (region, constraints) in CONDITIONS.items()]
 
 
 def check_point(task: VerificationTask, x: Sequence[float]) -> list[tuple[str, float]]:
-    """Exact per-condition violation check at a single state.
+    """Exact per-condition violation check at a single state of shape (n,).
 
-    Returns (tag, margin) for every condition violated at x, the margin
-    being the amount by which the violating inequality holds.  The level
-    conditions I and U apply only inside their regions; the evolution
-    conditions are evaluated unconditionally, i.e. the increase itself is
-    reported even when x lies outside the sub-level set the search gates
-    on, so the diagnostic matches what an ungated conventional certificate
-    check would flag.
+    Returns (tag, margin) for every condition violated at x inside its
+    region, the margin being the amount by which the violation (the last
+    constraint) holds.  The gates are not applied: the increase in E1 and
+    E2 is reported even when x lies outside the sub-level set the search
+    gates on, so the diagnostic matches what an ungated conventional
+    certificate check would flag.
     """
-    x = np.asarray(x, dtype=float)[None, :]
+    x = np.asarray(x, dtype=float)
+    if x.shape != (task.spec.n,):
+        raise ValueError(f"point has shape {x.shape}; the task's states have shape "
+                         f"({task.spec.n},)")
     violations: list[tuple[str, float]] = []
     for tag, constraints, region in condition_exprs(task):
-        if tag in ("E1", "E2"):
-            constraints = constraints[-1:]      # the increase alone, ungated
-        elif not region.contains(x[0]):
-            continue
-        values = Tape([e for e, _ in constraints]).eval_points(x)
-        if _holds(values, [kind for _, kind in constraints])[0]:
-            value = values[-1][0]
-            violations.append((tag, float(_margin(tag, value, value))))
+        e, kind = constraints[-1]
+        if region.contains(x):
+            value = Tape([e]).eval_points(x[None, :])[0]
+            if _holds([value], [kind])[0]:
+                violations.append((tag, float(_margin(kind, value[0], value[0]))))
     return violations
 
 
-def _margin(tag: str, lo, hi):
-    """Upper bound of the violation amount over the last constraint's
-    enclosure [lo, hi]; at a point, lo = hi = its value."""
-    return -lo if tag == "U" else hi
+def _margin(kind: str, lo, hi):
+    """Upper bound of the violation amount over the enclosure [lo, hi] of a last
+    constraint of kind `kind`; at a point, lo = hi = its value."""
+    return -lo if kind == "le0" else hi
 
 
 def _holds(values: Sequence[np.ndarray], kinds: Sequence[str]) -> np.ndarray:
@@ -274,13 +266,13 @@ def _search(tag: str, constraints: list[Constraint], region: Box, delta: float,
         for sl in _chunks(lo.shape[0]):
             enclosures = tape.eval_boxes(lo[sl], hi[sl])
             feasible[sl] = _may_hold(enclosures, kinds)
-            margin_hi[sl] = _margin(tag, *enclosures[-1])
+            margin_hi[sl] = _margin(kinds[-1], *enclosures[-1])
             # the centred enclosures re-judge the boxes the naive ones keep
             rows = sl.start + np.flatnonzero(feasible[sl])
             if rows.size:
                 refined = tape.eval_centred(lo[rows], hi[rows])
                 feasible[rows] = _may_hold(refined, kinds)
-                margin_hi[rows] = _margin(tag, *refined[-1])
+                margin_hi[rows] = _margin(kinds[-1], *refined[-1])
         lo, hi = lo[feasible], hi[feasible]
         margin_hi = margin_hi[feasible]
         if not lo.shape[0]:
@@ -298,7 +290,8 @@ def _search(tag: str, constraints: list[Constraint], region: Box, delta: float,
             if _holds(single, kinds)[0]:
                 value = single[-1][0]
                 return Verdict("counterexample", tag, point=tuple(float(v) for v in point),
-                               margin=float(_margin(tag, value, value)), boxes_explored=used)
+                               margin=float(_margin(kinds[-1], value, value)),
+                               boxes_explored=used)
 
         small = (hi - lo).max(axis=1) < delta
         if small.any() and first_delta is None:
@@ -325,15 +318,13 @@ def _search(tag: str, constraints: list[Constraint], region: Box, delta: float,
 
 
 def verify(task: VerificationTask) -> Verdict:
-    """Run all four negated-condition searches and aggregate the verdict.
+    """Run the negated-condition searches in table order and aggregate the verdict.
 
-    A confirmed counterexample returns immediately (searches run in the
-    fixed order I, U, E1, E2).  Otherwise the first delta-sat box found, if
-    any, is reported; exceeding the box budget reports exhaustion; and only
-    a fully discarded search space yields `valid`.  The margin of a
-    counterexample or delta-sat verdict comes from the constraint outputs
-    (see `_margin`).  The searches run on B's collected polynomial where
-    `collect_polynomial` finds one, and on B as written otherwise.
+    A confirmed counterexample or an exceeded box budget returns at once.
+    Otherwise the first delta-sat verdict, if any, is reported, and only a
+    fully discarded search space yields `valid`.  The searches run on B's
+    collected polynomial where `collect_polynomial` finds one, and on B as
+    written otherwise.
     """
     t0 = time.perf_counter()
     total = 0

@@ -1,5 +1,6 @@
 """Synthesis loop behaviour: augmentation, termination, replayability."""
 
+import hashlib
 import json
 import math
 from dataclasses import replace
@@ -180,7 +181,19 @@ class TestRunToy:
                 assert record.verdict == "delta_sat"
 
 
+def report_sha256(report) -> str:
+    """The sha256 of the `report.json` the CLI writes for `report`."""
+    return hashlib.sha256((report.to_json() + "\n").encode()).hexdigest()
+
+
 class TestEndToEndSmoke:
+    # the seed-0 reports under numpy 2.4.6; a change that moves an outcome
+    # re-baselines them
+    DIGESTS = {
+        "polynomial": "82f86a7a73fdc42b7323fc83eb3cff76afd24bcc616f1b368dcf046d0a397bd6",
+        "pendulum": "fec38ad7a153046099a634d4adc442e35ae15ec1310618d301fc98f9acddac28",
+    }
+
     @pytest.mark.parametrize("name,cap", [("polynomial", 2), ("pendulum", 2)])
     def test_pipeline_completes_with_recorded_outcome(self, name, cap, request):
         from dataclasses import replace
@@ -196,6 +209,7 @@ class TestEndToEndSmoke:
             assert record.verdict in ("valid", "counterexample",
                                       "delta_sat", "exhausted")
             assert record.loss_end <= record.loss_start + 1e-12
+        assert report_sha256(report) == self.DIGESTS[name]
 
 
 class TestRunNonlinear:
@@ -211,3 +225,6 @@ class TestRunNonlinear:
         assert report.records[0].verdict in ("counterexample", "delta_sat")
         assert report.records[-1].verdict == "valid"
         assert report.final_verdict.is_valid
+        # the seed-0 report under numpy 2.4.6
+        assert report_sha256(report) == (
+            "15ae690d828ee1e804ae0725021fd5e1c741a92edc22d37d2e61393c0e57f7a8")

@@ -49,6 +49,14 @@ def test_verifier_imports_only_expr_from_the_package():
     assert not [m for m in absolute if m.split(".")[0] == "kbarrier"]
 
 
+def test_learner_reads_no_condition_constant():
+    # lambda and epsilon reach the loss through the offsets of verifier.CONDITIONS
+    tree = ast.parse(Path(kbarrier.learner.__file__).read_text())
+    read = [node.attr for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and node.attr in ("lam", "epsilon")]
+    assert read == []
+
+
 # owner -> the attributes bench/tracing.py patches on it, looked up where the
 # package looks them up (cegis binds its layer entry points at import)
 BENCHMARK_HOOKS = {

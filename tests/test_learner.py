@@ -14,8 +14,9 @@ from kbarrier import (
     augment, eval_point, gradient, init_params, loss, mixed_sin_cos, sample_dataset, train,
 )
 from kbarrier.learner import evolve
+from kbarrier.verifier import CONDITIONS, VerificationTask, condition_exprs
 from kbarrier.learner import ACTIVATIONS, _activate
-from kbarrier.expr import Const, Pow, Sin, Cos, Exp
+from kbarrier.expr import Const, Pow, Sin, Cos, Exp, Tape
 from kbarrier.expr import _children  # structural walk for the export test
 
 from conftest import make_reference_nonlinear
@@ -349,6 +350,52 @@ class TestGradient:
         eta = 1e-4
         moved = net.with_flat(net.flat() - eta * g.flat)
         assert loss(moved, data, cfg)[0] < base
+
+
+class TestConditionTable:
+    """Each hinge term is its condition's violation as the verifier states it."""
+
+    CFG = TrainConfig(eta1=0.05, eta2=0.02, eta3=0.01, eta4=0.03)
+
+    def verifier_hinges(self, pipeline, net, data):
+        """Per condition, max(amount + eta, 0) at the samples in its region, the
+        amount being the last `condition_exprs` constraint with its sign."""
+        _, _, _, _, model = pipeline
+        task = VerificationTask(B=net.to_expr(), f1_sym=model.symbolic_step(),
+                                fk_sym=model.symbolic_k_step(data.kbc.k), spec=data.spec,
+                                kbc=data.kbc)
+        etas = (self.CFG.eta1, self.CFG.eta2, self.CFG.eta3, self.CFG.eta4)
+        hinges = []
+        for (_, constraints, region), eta in zip(condition_exprs(task), etas):
+            e, kind = constraints[-1]
+            value = Tape([e]).eval_points(data.S[region.contains(data.S)])[0]
+            hinges.append(np.maximum((-value if kind == "le0" else value) + eta, 0.0))
+        return hinges
+
+    def assert_agree(self, pipeline, net, data):
+        g = gradient(net, data, self.CFG)
+        hinges = self.verifier_hinges(pipeline, net, data)
+        assert g.breakdown == pytest.approx([h.mean() for h in hinges], rel=0, abs=1e-12)
+        assert all(h.any() for h in hinges)
+        # dL/dc by central differences: c shifts B by the same amount at every site
+        step, flat = 1e-7, net.flat()
+        shifted = [loss(net.with_flat(flat + sign * step * np.eye(flat.size)[-1]), data,
+                        self.CFG)[0] for sign in (1.0, -1.0)]
+        assert g.flat[-1] == pytest.approx((shifted[0] - shifted[1]) / (2 * step), abs=1e-6)
+        return g
+
+    def test_trainer_and_verifier_follow_the_table(self, highly_nonlinear, monkeypatch):
+        config, _, _, _, model = highly_nonlinear
+        data = sample_dataset(config.safety_spec(), model, config.kbc(), 300, seed=0)
+        net = init_params(2, 4, mixed_sin_cos(4), seed=2)
+        difference = self.assert_agree(highly_nonlinear, net, data)
+        # E2 as k-step invariance of {B <= 0}: B(fk(x)) > 0 where B(x) <= 0
+        gate, _ = CONDITIONS["E2"][1]
+        monkeypatch.setitem(CONDITIONS, "E2", ("X", [gate, ("fk", None, None, "gt0")]))
+        invariance = self.assert_agree(highly_nonlinear, net, data)
+        assert invariance.breakdown[:3] == difference.breakdown[:3]
+        assert invariance.breakdown[3] != difference.breakdown[3]
+        assert invariance.flat[-1] != difference.flat[-1]
 
 
 class TestSinglePass:

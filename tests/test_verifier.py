@@ -1,6 +1,7 @@
 """Negated-condition encoding, point checks and branch-and-bound verdicts."""
 
 import math
+import re
 from dataclasses import replace
 from fractions import Fraction
 
@@ -124,6 +125,21 @@ class TestCheckPoint:
         for x in ([0.0, 1.0], [-0.4, 0.7], [0.5, 1.8]):
             violations = dict(check_point(task, x))
             assert violations["U"] == pytest.approx(1.0 + 0.1, rel=1e-12)
+
+    @pytest.mark.parametrize("x", [[1.0, -1.5, 99.0], [1.0], [[1.0, -1.5]]])
+    def test_rejects_a_point_of_another_shape(self, polynomial, reference_polynomial_cert, x):
+        task = poly_task(polynomial, reference_polynomial_cert, k=1, epsilon=0.0)
+        shapes = rf"{re.escape(str(np.shape(x)))}.*\(2,\)"
+        with pytest.raises(ValueError, match=shapes):
+            check_point(task, x)
+
+    def test_conditions_apply_inside_their_regions_only(self):
+        # B = x0 + 1 increases by 1 under x -> x + (1, 0); X is [-1, 1]^2
+        shift = (X1 + Const(1.0), X2)
+        task = VerificationTask(B=X1 + Const(1.0), f1_sym=shift, fk_sym=shift,
+                                spec=SQUARE_SPEC, kbc=KBCSpec(k=2, epsilon=0.1))
+        assert dict(check_point(task, [0.9, 0.0])) == pytest.approx({"E1": 0.9, "E2": 1.0})
+        assert check_point(task, [1.1, 0.0]) == []
 
 
 class TestVerify:
@@ -509,7 +525,7 @@ def naive_search(tag, constraints, region, delta, budget):
         for sl in verifier._chunks(lo.shape[0]):
             enclosures = tape.eval_boxes(lo[sl], hi[sl])
             feasible[sl] = verifier._may_hold(enclosures, kinds)
-            margin_hi[sl] = verifier._margin(tag, *enclosures[-1])
+            margin_hi[sl] = verifier._margin(kinds[-1], *enclosures[-1])
         lo, hi = lo[feasible], hi[feasible]
         margin_hi = margin_hi[feasible]
         if not lo.shape[0]:
@@ -526,7 +542,7 @@ def naive_search(tag, constraints, region, delta, budget):
                 value = single[-1][0]
                 return verifier.Verdict(
                     "counterexample", tag, point=tuple(float(v) for v in point),
-                    margin=float(verifier._margin(tag, value, value)), boxes_explored=used)
+                    margin=float(verifier._margin(kinds[-1], value, value)), boxes_explored=used)
 
         small = (hi - lo).max(axis=1) < delta
         if small.any() and first_delta is None:
