@@ -19,7 +19,7 @@ import numpy as np
 
 from .dynamics import DataDrivenModel
 from .expr import Expr, format_expr
-from .learner import DatasetTriple, NetworkParams, TrainConfig, evolve, loss, sample_dataset, train
+from .learner import DatasetTriple, NetworkParams, TrainConfig, loss, sample_dataset, train
 from .verifier import KBCSpec, SafetySpec, Verdict, VerificationTask, verify
 
 __all__ = ["CegisConfig", "IterationRecord", "CegisReport", "augment", "run"]
@@ -135,9 +135,9 @@ def augment(data: DatasetTriple, cex: Sequence[float], cfg: CegisConfig,
     cloud = np.clip(cloud, spec.X.lo(), spec.X.hi())
     new_states = np.vstack([cex[None, :], cloud])
 
-    plus, kplus = evolve(model, new_states, data.kbc.k)
     return replace(data, S=np.vstack([data.S, new_states]),
-                   S_plus=np.vstack([data.S_plus, plus]), S_kplus=np.vstack([data.S_kplus, kplus]))
+                   S_plus=np.vstack([data.S_plus, model.step_batch(new_states)]),
+                   S_kplus=np.vstack([data.S_kplus, model.k_step_batch(new_states, data.kbc.k)]))
 
 
 def run(spec: SafetySpec, model: DataDrivenModel, kbc: KBCSpec,

@@ -64,9 +64,10 @@ def cmd_simulate(args) -> int:
         raise ConfigError(f"--x0 must have {config.n} entries, one per truth_step expression")
     if not np.all(np.isfinite(x0)):
         raise ConfigError(f"--x0 entries must be finite, got {args.x0!r}")
-    step = config.truth_model().eval if args.model == "truth" else _data_model(config).step
+    step_batch = (config.truth_model().eval_batch if args.model == "truth"
+                  else _data_model(config).step_batch)
     try:
-        states = rollout(step, x0, args.steps)
+        states = rollout(step_batch, x0, args.steps)
     except ValueError as err:
         # trajectory_from_csv would reject a CSV with the non-finite state
         print(f"{err}; no CSV written", file=sys.stderr)

@@ -69,9 +69,6 @@ class ExprMap:
     def size(self) -> int:
         return len(self.exprs)
 
-    def eval(self, x: Sequence[float]) -> np.ndarray:
-        return self.eval_batch(np.asarray(x, dtype=float)[None, :])[0]
-
     def eval_batch(self, states: np.ndarray) -> np.ndarray:
         """Values for each row of `states`, shape (m, size)."""
         cols = self._tape.eval_points(np.asarray(states, dtype=float))
@@ -99,17 +96,20 @@ def _checked_states(states: Sequence[Sequence[float]], dictionary: ExprMap) -> n
     return states
 
 
-def rollout(step: Callable[[np.ndarray], np.ndarray], x0: np.ndarray, steps: int) -> np.ndarray:
-    """States x(0)..x(steps) of  x+ = step(x), one per row.
+def rollout(step_batch: Callable[[np.ndarray], np.ndarray], x0: np.ndarray,
+            steps: int) -> np.ndarray:
+    """States x(0)..x(steps) of  x+ = f(x), one per row.
 
-    Stops at the first non-finite state with a ValueError naming it, so an
-    overflow never reaches the recorded states.
+    `step_batch` maps a batch of states, one per row, to their successors
+    (`ExprMap.eval_batch` of a truth map, `DataDrivenModel.step_batch`); it
+    is applied to one-row batches.  Stops at the first non-finite state with
+    a ValueError naming it, so an overflow never reaches the recorded states.
     """
     states = np.empty((max(steps, 0) + 1, len(x0)))
     states[0] = x0
     with np.errstate(all="ignore"):
         for i in range(1, steps + 1):
-            states[i] = step(states[i - 1])
+            states[i] = step_batch(states[i - 1:i])[0]
             if not np.isfinite(states[i]).all():
                 raise ValueError(f"rollout diverged: state {i} is not finite")
     return states
@@ -123,7 +123,7 @@ def collect_trajectory(truth: ExprMap, dictionary: ExprMap,
     x = np.asarray(x0, dtype=float)
     if x.shape != (truth.n,):
         raise ValueError("initial state dimension mismatch")
-    return _checked_states(rollout(truth.eval, x, T), dictionary)
+    return _checked_states(rollout(truth.eval_batch, x, T), dictionary)
 
 
 def _right_inverse(data: np.ndarray) -> tuple[np.ndarray, float]:
@@ -162,18 +162,12 @@ class DataDrivenModel:
     def n(self) -> int:
         return self.coeff.shape[0]
 
-    def step(self, x: Sequence[float]) -> np.ndarray:
-        """One-step evolution under the data-driven closed loop."""
-        return self.step_batch(np.asarray(x, dtype=float)[None, :])[0]
-
     def step_batch(self, states: np.ndarray) -> np.ndarray:
+        """One step of the closed loop from each row of `states`."""
         return self.dictionary.eval_batch(states) @ self.coeff.T
 
-    def k_step(self, x: Sequence[float], k: int) -> np.ndarray:
-        """k-fold application of `step`."""
-        return self.k_step_batch(np.asarray(x, dtype=float)[None, :], k)[0]
-
     def k_step_batch(self, states: np.ndarray, k: int) -> np.ndarray:
+        """k steps (k >= 1) of the closed loop from each row of `states`."""
         if k < 1:
             raise ValueError("k must be >= 1")
         out = np.asarray(states, dtype=float)

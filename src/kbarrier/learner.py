@@ -28,8 +28,7 @@ bits as the plain formulation; the tests compare against it.
 
 A `DatasetTriple` holds the row indices of its samples in X_I and X_U and
 the `KBCSpec` its k-step rows were built for, whose constants the loss
-reads.  `evolve` computes the evolved rows for `sample_dataset` and for the
-rows `cegis.augment` appends.
+reads.
 """
 
 from __future__ import annotations
@@ -47,7 +46,7 @@ from .verifier import CONDITIONS, KBCSpec, SafetySpec
 
 __all__ = [
     "ACTIVATIONS", "NetworkParams", "NetworkGradient", "DatasetTriple", "TrainConfig",
-    "TrainingDiverged", "mixed_sin_cos", "init_params", "evolve", "sample_dataset", "loss",
+    "TrainingDiverged", "mixed_sin_cos", "init_params", "sample_dataset", "loss",
     "gradient", "train",
 ]
 
@@ -132,10 +131,6 @@ class NetworkParams:
         """Validated parameters of this shape and activations: views of a `flat` vector."""
         W, b, v, c = _blocks(np.asarray(theta, dtype=float), self.width, self.n)
         return NetworkParams(W, b, v, c[0], self.activations)
-
-    def forward(self, x: Sequence[float]) -> float:
-        """Candidate value at a single state."""
-        return float(self.forward_batch(np.asarray(x, dtype=float)[None, :])[0])
 
     def forward_batch(self, states: np.ndarray) -> np.ndarray:
         return _forward(self, np.asarray(states, dtype=float), self.biases)[2]
@@ -288,18 +283,6 @@ class DatasetTriple:
         return self.S.shape[0]
 
 
-def evolve(model: DataDrivenModel, states: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """The 1-step and k-step (k >= 1) images of `states` under `model`.
-
-    The k-step image continues from the 1-step one: the bits of
-    `model.k_step_batch(states, k)`, with one step fewer.
-    """
-    plus = kplus = model.step_batch(states)
-    for _ in range(k - 1):
-        kplus = model.step_batch(kplus)
-    return plus, kplus
-
-
 def sample_dataset(spec: SafetySpec, model: DataDrivenModel, kbc: KBCSpec,
                    m: int, seed: int) -> DatasetTriple:
     """m uniform samples over X plus quota samples in each of X_I and X_U.
@@ -317,8 +300,8 @@ def sample_dataset(spec: SafetySpec, model: DataDrivenModel, kbc: KBCSpec,
         spec.X_I.sample(rng, quota),
         spec.X_U.sample(rng, quota),
     ])
-    S_plus, S_kplus = evolve(model, S, kbc.k)
-    return DatasetTriple(S=S, S_plus=S_plus, S_kplus=S_kplus, spec=spec, kbc=kbc)
+    return DatasetTriple(S=S, S_plus=model.step_batch(S), S_kplus=model.k_step_batch(S, kbc.k),
+                         spec=spec, kbc=kbc)
 
 
 def _column_sums(t: np.ndarray) -> np.ndarray:

@@ -155,10 +155,6 @@ class Verdict:
     boxes_explored: int = 0
     wall_time: float = 0.0
 
-    @property
-    def is_valid(self) -> bool:
-        return self.kind == "valid"
-
     def to_json(self) -> str:
         payload: dict = {"verdict": self.kind, "boxes_explored": self.boxes_explored,
                          "wall_time": self.wall_time}
@@ -189,7 +185,7 @@ def condition_exprs(task: VerificationTask) -> list[tuple[str, list[Constraint],
 
 
 def check_point(task: VerificationTask, x: Sequence[float]) -> list[tuple[str, float]]:
-    """Exact per-condition violation check at a single state of shape (n,).
+    """Exact per-condition violation check at a single finite state of shape (n,).
 
     Returns (tag, margin) for every condition violated at x inside its
     region, the margin being the amount by which the violation (the last
@@ -202,6 +198,8 @@ def check_point(task: VerificationTask, x: Sequence[float]) -> list[tuple[str, f
     if x.shape != (task.spec.n,):
         raise ValueError(f"point has shape {x.shape}; the task's states have shape "
                          f"({task.spec.n},)")
+    if not np.isfinite(x).all():
+        raise ValueError(f"point {x.tolist()} is not finite; no region contains it")
     violations: list[tuple[str, float]] = []
     for tag, constraints, region in condition_exprs(task):
         e, kind = constraints[-1]

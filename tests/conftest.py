@@ -14,6 +14,21 @@ from kbarrier.expr import (
 )
 
 
+def pytest_report_header(config):
+    """The numpy version and the SIMD targets it dispatches to on this CPU.
+
+    The seed-0 report digests in test_cegis.py hold for one numpy build
+    (2.4.6 dispatching AVX512_ICL and AVX512_SPR kernels); another build may
+    round differently, which is worth knowing when a digest differs.
+    """
+    try:
+        from numpy._core import _multiarray_umath as umath
+    except ImportError:     # numpy 1.x
+        from numpy.core import _multiarray_umath as umath
+    targets = [t for t in umath.__cpu_dispatch__ if umath.__cpu_features__.get(t)]
+    return f"numpy {np.__version__}, SIMD dispatch targets: {' '.join(targets) or 'none'}"
+
+
 # ---------------------------------------------------------------------------
 # Case-study pipelines (built once per session)
 # ---------------------------------------------------------------------------

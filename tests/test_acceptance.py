@@ -252,7 +252,7 @@ def test_criterion_5_end_to_end_synthesis(highly_nonlinear, synthesis_result):
         reverify = verify(task)
         grid = _grid_oracle(config, model, result.certificate, config.kbc())
         grid_clean = max(grid.values()) <= 1e-9
-        ok = reverify.is_valid and grid_clean
+        ok = reverify.kind == "valid" and grid_clean
         detail = (f"seed={seed} iterations={result.iterations} "
                   f"re-verify={reverify.kind} grid margins={grid} "
                   f"time={seed_time:.0f}s")

@@ -18,7 +18,7 @@ class TestCollectTrajectory:
     def test_nonlinear_study_first_columns(self, highly_nonlinear):
         config, truth, dictionary, trajectory, _ = highly_nonlinear
         assert trajectory[0] == pytest.approx([0.5, -1.0])
-        assert trajectory[1] == pytest.approx(truth.eval([0.5, -1.0]))
+        assert trajectory[1] == pytest.approx(truth.eval_batch([[0.5, -1.0]])[0])
 
     def test_constant_dictionary_row(self):
         # D0 = [[1, 0.5], [1, 1]] is invertible; the constant term gets no weight
@@ -32,7 +32,7 @@ class TestCollectTrajectory:
         _, truth, _, trajectory, _ = polynomial
         assert trajectory.shape == (7, 2)
         for i in range(6):
-            assert np.array_equal(trajectory[i + 1], truth.eval(trajectory[i]))
+            assert np.array_equal(trajectory[i + 1], truth.eval_batch(trajectory[i:i + 1])[0])
 
     def test_too_few_samples(self, polynomial):
         _, truth, dictionary, _, _ = polynomial
@@ -62,10 +62,13 @@ class TestExprMap:
             ExprMap((Var(0), Var(2)), 2)
 
     def test_eval_matches_batch(self):
+        # a one-row batch, as rollout applies it, and the same row of a larger one
         m = ExprMap((X1 * X2, Const(3.0), X2), 2)
         assert m.size == 3
-        assert np.array_equal(m.eval([2.0, -1.0]), [-2.0, 3.0, -1.0])
-        assert m.eval_batch(np.array([[2.0, -1.0], [0.5, 4.0]])).shape == (2, 3)
+        assert np.array_equal(m.eval_batch([[2.0, -1.0]]), [[-2.0, 3.0, -1.0]])
+        both = m.eval_batch(np.array([[2.0, -1.0], [0.5, 4.0]]))
+        assert both.shape == (2, 3)
+        assert np.array_equal(both[0], [-2.0, 3.0, -1.0])
 
 
 class TestBuildModel:
@@ -109,7 +112,8 @@ class TestBuildModel:
         x1, x2, sin_x1, cos_x1 = dictionary.exprs
         swapped = ExprMap((x1, x2, cos_x1, sin_x1), 2)
         model = build_model(trajectory, swapped)
-        assert np.abs(model.step([0.3, -0.2]) - truth.eval([0.3, -0.2])).max() <= 1e-8
+        x = np.array([[0.3, -0.2]])
+        assert np.abs(model.step_batch(x) - truth.eval_batch(x)).max() <= 1e-8
         pts = np.random.default_rng(0).uniform(-2, 2, size=(1000, 2))
         assert np.abs(model.step_batch(pts) - truth.eval_batch(pts)).max() <= 1e-8
 
@@ -129,44 +133,42 @@ class TestBuildModel:
 class TestStep:
     def test_origin_fixed_point(self, polynomial):
         _, _, _, _, model = polynomial
-        assert model.step([0.0, 0.0]) == pytest.approx([0.0, 0.0], abs=0)
+        assert model.step_batch([[0.0, 0.0]])[0] == pytest.approx([0.0, 0.0], abs=0)
 
     def test_matches_truth(self, polynomial):
         _, truth, _, _, model = polynomial
-        rng = np.random.default_rng(42)
-        for x in rng.uniform(-2, 2, size=(100, 2)):
-            assert np.abs(model.step(x) - truth.eval(x)).max() <= 1e-8
+        pts = np.random.default_rng(42).uniform(-2, 2, size=(100, 2))
+        assert np.abs(model.step_batch(pts) - truth.eval_batch(pts)).max() <= 1e-8
 
     def test_replays_training_column(self, highly_nonlinear):
         _, _, _, trajectory, model = highly_nonlinear
-        assert model.step([0.5, -1.0]) == pytest.approx(trajectory[1], abs=1e-9)
+        assert model.step_batch([[0.5, -1.0]])[0] == pytest.approx(trajectory[1], abs=1e-9)
 
 
 class TestKStep:
     def test_base_case(self, polynomial):
         _, _, _, _, model = polynomial
-        x = np.array([0.3, -0.7])
-        assert np.array_equal(model.k_step(x, 1), model.step(x))
+        x = np.array([[0.3, -0.7]])
+        assert np.array_equal(model.k_step_batch(x, 1), model.step_batch(x))
 
     def test_unrolled(self, polynomial):
         _, _, _, _, model = polynomial
         rng = np.random.default_rng(3)
-        x = rng.uniform(-1, 1, 2)
-        assert np.array_equal(model.k_step(x, 2), model.step(model.step(x)))
+        x = rng.uniform(-1, 1, (1, 2))
+        assert np.array_equal(model.k_step_batch(x, 2), model.step_batch(model.step_batch(x)))
 
     def test_matches_truth_iterated(self, polynomial):
         _, truth, _, _, model = polynomial
-        rng = np.random.default_rng(4)
-        for x in rng.uniform(-1.5, 1.5, size=(50, 2)):
-            t = x.copy()
-            for _ in range(3):
-                t = truth.eval(t)
-            assert np.abs(model.k_step(x, 3) - t).max() <= 1e-7
+        pts = np.random.default_rng(4).uniform(-1.5, 1.5, size=(50, 2))
+        t = pts.copy()
+        for _ in range(3):
+            t = truth.eval_batch(t)
+        assert np.abs(model.k_step_batch(pts, 3) - t).max() <= 1e-7
 
     def test_k_validation(self, polynomial):
         _, _, _, _, model = polynomial
         with pytest.raises(ValueError):
-            model.k_step([0.0, 0.0], 0)
+            model.k_step_batch([[0.0, 0.0]], 0)
 
 
 class TestSymbolicStep:
@@ -180,28 +182,25 @@ class TestSymbolicStep:
     def test_agrees_with_numeric(self, polynomial):
         _, _, _, _, model = polynomial
         f1 = model.symbolic_step()
-        rng = np.random.default_rng(5)
-        for x in rng.uniform(-2, 2, size=(100, 2)):
-            sym = [eval_point(c, x) for c in f1]
-            assert np.abs(np.array(sym) - model.step(x)).max() <= 1e-10
+        pts = np.random.default_rng(5).uniform(-2, 2, size=(100, 2))
+        sym = [[eval_point(c, x) for c in f1] for x in pts]
+        assert np.abs(np.array(sym) - model.step_batch(pts)).max() <= 1e-10
 
     def test_self_composition_matches_two_steps(self, polynomial):
         _, _, _, _, model = polynomial
         f1 = model.symbolic_step()
         f2 = [substitute(c, f1) for c in f1]
-        rng = np.random.default_rng(6)
-        for x in rng.uniform(-1, 1, size=(20, 2)):
-            sym = [eval_point(c, x) for c in f2]
-            assert np.abs(np.array(sym) - model.k_step(x, 2)).max() <= 1e-9
+        pts = np.random.default_rng(6).uniform(-1, 1, size=(20, 2))
+        sym = [[eval_point(c, x) for c in f2] for x in pts]
+        assert np.abs(np.array(sym) - model.k_step_batch(pts, 2)).max() <= 1e-9
 
     def test_symbolic_k_step_agrees(self, polynomial, highly_nonlinear):
         for bundle, k in ((polynomial, 3), (highly_nonlinear, 2)):
             _, _, _, _, model = bundle
             fk = model.symbolic_k_step(k)
-            rng = np.random.default_rng(7)
-            for x in rng.uniform(-1.2, 1.2, size=(25, 2)):
-                sym = [eval_point(c, x) for c in fk]
-                assert np.abs(np.array(sym) - model.k_step(x, k)).max() <= 1e-8
+            pts = np.random.default_rng(7).uniform(-1.2, 1.2, size=(25, 2))
+            sym = [[eval_point(c, x) for c in fk] for x in pts]
+            assert np.abs(np.array(sym) - model.k_step_batch(pts, k)).max() <= 1e-8
 
     def test_deep_composition_compiles_and_agrees(self, polynomial):
         # 300 nested substitutions: no walk over the DAG may recurse per level
@@ -260,13 +259,13 @@ class TestLinearModel:
     def test_k_step_base(self):
         model = linear_model([[1.0, 0.0], [0.5, 1.0], [0.25, 1.0]])
         x = np.array([1.0, 2.0])
-        assert np.array_equal(model.k_step(x, 1), model.coeff @ x)
+        assert np.array_equal(model.k_step_batch(x[None, :], 1)[0], model.coeff @ x)
 
     def test_k_zero_rejected(self):
         model = DataDrivenModel(coeff=np.eye(2), dictionary=identity_dictionary(2),
                                 sigma_min=1.0)
         with pytest.raises(ValueError):
-            model.k_step([1.0, 1.0], 0)
+            model.k_step_batch([[1.0, 1.0]], 0)
 
     def test_k_step_matches_sequential(self):
         rng = np.random.default_rng(11)
@@ -276,7 +275,7 @@ class TestLinearModel:
         expected = x.copy()
         for _ in range(4):
             expected = model.coeff @ expected
-        assert np.abs(model.k_step(x, 4) - expected).max() <= 1e-12
+        assert np.abs(model.k_step_batch(x[None, :], 4)[0] - expected).max() <= 1e-12
 
 
 class TestModelInvariants:
@@ -291,9 +290,10 @@ class TestModelInvariants:
     def test_k_step_recursion(self, highly_nonlinear):
         _, _, _, _, model = highly_nonlinear
         rng = np.random.default_rng(1)
-        x = rng.uniform(-1, 1, 2)
+        x = rng.uniform(-1, 1, (1, 2))
         for k in range(2, 6):
-            assert np.array_equal(model.k_step(x, k), model.step(model.k_step(x, k - 1)))
+            assert np.array_equal(model.k_step_batch(x, k),
+                                  model.step_batch(model.k_step_batch(x, k - 1)))
 
     def test_linear_consistency_with_dictionary_model(self):
         # linear truth map rolled out symbolically, or numpy states passed in:

@@ -17,6 +17,7 @@ from kbarrier.expr import (
     lin_comb, max_var_index, node_count, _NODES, _RULES, _pad_out,
     add, cos, exp, mul, neg, power, sin, sub,
 )
+from kbarrier.learner import init_params, mixed_sin_cos
 
 from conftest import random_box, random_expr, random_finite_pair
 
@@ -700,6 +701,36 @@ class TestCentredForm:
         np.testing.assert_array_equal(x_hi, [-0.5, 2.5])
         np.testing.assert_array_equal(z_lo, [0.0, 0.0])
         np.testing.assert_array_equal(z_hi, [0.0, 0.0])
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_deep_tape_never_escapes(self, highly_nonlinear, seed):
+        # the E2 Tape of a width-4 sin/cos network at k = 30 has more than the
+        # 2^10 chained ops _SPREAD_ERROR is sized for
+        config, _, _, _, model = highly_nonlinear
+        net = init_params(2, 4, mixed_sin_cos(4), seed=seed)
+        task = VerificationTask(B=net.to_expr(), f1_sym=model.symbolic_step(),
+                                fk_sym=model.symbolic_k_step(30), spec=config.safety_spec(),
+                                kbc=KBCSpec(k=30, epsilon=config.epsilon))
+        constraints, X = next((c, region) for tag, c, region in condition_exprs(task)
+                              if tag == "E2")
+        tape = Tape([e for e, _ in constraints])
+        assert len(tape.ops) > 2 ** 10
+        rng = np.random.default_rng(seed)
+        for width in (1e-1, 1e-2, 1e-3, 1e-4):
+            lo = rng.uniform(X.lo(), X.hi() - width, size=(100, 2))
+            hi = lo + width
+            points = lo[:, None, :] + width * rng.uniform(size=(100, 20, 2))
+            with np.errstate(all="ignore"):
+                centred = tape.eval_centred(lo, hi)
+                naive = tape.eval_boxes(lo, hi)
+                values = tape.eval_points(points.reshape(-1, 2))
+            for (c_lo, c_hi), v in zip(centred, values):
+                v = v.reshape(100, 20)
+                assert np.all((c_lo[:, None] <= v) & (v <= c_hi[:, None])), width
+            if width <= 1e-3:
+                # the refinement, not the naive bound, decides the last constraint
+                (c_lo, c_hi), (n_lo, n_hi) = centred[-1], naive[-1]
+                assert np.median((n_hi - n_lo) / (c_hi - c_lo)) > 10
 
     def test_nan_enclosure_stays_nan(self):
         # 0 * exp(x^2 + 710) is NaN at every point and over every box, and

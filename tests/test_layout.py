@@ -57,6 +57,15 @@ def test_learner_reads_no_condition_constant():
     assert read == []
 
 
+def test_each_state_map_has_one_evaluation_method():
+    # eval_batch, step_batch / k_step_batch and forward_batch are the numeric
+    # paths; a one-state call is a one-row batch
+    for cls in (kbarrier.ExprMap, kbarrier.DataDrivenModel, kbarrier.NetworkParams):
+        assert not {"eval", "step", "k_step", "forward"} & set(dir(cls)), cls.__name__
+    assert not hasattr(kbarrier.learner, "evolve")
+    assert not hasattr(kbarrier.Verdict, "is_valid")
+
+
 # owner -> the attributes bench/tracing.py patches on it, looked up where the
 # package looks them up (cegis binds its layer entry points at import)
 BENCHMARK_HOOKS = {

@@ -13,7 +13,6 @@ from kbarrier import (
     Box, DatasetTriple, KBCSpec, NetworkParams, SafetySpec, TrainConfig, TrainingDiverged,
     augment, eval_point, gradient, init_params, loss, mixed_sin_cos, sample_dataset, train,
 )
-from kbarrier.learner import evolve
 from kbarrier.verifier import CONDITIONS, VerificationTask, condition_exprs
 from kbarrier.learner import ACTIVATIONS, _activate
 from kbarrier.expr import Const, Pow, Sin, Cos, Exp, Tape
@@ -107,9 +106,9 @@ def reference_loss(params, data, cfg):
     li = lu = l1 = lk = 0.0
     n_i = n_u = 0
     for i in range(data.size):
-        b = params.forward(data.S[i])
-        b1 = params.forward(data.S_plus[i])
-        bk = params.forward(data.S_kplus[i])
+        b = float(params.forward_batch(data.S[i:i + 1])[0])
+        b1 = float(params.forward_batch(data.S_plus[i:i + 1])[0])
+        bk = float(params.forward_batch(data.S_kplus[i:i + 1])[0])
         if in_init[i]:
             li += relu(b + cfg.eta1)
             n_i += 1
@@ -193,22 +192,21 @@ def region_triple(spec: SafetySpec, rng: np.random.Generator, others: int,
 class TestForward:
     def test_constant_network(self):
         net = constant_net(-1.0)
-        assert net.forward([0.3, 0.7]) == -1.0
-        assert net.forward([-2.0, 2.0]) == -1.0
+        assert np.array_equal(net.forward_batch([[0.3, 0.7], [-2.0, 2.0]]), [-1.0, -1.0])
 
     def test_single_quadratic_node(self):
         net = NetworkParams(weights=np.array([[1.0, 0.0]]), biases=np.zeros(1),
                             out_weights=np.array([1.0]), out_bias=0.0,
                             activations=("square",))
-        for x in ([0.5, 3.0], [-1.2, 0.0]):
-            assert net.forward(x) == pytest.approx(x[0] ** 2, rel=1e-12)
+        pts = np.array([[0.5, 3.0], [-1.2, 0.0]])
+        assert net.forward_batch(pts) == pytest.approx(pts[:, 0] ** 2, rel=1e-12)
 
     def test_matches_symbolic_export(self):
         rng = np.random.default_rng(0)
         net = init_params(2, 5, ("square", "sin", "cos", "sin", "square"), seed=1)
         e = net.to_expr()
-        for x in rng.uniform(-2, 2, size=(100, 2)):
-            assert net.forward(x) == pytest.approx(eval_point(e, x), abs=1e-10)
+        pts = rng.uniform(-2, 2, size=(100, 2))
+        assert net.forward_batch(pts) == pytest.approx([eval_point(e, x) for x in pts], abs=1e-10)
 
 
 class TestFlatLayout:
@@ -647,7 +645,7 @@ class TestToExpr:
                       - 1.35 * math.sin(0.58 * x[0] - 0.47 * x[1] + 0.29)
                       + 0.65 * math.cos(0.72 * x[0] - 0.06 * x[1] + 1.40)
                       + 0.12 * math.cos(0.80 * x[0] - 0.05 * x[1] + 1.31) + 0.99)
-            assert net.forward(x) == pytest.approx(direct, abs=1e-12)
+            assert net.forward_batch(x[None, :])[0] == pytest.approx(direct, abs=1e-12)
             assert eval_point(e, x) == pytest.approx(direct, abs=1e-12)
 
     def test_square_network_is_degree_two_polynomial(self):
@@ -719,8 +717,10 @@ class TestSampleDataset:
         config, _, _, _, model = highly_nonlinear
         data = sample_dataset(config.safety_spec(), model, config.kbc(), 20, seed=7)
         for i in range(data.size):
-            assert data.S_plus[i] == pytest.approx(model.step(data.S[i]), rel=1e-14, abs=1e-15)
-            assert data.S_kplus[i] == pytest.approx(model.k_step(data.S[i], 2), rel=1e-14, abs=1e-15)
+            x = data.S[i:i + 1]
+            assert data.S_plus[i] == pytest.approx(model.step_batch(x)[0], rel=1e-14, abs=1e-15)
+            assert data.S_kplus[i] == pytest.approx(model.k_step_batch(x, 2)[0],
+                                                    rel=1e-14, abs=1e-15)
 
     def test_dataset_carries_its_kbc(self, highly_nonlinear):
         config, _, _, _, model = highly_nonlinear
@@ -728,9 +728,14 @@ class TestSampleDataset:
         assert sample_dataset(config.safety_spec(), model, kbc, 20, seed=7).kbc is kbc
 
     @pytest.mark.parametrize("k", [1, 2, 3])
-    def test_evolve_gives_the_bits_of_the_model(self, highly_nonlinear, k):
+    def test_rows_give_the_bits_of_the_model(self, highly_nonlinear, k):
+        # the sampled rows and the rows augment appends, at the dataset's horizon
         config, _, _, _, model = highly_nonlinear
-        S = config.safety_spec().X.sample(np.random.default_rng(k), 300)
-        plus, kplus = evolve(model, S, k)
-        assert np.array_equal(plus, model.step_batch(S))
-        assert np.array_equal(kplus, model.k_step_batch(S, k))
+        spec = config.safety_spec()
+        data = sample_dataset(spec, model, replace(config.kbc(), k=k), 300, seed=k)
+        assert np.array_equal(data.S_plus, model.step_batch(data.S))
+        assert np.array_equal(data.S_kplus, model.k_step_batch(data.S, k))
+        grown = augment(data, spec.X.midpoint(), config.cegis_config(1), model, seed=k)
+        new = grown.S[data.size:]
+        assert np.array_equal(grown.S_plus[data.size:], model.step_batch(new))
+        assert np.array_equal(grown.S_kplus[data.size:], model.k_step_batch(new, k))

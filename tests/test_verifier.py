@@ -133,6 +133,13 @@ class TestCheckPoint:
         with pytest.raises(ValueError, match=shapes):
             check_point(task, x)
 
+    @pytest.mark.parametrize("x", [[math.nan, 0.0], [math.inf, 0.0], [-math.inf, 0.0]])
+    def test_rejects_a_non_finite_point(self, polynomial, reference_polynomial_cert, x):
+        # no region box contains such a point, so [] would read as "no violation"
+        task = poly_task(polynomial, reference_polynomial_cert, k=1, epsilon=0.0)
+        with pytest.raises(ValueError, match=re.escape(f"point {x} is not finite")):
+            check_point(task, x)
+
     def test_conditions_apply_inside_their_regions_only(self):
         # B = x0 + 1 increases by 1 under x -> x + (1, 0); X is [-1, 1]^2
         shift = (X1 + Const(1.0), X2)
