@@ -25,8 +25,8 @@ train_cfg = config.train_config()
 
 data = sample_dataset(spec, model, kbc, m=1000, seed=0)
 print(f"dataset: {data.size} samples "
-      f"({data.idx_init.size} in the initial region, "
-      f"{data.idx_unsafe.size} in the unsafe region)")
+      f"({data.rows['X_I'].size} in the initial region, "
+      f"{data.rows['X_U'].size} in the unsafe region)")
 
 params = init_params(spec.n, config.width, config.activations, seed=0)
 start, parts = loss(params, data, train_cfg)

@@ -18,7 +18,7 @@ from typing import Sequence
 import numpy as np
 
 from .dynamics import DataDrivenModel
-from .expr import Expr, format_expr
+from .expr import Expr, checked_int, format_expr
 from .learner import DatasetTriple, NetworkParams, TrainConfig, loss, sample_dataset, train
 from .verifier import KBCSpec, SafetySpec, Verdict, VerificationTask, verify
 
@@ -43,18 +43,12 @@ class CegisConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.max_iterations < 0:
-            raise ValueError("max_iterations must be >= 0")
-        if self.cex_points < 1:
-            raise ValueError("cex_points must be >= 1")
+        for name, least in (("max_iterations", 0), ("cex_points", 1), ("samples", 1), ("seed", 0)):
+            object.__setattr__(self, name, checked_int(name, getattr(self, name), least))
         if not 0 < self.cex_radius < math.inf:
             raise ValueError("cex_radius must be > 0 and finite")
         if not 0 < self.lr_retrain <= self.train.learning_rate:
             raise ValueError("lr_retrain must be > 0 and not exceed learning_rate")
-        if self.samples < 1:
-            raise ValueError("samples must be >= 1")
-        if self.seed < 0:
-            raise ValueError("seed must be >= 0")
 
 
 @dataclass(frozen=True)

@@ -135,8 +135,6 @@ class CaseStudyConfig:
         if not set(self.activations) <= set(ACTIVATIONS):
             raise ConfigError(f"activations must name one or more of {', '.join(ACTIVATIONS)}, "
                               f"got {list(self.activations)!r}")
-        if len(self.eta) != 4:
-            raise ConfigError("eta must have four entries")
         if not 0 < self.delta < math.inf:
             raise ConfigError("delta must be > 0 and finite")
         if not self.max_boxes >= 1:
@@ -167,9 +165,7 @@ class CaseStudyConfig:
         return KBCSpec(k=self.k, epsilon=self.epsilon)
 
     def train_config(self) -> TrainConfig:
-        e1, e2, e3, e4 = self.eta
-        return TrainConfig(eta1=e1, eta2=e2, eta3=e3, eta4=e4, epochs=self.epochs,
-                           learning_rate=self.learning_rate)
+        return TrainConfig(eta=self.eta, epochs=self.epochs, learning_rate=self.learning_rate)
 
     def cegis_config(self, seed: int) -> CegisConfig:
         return CegisConfig(max_iterations=self.max_iterations, cex_points=self.cex_points,

@@ -102,11 +102,14 @@ def rollout(step_batch: Callable[[np.ndarray], np.ndarray], x0: np.ndarray,
 
     `step_batch` maps a batch of states, one per row, to their successors
     (`ExprMap.eval_batch` of a truth map, `DataDrivenModel.step_batch`); it
-    is applied to one-row batches.  Stops at the first non-finite state with
-    a ValueError naming it, so an overflow never reaches the recorded states.
+    is applied to one-row batches.  Stops at the first non-finite state, x0
+    included, with a ValueError naming it, so an overflow never reaches the
+    recorded states.
     """
     states = np.empty((max(steps, 0) + 1, len(x0)))
     states[0] = x0
+    if not np.isfinite(states[0]).all():
+        raise ValueError("rollout start: state 0 is not finite")
     with np.errstate(all="ignore"):
         for i in range(1, steps + 1):
             states[i] = step_batch(states[i - 1:i])[0]

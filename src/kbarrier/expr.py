@@ -75,6 +75,18 @@ _TWO_PI = 2.0 * math.pi
 _HALF_PI = 0.5 * math.pi
 
 
+def checked_int(name: str, value, least: int) -> int:
+    """`value` as an int (`operator.index`), or ValueError naming `name`
+    unless it is an integer >= least."""
+    try:
+        value = operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+    if value < least:
+        raise ValueError(f"{name} must be >= {least}, got {value}")
+    return value
+
+
 # ---------------------------------------------------------------------------
 # Expression nodes
 # ---------------------------------------------------------------------------
@@ -124,12 +136,7 @@ class Var(Expr):
     index: int
 
     def __post_init__(self):
-        try:
-            object.__setattr__(self, "index", operator.index(self.index))
-        except TypeError:
-            raise ValueError(f"variable index must be an integer, got {self.index!r}") from None
-        if self.index < 0:
-            raise ValueError(f"variable index must be non-negative, got {self.index}")
+        object.__setattr__(self, "index", checked_int("variable index", self.index, 0))
 
 
 @dataclass(frozen=True, eq=False, repr=False)
@@ -187,12 +194,7 @@ class Pow(Expr):
     exponent: int
 
     def __post_init__(self):
-        try:
-            object.__setattr__(self, "exponent", operator.index(self.exponent))
-        except TypeError:
-            raise ValueError(f"power exponent must be an integer, got {self.exponent!r}") from None
-        if self.exponent < 1:
-            raise ValueError(f"power exponent must be >= 1, got {self.exponent}")
+        object.__setattr__(self, "exponent", checked_int("power exponent", self.exponent, 1))
 
 
 # The node table: every node class by its prefix name, the lower-cased class

@@ -19,16 +19,18 @@ first epoch with a loss of exactly zero, which cannot change the parameters
 it returns (see `train`).
 
 `NetworkParams` owns the flat parameter layout: `flat` writes it, `with_flat`
-reads it back and `_blocks` gives its views.  Adam's state, the per-epoch
-parameters (views, wrapped without re-validation; `train` argues why that is
-safe) and the gradient all live in such vectors.  Biases and output
+reads it back and `_blocks` gives its views, the output bias c a 0-d one.
+Adam's state, the gradient and the parameters being trained all live in
+such vectors; `train` validates one `with_flat` view of its vector, once,
+and its arrays then track every update.  Biases and output
 weights are tiled to full (m, h) arrays once per epoch (`_rows`), so no
 element-wise step broadcasts a row at a time.  Each of these gives the same
 bits as the plain formulation; the tests compare against it.
 
-A `DatasetTriple` holds the row indices of its samples in X_I and X_U and
-the `KBCSpec` its k-step rows were built for, whose constants the loss
-reads.
+A `DatasetTriple` holds the row indices of its samples in each region of
+`CONDITIONS` other than X, keyed by region, and the `KBCSpec` its k-step
+rows were built for, whose constants the loss reads.  `TrainConfig.eta`
+holds the margins in `CONDITIONS` order.
 """
 
 from __future__ import annotations
@@ -41,7 +43,7 @@ from typing import Sequence
 import numpy as np
 
 from .dynamics import DataDrivenModel
-from .expr import Const, Expr, Var, cos, lin_comb, power, sin
+from .expr import Const, Expr, Var, checked_int, cos, lin_comb, power, sin
 from .verifier import CONDITIONS, KBCSpec, SafetySpec
 
 __all__ = [
@@ -80,17 +82,18 @@ class NetworkParams:
     weights: np.ndarray       # h x n
     biases: np.ndarray        # h
     out_weights: np.ndarray   # h
-    out_bias: float
+    out_bias: np.ndarray      # 0-d
     activations: tuple[str, ...]
 
     def __post_init__(self):
         object.__setattr__(self, "weights", np.asarray(self.weights, dtype=float))
         object.__setattr__(self, "biases", np.asarray(self.biases, dtype=float))
         object.__setattr__(self, "out_weights", np.asarray(self.out_weights, dtype=float))
-        object.__setattr__(self, "out_bias", float(self.out_bias))
+        object.__setattr__(self, "out_bias", np.asarray(self.out_bias, dtype=float))
         object.__setattr__(self, "activations", tuple(self.activations))
         h, _ = self.weights.shape
-        if self.biases.shape != (h,) or self.out_weights.shape != (h,):
+        if (self.biases.shape != (h,) or self.out_weights.shape != (h,)
+                or self.out_bias.shape != ()):
             raise ValueError("parameter shapes are inconsistent")
         if len(self.activations) != h:
             raise ValueError("one activation tag per hidden node required")
@@ -100,19 +103,6 @@ class NetworkParams:
         for arr in (self.weights, self.biases, self.out_weights, self.out_bias):
             if not np.all(np.isfinite(arr)):
                 raise ValueError("parameters must be finite")
-
-    @classmethod
-    def _trusted(cls, weights: np.ndarray, biases: np.ndarray, out_weights: np.ndarray,
-                 out_bias: float, activations: tuple[str, ...]) -> NetworkParams:
-        """Wrap arrays of the right shape and dtype without validating them.
-
-        Only for `train`'s per-epoch parameters; see `train` for why a
-        non-finite value there cannot escape.
-        """
-        params = object.__new__(cls)
-        params.__dict__.update(weights=weights, biases=biases, out_weights=out_weights,
-                               out_bias=out_bias, activations=activations)
-        return params
 
     @property
     def width(self) -> int:
@@ -125,12 +115,12 @@ class NetworkParams:
     def flat(self) -> np.ndarray:
         """The parameters as one new vector [W.ravel(), b, v, c]."""
         return np.concatenate([self.weights.ravel(), self.biases, self.out_weights,
-                               [self.out_bias]])
+                               self.out_bias.reshape(1)])
 
     def with_flat(self, theta: np.ndarray) -> NetworkParams:
-        """Validated parameters of this shape and activations: views of a `flat` vector."""
-        W, b, v, c = _blocks(np.asarray(theta, dtype=float), self.width, self.n)
-        return NetworkParams(W, b, v, c[0], self.activations)
+        """Validated parameters of this shape and activations: views of all of a `flat` vector."""
+        return NetworkParams(*_blocks(np.asarray(theta, dtype=float), self.width, self.n),
+                             self.activations)
 
     def forward_batch(self, states: np.ndarray) -> np.ndarray:
         return _forward(self, np.asarray(states, dtype=float), self.biases)[2]
@@ -150,11 +140,11 @@ class NetworkParams:
 
 
 def _blocks(theta: np.ndarray, h: int, n: int):
-    """Views W (h x n), b, v and c (length 1) of a vector in the `NetworkParams.flat` layout."""
+    """Views W (h x n), b, v and c (0-d) of a vector in the `NetworkParams.flat` layout."""
     w_end, b_end = h * n, h * n + h
     if theta.shape != (b_end + h + 1,):
         raise ValueError(f"a flat {h}x{n} network has {b_end + h + 1} entries, got {theta.shape}")
-    return theta[:w_end].reshape(h, n), theta[w_end:b_end], theta[b_end:-1], theta[-1:]
+    return theta[:w_end].reshape(h, n), theta[w_end:b_end], theta[b_end:-1], theta[-1:].reshape(())
 
 
 def _activate(z: np.ndarray, activations: tuple[str, ...]) -> tuple[np.ndarray, np.ndarray]:
@@ -232,21 +222,20 @@ class NetworkGradient:
 
 @dataclass(frozen=True)
 class TrainConfig:
-    """Loss margins eta1..eta4, epoch count and Adam learning rate."""
+    """Loss margins eta, one per condition in `CONDITIONS` order, epoch count
+    and Adam learning rate."""
 
-    eta1: float = 0.0
-    eta2: float = 0.0
-    eta3: float = 0.0
-    eta4: float = 0.0
+    eta: tuple[float, ...] = (0.0,) * len(CONDITIONS)
     epochs: int = 1000
     learning_rate: float = 0.1
 
     def __post_init__(self):
-        for name in ("eta1", "eta2", "eta3", "eta4"):
-            if not 0 <= getattr(self, name) < math.inf:
-                raise ValueError(f"{name} must be >= 0 and finite")
-        if self.epochs < 0:
-            raise ValueError("epochs must be >= 0")
+        object.__setattr__(self, "eta", tuple(self.eta))
+        if len(self.eta) != len(CONDITIONS):
+            raise ValueError(f"eta must have {len(CONDITIONS)} entries, one per condition")
+        if not all(0 <= e < math.inf for e in self.eta):
+            raise ValueError(f"eta entries must be >= 0 and finite, got {self.eta}")
+        object.__setattr__(self, "epochs", checked_int("epochs", self.epochs, 0))
         if not 0 < self.learning_rate < math.inf:
             raise ValueError("learning_rate must be > 0 and finite")
 
@@ -255,9 +244,9 @@ class TrainConfig:
 class DatasetTriple:
     """Sampled states with their 1-step and k-step data-driven evolutions.
 
-    `S_kplus` is built for the horizon `kbc.k`.  `idx_init` and `idx_unsafe`
-    are the row indices of the samples in X_I and X_U, derived from S and
-    `spec` at construction (and so again by `dataclasses.replace`).
+    `S_kplus` is built for the horizon `kbc.k`.  `rows` maps each region of
+    `CONDITIONS` other than X to the indices of the samples in it, derived
+    from S and `spec` at construction (and so again by `dataclasses.replace`).
     """
 
     S: np.ndarray
@@ -265,8 +254,7 @@ class DatasetTriple:
     S_kplus: np.ndarray
     spec: SafetySpec
     kbc: KBCSpec
-    idx_init: np.ndarray = field(init=False, repr=False)
-    idx_unsafe: np.ndarray = field(init=False, repr=False)
+    rows: dict[str, np.ndarray] = field(init=False, repr=False)
 
     def __post_init__(self):
         for name in ("S", "S_plus", "S_kplus"):
@@ -275,8 +263,9 @@ class DatasetTriple:
             raise ValueError(f"S has shape {self.S.shape}; the spec needs (m, {self.spec.n})")
         if self.S_plus.shape != self.S.shape or self.S_kplus.shape != self.S.shape:
             raise ValueError("evolution arrays must match the sample array")
-        object.__setattr__(self, "idx_init", np.flatnonzero(self.spec.X_I.contains(self.S)))
-        object.__setattr__(self, "idx_unsafe", np.flatnonzero(self.spec.X_U.contains(self.S)))
+        object.__setattr__(self, "rows", {
+            region: np.flatnonzero(getattr(self.spec, region).contains(self.S))
+            for region, _ in CONDITIONS.values() if region != "X"})
 
     @property
     def size(self) -> int:
@@ -321,22 +310,20 @@ def _evaluate(params: NetworkParams, data: DatasetTriple, cfg: TrainConfig) -> N
     """The training pass: loss, breakdown and gradient (hinge subgradient at 0 is 0).
 
     Each term's size normalises both its mean and its dL/dB coefficients."""
-    if not data.idx_init.size or not data.idx_unsafe.size:
+    if not all(rows.size for rows in data.rows.values()):
         raise ValueError("region mask empty; increase quota sampling")
     m = data.size
     sites = {"x": data.S, "f1": data.S_plus, "fk": data.S_kplus}
     bias = _rows(params.biases, m)
     passes = {site: _forward(params, states, bias) for site, states in sites.items()}
     B = {site: b for site, (_, _, b) in passes.items()}
-    region_rows = {"X_I": data.idx_init, "X_U": data.idx_unsafe, "X": None}
     terms = []
-    for (region, constraints), eta in zip(CONDITIONS.values(),
-                                          (cfg.eta1, cfg.eta2, cfg.eta3, cfg.eta4)):
+    for (region, constraints), eta in zip(CONDITIONS.values(), cfg.eta):
         site, minus, offset, kind = constraints[-1]
         value = B[site] - B[minus] if minus else B[site]
         if offset:          # subtracted even when 0.0, which is exact
             value = value - getattr(data.kbc, offset)
-        rows = region_rows[region]
+        rows = data.rows.get(region)
         if rows is not None:
             value = value[rows]
         terms.append(((site, minus, kind, rows), (value if kind == "gt0" else -value) + eta))
@@ -363,7 +350,7 @@ def _evaluate(params: NetworkParams, data: DatasetTriple, cfg: TrainConfig) -> N
     for site, (g, gp, _) in passes.items():
         coef = coefs[site]
         gv += g.T @ coef
-        gc[0] += np.add.reduce(coef)
+        gc[()] += np.add.reduce(coef)
         t = (coef[:, None] * gp) * v
         gb += _column_sums(t)
         gw += t.T @ sites[site]
@@ -386,27 +373,30 @@ def train(p0: NetworkParams, data: DatasetTriple, cfg: TrainConfig) -> NetworkPa
     """Full-batch Adam; returns the parameters with the lowest observed loss.
 
     Adam runs on one flat vector theta = `p0.flat()`, with its first and
-    second moments the same shape.  W, b, v and c are `_blocks` views of
-    theta, so each epoch is one vector update, and an improvement costs one
-    copy.  Adam is element-wise, so this is the same arithmetic, in the same
-    order, as updating the four parameter blocks one by one.
+    second moments the same shape.  One `NetworkParams`, `p0.with_flat(theta)`,
+    is built and validated before the first epoch.  Its W, b, v and c are
+    `_blocks` views of all of theta and track its in-place updates, so each
+    epoch is one vector update, and an improvement costs one copy.  Adam is
+    element-wise, so this is the same arithmetic, in the same order, as
+    updating the four parameter blocks one by one.
 
-    Each epoch calls the module-level `gradient` exactly once, with the
-    current `NetworkParams` and `data`, and takes the loss from its result:
-    one forward and one backward pass per epoch.  Code that wraps
-    `gradient`, such as a tracer counting epochs, relies on that.
+    Each epoch calls the module-level `gradient` exactly once, with that
+    same `NetworkParams` (live views of theta) and `data`, and takes the
+    loss from its result: one forward and one backward pass per epoch.
+    Code that wraps `gradient`, such as a tracer counting epochs, relies on
+    that.
 
-    The per-epoch `NetworkParams` wrap theta's views without the finiteness
-    check of the constructor, and no non-finite parameter can come back
-    from that.  Under IEEE arithmetic, which numpy's matmul keeps by
-    computing every product, a non-finite weight or bias makes the affine
-    term, and with it the activation, non-finite at every state, and a
-    non-finite activation, output weight or output bias makes B non-finite
-    there.  At a sample in X_I (there is one, or the loss raises
-    ValueError) the initial-region hinge is then +inf or NaN, unless B there
-    is -inf, and then the one-step hinge B(S+) - B(S) is.  So the loss is
-    non-finite and TrainingDiverged is raised before such parameters can
-    become the best ones.  The parameters returned still go through the
+    Only theta's start passes the finiteness check of the constructor, and
+    no non-finite parameter can come back from a later update.  Under IEEE
+    arithmetic, which numpy's matmul keeps by computing every product, a
+    non-finite weight or bias makes the affine term, and with it the
+    activation, non-finite at every state, and a non-finite activation,
+    output weight or output bias makes B non-finite there.  At a sample in
+    X_I (there is one, or the loss raises ValueError) the initial-region
+    hinge is then +inf or NaN, unless B there is -inf, and then the
+    one-step hinge B(S+) - B(S) is.  So the loss is non-finite and
+    TrainingDiverged is raised before such parameters can become the best
+    ones.  The parameters returned still go through the
     validating constructor.  Floating-point warnings are silenced inside
     the loop, since TrainingDiverged reports what they would.
 
@@ -419,7 +409,7 @@ def train(p0: NetworkParams, data: DatasetTriple, cfg: TrainConfig) -> NetworkPa
     if cfg.epochs == 0:
         return p0
     theta = p0.flat()
-    W, b, v, c = _blocks(theta, p0.width, p0.n)
+    params = p0.with_flat(theta)
     mom = np.zeros_like(theta)
     sec = np.zeros_like(theta)
     best_loss = math.inf
@@ -427,12 +417,9 @@ def train(p0: NetworkParams, data: DatasetTriple, cfg: TrainConfig) -> NetworkPa
     beta1, beta2, lr, eps = _BETA1, _BETA2, cfg.learning_rate, _ADAM_EPSILON
     decay1, decay2 = 1.0 - beta1, 1.0 - beta2
 
-    def current() -> NetworkParams:
-        return NetworkParams._trusted(W, b, v, float(c[0]), p0.activations)
-
     with np.errstate(over="ignore", invalid="ignore"):
         for t in range(1, cfg.epochs + 1):
-            g = gradient(current(), data, cfg)
+            g = gradient(params, data, cfg)
             if not math.isfinite(g.loss):
                 raise TrainingDiverged(f"non-finite loss at epoch {t - 1}")
             if g.loss < best_loss:
@@ -446,7 +433,7 @@ def train(p0: NetworkParams, data: DatasetTriple, cfg: TrainConfig) -> NetworkPa
             m_hat = mom / (1.0 - beta1 ** t)
             v_hat = sec / (1.0 - beta2 ** t)
             theta -= lr * m_hat / (np.sqrt(v_hat) + eps)
-        total, _ = loss(current(), data, cfg)
+        total, _ = loss(params, data, cfg)
     if not math.isfinite(total):
         raise TrainingDiverged(f"non-finite loss at epoch {cfg.epochs}")
     if total < best_loss:

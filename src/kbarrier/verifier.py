@@ -44,7 +44,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .expr import Box, Const, Expr, Tape, collect_polynomial, sub, substitute
+from .expr import Box, Const, Expr, Tape, checked_int, collect_polynomial, sub, substitute
 
 __all__ = [
     "KBCSpec", "SafetySpec", "VerificationTask", "Verdict", "Constraint",
@@ -67,8 +67,7 @@ class KBCSpec:
     lam: float = field(init=False)
 
     def __post_init__(self):
-        if self.k < 1:
-            raise ValueError("k must be >= 1")
+        object.__setattr__(self, "k", checked_int("k", self.k, 1))
         if not 0 <= self.epsilon < math.inf:
             raise ValueError("epsilon must be >= 0 and finite")
         object.__setattr__(self, "lam", (self.k - 1) * self.epsilon)

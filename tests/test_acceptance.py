@@ -304,7 +304,7 @@ def test_criterion_6_trajectory_safety(highly_nonlinear, synthesis_result):
 def test_criterion_7_gradient_correctness():
     spec = toy_spec()
     kbc = KBCSpec(k=2, epsilon=0.1)
-    cfg = TrainConfig(eta1=0.05, eta2=0.01, eta3=0.01, eta4=0.01)
+    cfg = TrainConfig(eta=(0.05, 0.01, 0.01, 0.01))
     step = 1e-5
     checked = 0
     seed = 0

@@ -32,7 +32,8 @@ def toy_setup():
     model = identity_model()
     kbc = KBCSpec(k=2, epsilon=0.1)
     cfg = CegisConfig(max_iterations=10, cex_points=20, cex_radius=0.1, lr_retrain=0.05,
-                      train=TrainConfig(eta1=0.05, eta2=0.001, epochs=400, learning_rate=0.1),
+                      train=TrainConfig(eta=(0.05, 0.001, 0.0, 0.0), epochs=400,
+                                        learning_rate=0.1),
                       samples=200, seed=0)
     return spec, model, kbc, cfg
 

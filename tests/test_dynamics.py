@@ -6,6 +6,7 @@ import pytest
 from kbarrier import (
     Box, ExprMap, RankDeficientData, build_model, collect_trajectory, trajectory_from_csv,
 )
+from kbarrier import dynamics
 from kbarrier.dynamics import DataDrivenModel, _right_inverse, states_to_csv
 from kbarrier.expr import Const, Tape, Var, eval_interval, eval_point, lin_comb, substitute
 
@@ -45,6 +46,19 @@ class TestCollectTrajectory:
         config, truth, dictionary, _, _ = polynomial
         with pytest.raises(ValueError, match=r"^rollout diverged: state 13 is not finite$"):
             collect_trajectory(truth, dictionary, config.x0, T=20)
+
+    @pytest.mark.parametrize("T", [0, 8])
+    def test_non_finite_start_is_blamed_on_state_0(self, polynomial, T):
+        _, truth, dictionary, _, _ = polynomial
+        with pytest.raises(ValueError, match=r"state 0 is not finite$"):
+            collect_trajectory(truth, dictionary, [np.nan, 0.0], T=T)
+
+    def test_rollout_of_no_steps_checks_the_start_state(self, polynomial):
+        _, truth, _, _, _ = polynomial
+        with pytest.raises(ValueError, match=r"state 0 is not finite$"):
+            dynamics.rollout(truth.eval_batch, np.array([np.inf, 0.0]), 0)
+        start = np.array([0.5, 0.0])
+        assert np.array_equal(dynamics.rollout(truth.eval_batch, start, 0), [start])
 
     def test_truth_needs_one_expression_per_dimension(self):
         truth = ExprMap((Var(0) + Var(1),), 2)

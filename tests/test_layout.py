@@ -94,7 +94,8 @@ def test_loss_makes_no_call_to_the_module_level_gradient(monkeypatch):
 
     monkeypatch.setattr(learner, "gradient", counted)
     params = learner.init_params(2, 3, ("square", "sin", "cos"), seed=0)
-    total, breakdown = learner.loss(params, _toy_data(), learner.TrainConfig(eta1=0.1))
+    cfg = learner.TrainConfig(eta=(0.1, 0.0, 0.0, 0.0))
+    total, breakdown = learner.loss(params, _toy_data(), cfg)
     assert calls[0] == 0
     assert total == sum(breakdown) > 0.0
 
@@ -103,21 +104,41 @@ def test_train_calls_the_module_level_gradient_once_per_epoch(monkeypatch):
     # the traced run wraps learner.gradient and reads `data.size` from its
     # second positional argument to count the epochs and rows of a training
     learner = kbarrier.learner
-    seen = []
+    seen, states = [], []
     real = learner.gradient
 
     def recording(*args, **kwargs):
         seen.append((args, kwargs))
+        params = args[0]
+        states.append((params.weights.copy(), params.out_bias.copy()))
         return real(*args, **kwargs)
 
     monkeypatch.setattr(learner, "gradient", recording)
     data = _toy_data()
-    # S_kplus = S makes the k-step hinge eta4 > 0 for every candidate
+    # S_kplus = S makes the k-step hinge eta[3] > 0 for every candidate
     data = replace(data, S_kplus=data.S)
-    cfg = learner.TrainConfig(eta4=0.01, epochs=7)
+    cfg = learner.TrainConfig(eta=(0.0, 0.0, 0.0, 0.01), epochs=7)
     learner.train(learner.init_params(2, 3, ("square", "sin", "cos"), seed=0), data, cfg)
     assert len(seen) == cfg.epochs
     assert all(args[1] is data and not kwargs for args, kwargs in seen)
+    # one parameter object per training, whose arrays track Adam's vector
+    assert all(args[0] is seen[0][0][0] for args, _ in seen)
+    for (w0, c0), (w1, c1) in zip(states, states[1:]):
+        assert not np.array_equal(w0, w1) and c0 != c1
+
+
+def test_trainer_state_has_one_shape_each():
+    # parameters are views of Adam's vector, the margins one tuple and the
+    # region rows keyed by the regions of verifier.CONDITIONS
+    learner = kbarrier.learner
+    assert not hasattr(learner.NetworkParams, "_trusted")
+    assert not {f"eta{i}" for i in range(1, 5)} & set(learner.TrainConfig.__dataclass_fields__)
+    assert not {"idx_init", "idx_unsafe"} & set(learner.DatasetTriple.__dataclass_fields__)
+    tree = ast.parse(Path(learner.__file__).read_text())
+    evaluate = next(node for node in ast.walk(tree)
+                    if isinstance(node, ast.FunctionDef) and node.name == "_evaluate")
+    literals = {node.value for node in ast.walk(evaluate) if isinstance(node, ast.Constant)}
+    assert not {"X_I", "X_U"} & literals
 
 
 def test_verify_compiles_one_tape_per_condition_and_counts_each_frontier_box_once(monkeypatch):

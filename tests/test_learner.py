@@ -1,5 +1,6 @@
 """Forward pass, loss arithmetic, analytic gradients and training behaviour."""
 
+import functools
 import math
 import re
 import warnings
@@ -10,8 +11,9 @@ import pytest
 
 import kbarrier.learner
 from kbarrier import (
-    Box, DatasetTriple, KBCSpec, NetworkParams, SafetySpec, TrainConfig, TrainingDiverged,
-    augment, eval_point, gradient, init_params, loss, mixed_sin_cos, sample_dataset, train,
+    Box, CegisConfig, DatasetTriple, KBCSpec, NetworkParams, SafetySpec, TrainConfig,
+    TrainingDiverged, augment, eval_point, gradient, init_params, loss, mixed_sin_cos,
+    sample_dataset, train,
 )
 from kbarrier.verifier import CONDITIONS, VerificationTask, condition_exprs
 from kbarrier.learner import ACTIVATIONS, _activate
@@ -37,6 +39,19 @@ class TestSpecs:
         with pytest.raises(ValueError):
             KBCSpec(k=2, epsilon=-0.1)
 
+    @pytest.mark.parametrize("cls, field", [
+        (KBCSpec, "k"), (TrainConfig, "epochs"), (CegisConfig, "max_iterations"),
+        (CegisConfig, "cex_points"), (CegisConfig, "samples"), (CegisConfig, "seed"),
+    ])
+    def test_count_fields_must_be_integers(self, cls, field):
+        # a float count would fail later, inside range(), or be used as given
+        make = functools.partial(cls, epsilon=0.1) if cls is KBCSpec else cls
+        for value in (2.5, 0.5, 3.0, "3"):
+            with pytest.raises(ValueError, match=f"^{field} must be an integer, got "):
+                make(**{field: value})
+        value = getattr(make(**{field: np.int64(3)}), field)
+        assert value == 3 and type(value) is int
+
     def test_safety_spec_containment(self):
         with pytest.raises(ValueError, match="inside the state space"):
             SafetySpec(X=Box.from_bounds([(-1, 1), (-1, 1)]),
@@ -55,15 +70,21 @@ class TestSpecs:
 
     @pytest.mark.parametrize("field, value", [
         ("learning_rate", 0.0), ("learning_rate", -0.1), ("learning_rate", math.nan),
-        ("learning_rate", math.inf), ("eta1", -1e-300), ("eta1", math.nan),
-        ("eta1", math.inf), ("eta4", math.nan),
+        ("learning_rate", math.inf),
+        # the margins are one tuple; etaN in an id names its N-th entry
+        pytest.param("eta", (-1e-300, 0.0, 0.0, 0.0), id="eta1--1e-300"),
+        pytest.param("eta", (math.nan, 0.0, 0.0, 0.0), id="eta1-nan"),
+        pytest.param("eta", (math.inf, 0.0, 0.0, 0.0), id="eta1-inf"),
+        pytest.param("eta", (0.0, 0.0, 0.0, math.nan), id="eta4-nan"),
+        pytest.param("eta", (0.0, 0.0, 0.0), id="eta-of-3"),
+        pytest.param("eta", (0.0,) * 5, id="eta-of-5"),
     ])
     def test_train_settings_must_be_finite(self, field, value):
         with pytest.raises(ValueError, match=field):
             TrainConfig(**{field: value})
 
     def test_train_settings_boundaries_accepted(self):
-        TrainConfig(learning_rate=5e-324, eta1=0.0, eta4=1e300)
+        TrainConfig(learning_rate=5e-324, eta=(0.0, 0.0, 0.0, 1e300))
 
     @pytest.mark.parametrize("epsilon", [-1e-300, math.nan, math.inf])
     def test_epsilon_must_be_finite(self, epsilon):
@@ -110,13 +131,13 @@ def reference_loss(params, data, cfg):
         b1 = float(params.forward_batch(data.S_plus[i:i + 1])[0])
         bk = float(params.forward_batch(data.S_kplus[i:i + 1])[0])
         if in_init[i]:
-            li += relu(b + cfg.eta1)
+            li += relu(b + cfg.eta[0])
             n_i += 1
         if in_unsafe[i]:
-            lu += relu(-b + kbc.lam + cfg.eta2)
+            lu += relu(-b + kbc.lam + cfg.eta[1])
             n_u += 1
-        l1 += relu(b1 - b - kbc.epsilon + cfg.eta3)
-        lk += relu(bk - b + cfg.eta4)
+        l1 += relu(b1 - b - kbc.epsilon + cfg.eta[2])
+        lk += relu(bk - b + cfg.eta[3])
     return li / n_i + lu / n_u + l1 / data.size + lk / data.size
 
 
@@ -142,10 +163,10 @@ def reference_gradient(params, data, cfg):
     B_1 = reference_activate(data.S_plus @ W.T + bias, acts)[0] @ v + c
     B_k = reference_activate(data.S_kplus @ W.T + bias, acts)[0] @ v + c
     in_init, in_unsafe = region_masks(data)
-    arg_i = B_s[in_init] + cfg.eta1
-    arg_u = -B_s[in_unsafe] + kbc.lam + cfg.eta2
-    arg_1 = B_1 - B_s - kbc.epsilon + cfg.eta3
-    arg_k = B_k - B_s + cfg.eta4
+    arg_i = B_s[in_init] + cfg.eta[0]
+    arg_u = -B_s[in_unsafe] + kbc.lam + cfg.eta[1]
+    arg_1 = B_1 - B_s - kbc.epsilon + cfg.eta[2]
+    arg_k = B_k - B_s + cfg.eta[3]
     total = float(sum((
         float(np.maximum(arg_i, 0.0).mean()),
         float(np.maximum(arg_u, 0.0).mean()),
@@ -249,7 +270,7 @@ class TestLoss:
         spec = toy_spec()
         kbc = KBCSpec(k=2, epsilon=0.1)
         data = manual_triple(spec, np.random.default_rng(1), kbc=kbc)
-        cfg = TrainConfig(eta1=0.1, eta2=0.001)
+        cfg = TrainConfig(eta=(0.1, 0.001, 0.0, 0.0))
         total, parts = loss(constant_net(-1.0), data, cfg)
         assert parts[0] == 0.0
         assert parts[1] == pytest.approx(1.101, abs=1e-12)
@@ -261,7 +282,7 @@ class TestLoss:
         spec = toy_spec()
         kbc = KBCSpec(k=2, epsilon=0.1)
         data = manual_triple(spec, np.random.default_rng(2), kbc=kbc)
-        cfg = TrainConfig(eta1=0.1, eta2=0.001)
+        cfg = TrainConfig(eta=(0.1, 0.001, 0.0, 0.0))
         _, parts = loss(constant_net(1.0), data, cfg)
         assert parts[0] == pytest.approx(1.1, abs=1e-12)
         assert parts[1] == 0.0
@@ -270,7 +291,7 @@ class TestLoss:
         spec = toy_spec()
         rng = np.random.default_rng(3)
         kbc = KBCSpec(k=3, epsilon=0.05)
-        cfg = TrainConfig(eta1=0.02, eta2=0.01, eta3=0.005, eta4=0.005)
+        cfg = TrainConfig(eta=(0.02, 0.01, 0.005, 0.005))
         for seed in range(5):
             data = manual_triple(spec, np.random.default_rng(seed), kbc=kbc)
             net = init_params(2, 4, mixed_sin_cos(4), seed=seed)
@@ -281,16 +302,16 @@ class TestLoss:
         spec = toy_spec()
         S = spec.X_U.sample(np.random.default_rng(0), 10)
         data = DatasetTriple(S=S, S_plus=S, S_kplus=S, spec=spec, kbc=KBCSpec(k=1, epsilon=0.0))
-        assert data.idx_init.size == 0 and data.idx_unsafe.size == data.size
+        assert data.rows["X_I"].size == 0 and data.rows["X_U"].size == data.size
         with pytest.raises(ValueError, match="region mask empty"):
             loss(constant_net(0.0), data, TrainConfig())
 
     def test_k1_unsafe_threshold_reduces(self):
-        # with k=1 the unsafe hinge is ReLU(-B + eta2)
+        # with k=1 the unsafe hinge is ReLU(-B + eta[1])
         spec = toy_spec()
         data = manual_triple(spec, np.random.default_rng(5), kbc=KBCSpec(k=1, epsilon=0.7))
         net = init_params(2, 2, ("sin", "cos"), seed=9)
-        cfg = TrainConfig(eta2=0.01)
+        cfg = TrainConfig(eta=(0.0, 0.01, 0.0, 0.0))
         _, parts = loss(net, data, cfg)
         b = net.forward_batch(data.S[region_masks(data)[1]])
         expected = np.maximum(-b + 0.01, 0.0).mean()
@@ -302,7 +323,7 @@ class TestGradient:
         spec = toy_spec()
         kbc = KBCSpec(k=2, epsilon=0.1)
         data = manual_triple(spec, np.random.default_rng(6), kbc=kbc)
-        cfg = TrainConfig(eta1=0.1, eta2=0.001)
+        cfg = TrainConfig(eta=(0.1, 0.001, 0.0, 0.0))
         net = NetworkParams(weights=np.arange(4.0).reshape(2, 2) + 1.0,
                             biases=np.array([0.3, -0.4]),
                             out_weights=np.zeros(2), out_bias=-0.2,
@@ -317,7 +338,7 @@ class TestGradient:
     def test_finite_difference_oracle(self):
         spec = toy_spec()
         kbc = KBCSpec(k=2, epsilon=0.1)
-        cfg = TrainConfig(eta1=0.05, eta2=0.01, eta3=0.01, eta4=0.01)
+        cfg = TrainConfig(eta=(0.05, 0.01, 0.01, 0.01))
         step = 1e-5
         checked = 0
         seed = 0
@@ -341,7 +362,7 @@ class TestGradient:
         spec = toy_spec()
         kbc = KBCSpec(k=2, epsilon=0.1)
         data = manual_triple(spec, np.random.default_rng(8), kbc=kbc)
-        cfg = TrainConfig(eta1=0.1, eta2=0.001)
+        cfg = TrainConfig(eta=(0.1, 0.001, 0.0, 0.0))
         net = init_params(2, 4, mixed_sin_cos(4), seed=3)
         base, _ = loss(net, data, cfg)
         g = gradient(net, data, cfg)
@@ -353,7 +374,7 @@ class TestGradient:
 class TestConditionTable:
     """Each hinge term is its condition's violation as the verifier states it."""
 
-    CFG = TrainConfig(eta1=0.05, eta2=0.02, eta3=0.01, eta4=0.03)
+    CFG = TrainConfig(eta=(0.05, 0.02, 0.01, 0.03))
 
     def verifier_hinges(self, pipeline, net, data):
         """Per condition, max(amount + eta, 0) at the samples in its region, the
@@ -362,9 +383,8 @@ class TestConditionTable:
         task = VerificationTask(B=net.to_expr(), f1_sym=model.symbolic_step(),
                                 fk_sym=model.symbolic_k_step(data.kbc.k), spec=data.spec,
                                 kbc=data.kbc)
-        etas = (self.CFG.eta1, self.CFG.eta2, self.CFG.eta3, self.CFG.eta4)
         hinges = []
-        for (_, constraints, region), eta in zip(condition_exprs(task), etas):
+        for (_, constraints, region), eta in zip(condition_exprs(task), self.CFG.eta):
             e, kind = constraints[-1]
             value = Tape([e]).eval_points(data.S[region.contains(data.S)])[0]
             hinges.append(np.maximum((-value if kind == "le0" else value) + eta, 0.0))
@@ -406,7 +426,7 @@ class TestSinglePass:
         rng = np.random.default_rng(100 * n + 10 * width + others)
         spec = cube_spec(n)
         kbc = KBCSpec(k=3, epsilon=0.05)
-        cfg = TrainConfig(eta1=0.02, eta2=0.01, eta3=0.005, eta4=0.005)
+        cfg = TrainConfig(eta=(0.02, 0.01, 0.005, 0.005))
         for trial in range(3):
             data = region_triple(spec, rng, others, kbc)
             acts = tuple(str(a) for a in rng.choice(ACTIVATIONS, width))
@@ -445,10 +465,10 @@ def _near_kink(net, data, cfg, tol):
     bk = net.forward_batch(data.S_kplus)
     in_init, in_unsafe = region_masks(data)
     args = np.concatenate([
-        b[in_init] + cfg.eta1,
-        -b[in_unsafe] + kbc.lam + cfg.eta2,
-        b1 - b - kbc.epsilon + cfg.eta3,
-        bk - b + cfg.eta4,
+        b[in_init] + cfg.eta[0],
+        -b[in_unsafe] + kbc.lam + cfg.eta[1],
+        b1 - b - kbc.epsilon + cfg.eta[2],
+        bk - b + cfg.eta[3],
     ])
     return bool(np.abs(args).min() < tol)
 
@@ -489,8 +509,7 @@ def zero_loss_instance():
     """A small instance that training drives to exactly zero loss."""
     data = manual_triple(toy_spec(), np.random.default_rng(12), m=30,
                          kbc=KBCSpec(k=2, epsilon=0.1))
-    cfg = TrainConfig(eta1=0.01, eta2=0.001, eta3=0.001, eta4=0.001,
-                      epochs=800, learning_rate=0.1)
+    cfg = TrainConfig(eta=(0.01, 0.001, 0.001, 0.001), epochs=800, learning_rate=0.1)
     return init_params(2, 4, mixed_sin_cos(4), seed=2), data, cfg
 
 
@@ -517,13 +536,13 @@ class TestTrain:
     def _setup(self, seed=0):
         data = manual_triple(toy_spec(), np.random.default_rng(seed), m=60,
                              kbc=KBCSpec(k=2, epsilon=0.1))
-        cfg = TrainConfig(eta1=0.01, eta2=0.001, epochs=150, learning_rate=0.1)
+        cfg = TrainConfig(eta=(0.01, 0.001, 0.0, 0.0), epochs=150, learning_rate=0.1)
         net = init_params(2, 4, mixed_sin_cos(4), seed=seed)
         return data, cfg, net
 
     def test_zero_epochs_is_identity(self):
         data, cfg, net = self._setup()
-        cfg = TrainConfig(epochs=0, eta1=0.01, eta2=0.001)
+        cfg = TrainConfig(epochs=0, eta=(0.01, 0.001, 0.0, 0.0))
         assert train(net, data, cfg) is net
 
     def test_training_does_not_increase_best_loss(self):
@@ -549,7 +568,7 @@ class TestTrain:
         kbc = KBCSpec(k=2, epsilon=0.1)
         data = manual_triple(spec, np.random.default_rng(20), m=30, kbc=kbc)
         # absurd learning rates overflow the parameters within a few steps
-        cfg = TrainConfig(eta1=0.1, eta2=0.001, epochs=10, learning_rate=rate)
+        cfg = TrainConfig(eta=(0.1, 0.001, 0.0, 0.0), epochs=10, learning_rate=rate)
         net = init_params(2, 3, activations, seed=0)
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # the overflow is reported once, as the exception
@@ -590,7 +609,7 @@ class TestTrain:
     def test_parity_mixed_activations(self):
         kbc = KBCSpec(k=3, epsilon=0.05)
         data = manual_triple(toy_spec(), np.random.default_rng(31), m=80, kbc=kbc)
-        cfg = TrainConfig(eta1=0.02, eta2=0.01, eta3=0.005, eta4=0.005, epochs=120,
+        cfg = TrainConfig(eta=(0.02, 0.01, 0.005, 0.005), epochs=120,
                           learning_rate=0.05)
         p0 = init_params(2, 5, ("square", "sin", "cos", "square", "sin"), seed=3)
         expected, _ = reference_train(p0, data, cfg)
@@ -621,9 +640,9 @@ class TestTrain:
 
     def test_one_gradient_call_per_epoch_without_zero_loss(self, monkeypatch):
         data, cfg, net = self._setup()
-        # with S_kplus = S the k-step hinge is eta4 > 0 for every candidate
+        # with S_kplus = S the k-step hinge is eta[3] > 0 for every candidate
         data = replace(data, S_kplus=data.S)
-        cfg = replace(cfg, eta4=0.01)
+        cfg = replace(cfg, eta=cfg.eta[:3] + (0.01,))
         expected, first_zero = reference_train(net, data, cfg)
         assert first_zero is None
         calls = count_gradient_calls(monkeypatch)
@@ -666,9 +685,12 @@ class TestToExpr:
 class TestRegionIndices:
     @staticmethod
     def assert_indices_match(data):
+        # one entry per region the conditions restrict to; X is every row
+        assert list(data.rows) == list(dict.fromkeys(
+            region for region, _ in CONDITIONS.values() if region != "X"))
         in_init, in_unsafe = region_masks(data)
-        assert np.array_equal(data.idx_init, np.flatnonzero(in_init))
-        assert np.array_equal(data.idx_unsafe, np.flatnonzero(in_unsafe))
+        assert np.array_equal(data.rows["X_I"], np.flatnonzero(in_init))
+        assert np.array_equal(data.rows["X_U"], np.flatnonzero(in_unsafe))
 
     def test_recomputed_by_replace(self):
         data = manual_triple(toy_spec(), np.random.default_rng(40))
@@ -676,8 +698,8 @@ class TestRegionIndices:
         spec = data.spec
         moved = replace(data, spec=replace(spec, X_I=spec.X_U, X_U=spec.X_I))
         self.assert_indices_match(moved)
-        assert np.array_equal(moved.idx_init, data.idx_unsafe)
-        assert np.array_equal(moved.idx_unsafe, data.idx_init)
+        assert np.array_equal(moved.rows["X_I"], data.rows["X_U"])
+        assert np.array_equal(moved.rows["X_U"], data.rows["X_I"])
 
     def test_recomputed_by_augment(self, polynomial):
         config, _, _, _, model = polynomial
@@ -686,7 +708,7 @@ class TestRegionIndices:
         # a witness inside X_U grows the unsafe rows
         grown = augment(data, spec.X_U.midpoint(), config.cegis_config(1), model, seed=2)
         self.assert_indices_match(grown)
-        assert grown.idx_unsafe.size > data.idx_unsafe.size
+        assert grown.rows["X_U"].size > data.rows["X_U"].size
 
 
 class TestDatasetShape:
@@ -702,8 +724,8 @@ class TestSampleDataset:
         config, _, _, _, model = highly_nonlinear
         data = sample_dataset(config.safety_spec(), model, config.kbc(), 1000, seed=0)
         assert data.size >= 1000
-        assert data.idx_init.size >= 50
-        assert data.idx_unsafe.size >= 50
+        assert data.rows["X_I"].size >= 50
+        assert data.rows["X_U"].size >= 50
 
     def test_seeded_repeatability(self, highly_nonlinear):
         config, _, _, _, model = highly_nonlinear

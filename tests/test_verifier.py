@@ -634,7 +634,7 @@ def exact_network_polynomial(params):
         for key, c in (((), b * b), ((1,), 2 * b * w0), ((0, 1), 2 * b * w1),
                        ((2,), w0 * w0), ((1, 1), 2 * w0 * w1), ((0, 2), w1 * w1)):
             coefficients[key] = coefficients.get(key, 0) + v * c
-    coefficients[()] += Fraction(params.out_bias)
+    coefficients[()] += Fraction(float(params.out_bias))
     return coefficients
 
 
