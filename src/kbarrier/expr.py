@@ -26,10 +26,9 @@ Three evaluation modes are provided:
 * interval evaluation (`eval_interval`, `Tape.eval_boxes`) -- returns an
   enclosure of the expression's range over a box, as a (lo, hi) pair of
   floats (arrays of them over a batch of boxes).  Results of sin, cos, exp
-  and pow are widened by two ulps so the enclosure holds despite last-bit
-  rounding differences between code paths; the step is taken on the IEEE
-  bit pattern read as int64 (`_pad_out`), which gives exactly what two
-  chained `np.nextafter` calls give at a few integer passes.
+  and pow are widened by two ulps (`_pad_out`, two `np.nextafter` steps
+  per bound) so the enclosure holds despite last-bit rounding differences
+  between code paths.
   add, sub, mul and scale (a product with a constant) still round to
   nearest, so an enclosure can miss the exact real range by an ulp.
   These enclosures are isotonic: a sub-box never gets a wider one.
@@ -42,12 +41,13 @@ Three evaluation modes are provided:
   along the run as well.  It is never wider than `eval_boxes`, and much
   tighter on narrow boxes, but it is not isotonic.
 
-Each op's point rule, box rule and partials rule sit side by side in one
-table, `_RULES`, and `Tape` runs every mode through one loop over it.  The
-constructors (`add`, `sub`, `mul`, `neg`, `power`, `sin`, `cos`, `exp`) are
-the node classes themselves and fold nothing, so a constant subtree such as
-`sin(Const(c))` is evaluated by `_RULES` too, with the same padded
-enclosure as any other `sin`.
+Each op's point rule, box rule and centred rule (its enclosure with its
+partial derivatives) sit side by side in one table, `_RULES`, and `Tape`
+runs every mode through one loop over it.  The constructors (`add`, `sub`,
+`mul`, `neg`, `power`, `sin`, `cos`, `exp`) are the node classes themselves
+and fold nothing, so a constant subtree such as `sin(Const(c))` is
+evaluated by `_RULES` too, with the same padded enclosure as any other
+`sin`.
 
 A `Box` is two read-only float arrays, `lower` and `upper`: the form that
 the interval search, the samplers and the region tests (`Box.contains`) use.
@@ -489,52 +489,35 @@ class Box:
 # Tape compilation and evaluation
 # ---------------------------------------------------------------------------
 
-_MAG_MASK = np.int64(0x7FFF_FFFF_FFFF_FFFF)     # every bit but the sign
-_INF_BITS = np.int64(0x7FF0_0000_0000_0000)     # +inf; larger magnitudes are NaN
-_NEG_ZERO_BITS = np.int64(-0x8000_0000_0000_0000)
-# 2*|bits| - 4, read unsigned, is at least this for 0, 5e-324, max, inf and NaN
-_EDGE = np.uint64(2 * 0x7FF0_0000_0000_0000 - 6)
-_STEP = np.array([[-2], [2]])                   # row 0 (lo) steps down, row 1 (hi) up
-_PAST_INF = np.array([-np.inf, np.inf]).view(np.int64)
-
-
 def _pad_out(lo, hi) -> tuple[np.ndarray, np.ndarray]:
     """Two ulps outward: nextafter(nextafter(lo, -inf), -inf) and the same for
-    hi towards +inf, bit for bit, stepped on the IEEE bit pattern.
+    hi towards +inf.
 
     Shields against non-monotone last-bit rounding in the vectorised libm
-    kernels.  Doubles of one sign are ordered like their bit patterns read
-    as int64, so an ulp is one integer step: `((bits >> 63) << 2) ^ step`
-    is -2/+2 for lo and +2/-2 for hi, by sign.  Only 0 and 5e-324 (which
-    cross zero), max and inf (which run past infinity) and NaN need another
-    answer; they are rare and patched after the integer pass.
+    kernels.  Since the centred refinement the search's levels are small:
+    on the benchmark's workloads most calls pad fewer than 64 values per
+    bound and none more than about 600 (a centred sin or cos pads its two
+    ranges in one call).  There four plain `nextafter` calls cost about half
+    of one integer pass over the IEEE bit patterns, which is cheaper only
+    above a few hundred values.  +-max steps to +-inf and a NaN stays NaN,
+    without a warning.
     """
-    both = np.array((lo, hi), dtype=np.float64)
-    bits = both.reshape(2, -1).view(np.int64)
-    out = bits + (((bits >> 63) << 2) ^ _STEP)
-    edge = ((bits << 1) - 4).view(np.uint64) >= _EDGE
-    if np.count_nonzero(edge):
-        rows, cols = np.nonzero(edge)
-        b, o = bits[rows, cols], out[rows, cols]
-        mag = b & _MAG_MASK
-        fixed = np.where((o & _MAG_MASK) <= _INF_BITS, o,            # the step was right
-                         np.where(mag <= 1, (_NEG_ZERO_BITS + 2) - b,  # crossed zero
-                                  _PAST_INF[rows]))                  # ran past infinity
-        out[rows, cols] = np.where(mag > _INF_BITS, b, fixed)        # NaN stays NaN
-    out = out.view(np.float64).reshape(both.shape)
-    return out[0], out[1]
+    with np.errstate(over="ignore", invalid="ignore"):
+        lo = np.nextafter(np.nextafter(lo, -np.inf), -np.inf)
+        hi = np.nextafter(np.nextafter(hi, np.inf), np.inf)
+    return lo, hi
 
 
 def _contains_centers(lo, hi, centers: np.ndarray) -> np.ndarray:
     """Row i is True where [lo, hi] contains centers[i] + 2*pi*k for some integer k.
 
-    The two rows of `centers`, shape (2, 1), share one pass of the
+    Every row of `centers`, shape (c, 1), shares one pass of the
     element-wise operations over a stacked broadcast.  Fuzzed towards
     "contains", which can only widen the resulting enclosure.
     """
-    centers = centers.reshape((2,) + (1,) * max(np.ndim(lo), np.ndim(hi)))
+    centers = centers.reshape((len(centers),) + (1,) * max(np.ndim(lo), np.ndim(hi)))
     # t = (lo - c) / 2pi, u = (hi - c) / 2pi and fuzz = 4e-16 * (2 + |t| + |u|),
-    # worked in place: fresh (2, m) temporaries cost more than the arithmetic
+    # worked in place: fresh (c, m) temporaries cost more than the arithmetic
     t = lo - centers
     t /= _TWO_PI
     u = hi - centers
@@ -551,6 +534,8 @@ def _contains_centers(lo, hi, centers: np.ndarray) -> np.ndarray:
 # where sin and cos reach their maximum (row 0) and minimum (row 1)
 _SIN_EXTREMA = np.array([[_HALF_PI], [-_HALF_PI]])
 _COS_EXTREMA = np.array([[0.0], [math.pi]])
+# sin's maximum and minimum, then cos's
+_SIN_COS_EXTREMA = np.concatenate((_SIN_EXTREMA, _COS_EXTREMA))
 
 
 def _trig_range(values_lo: np.ndarray, values_hi: np.ndarray,
@@ -580,6 +565,32 @@ def _cos_range(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     evaluator never sees."""
     has_max, has_min = _contains_centers(lo, hi, _COS_EXTREMA)
     return _trig_range(np.cos(lo), np.cos(hi), has_max, has_min)
+
+
+def _sin_cos_ranges(lo, hi) -> tuple[tuple, tuple]:
+    """`_sin_range(lo, hi)` and `_cos_range(lo, hi)`, bit for bit, from one
+    quadrant analysis: one extremum test for all four extrema, one sin and
+    one cos call over the stacked endpoints, and one `_trig_range` pass in
+    which row 0 is sin and row 1 is cos."""
+    has = _contains_centers(lo, hi, _SIN_COS_EXTREMA)
+    ends = np.array((lo, hi))
+    values = np.empty((2,) + ends.shape)     # values[f, end]: f = sin, cos
+    np.sin(ends, out=values[0])
+    np.cos(ends, out=values[1])
+    out_lo, out_hi = _trig_range(values[:, 0], values[:, 1], has[0::2], has[1::2])
+    return (out_lo[0], out_hi[0]), (out_lo[1], out_hi[1])
+
+
+def _sin_centred(x, _):
+    """sin's enclosure and its partial, the range of cos."""
+    sin_range, cos_range = _sin_cos_ranges(x[0], x[1])
+    return sin_range, (cos_range,)
+
+
+def _cos_centred(x, _):
+    """cos's enclosure and its partial, the negated range of sin."""
+    sin_range, cos_range = _sin_cos_ranges(x[0], x[1])
+    return cos_range, (_neg_range(sin_range),)
 
 
 def _pow_range(lo: np.ndarray, hi: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
@@ -624,8 +635,16 @@ def _neg_range(x):
     return -x[1], -x[0]
 
 
+def _entry(point, box, partials):
+    """An op's rules, its centred rule being `box` followed by `partials(x, y, z)`."""
+    def centred(x, y):
+        z = box(x, y)
+        return z, partials(x, y, z)
+    return point, box, centred
+
+
 # The op table: each op a Tape runs, with its point rule, its box rule and its
-# partials rule.  A rule takes the op's two operand registers (floats, or
+# centred rule.  A rule takes the op's two operand registers (floats, or
 # (lo, hi) pairs on boxes); a unary op ignores the second, and pow's is its
 # exponent.  "scale" is a product with a constant first operand: c * [l, h]
 # needs min/max over {c*l, c*h} once, where the four-product rule takes them
@@ -633,29 +652,30 @@ def _neg_range(x):
 # and are resolved exactly on boxes (x - x = 0, x * x = x^2): composed
 # dynamics repeat subtrees, and this keeps those enclosures from collapsing
 # to the naive dependency-blind bound.
-# The partials rule takes the operands' enclosures and the op's own, z, and
-# encloses the op's partial derivative by each operand register in turn (one
-# register for a unary op, pow, "sub_self" and "mul_self"): a float where the
-# partial is an exact constant, else a (lo, hi) pair.
+# The centred rule takes the operands' enclosures and returns the op's own, z,
+# with its partials: an enclosure of the op's partial derivative by each
+# operand register in turn (one register for a unary op, pow, "sub_self" and
+# "mul_self"), a float where the partial is an exact constant, else a
+# (lo, hi) pair.  z is the box rule's enclosure, bit for bit.  Most ops form
+# their partials from z and the operands (`_entry`); sin and cos take both
+# from one quadrant analysis, since each one's partial is the other's range.
 _RULES = {
-    "add": (operator.add, lambda x, y: (x[0] + y[0], x[1] + y[1]),
-            lambda x, y, z: (1.0, 1.0)),
-    "sub": (operator.sub, lambda x, y: (x[0] - y[1], x[1] - y[0]),
-            lambda x, y, z: (1.0, -1.0)),
-    "sub_self": (operator.sub, lambda x, _: (0.0, 0.0), lambda x, y, z: (0.0,)),
-    "mul": (operator.mul, _box_mul, lambda x, y, z: (y, x)),
-    "mul_self": (operator.mul, lambda x, _: _pow_range(x[0], x[1], 2),
-                 lambda x, y, z: (_pow_slope(x, 2),)),
-    "scale": (operator.mul, _box_scale, lambda c, x, z: (x, c[0])),
-    "neg": (lambda x, _: -x, lambda x, _: _neg_range(x), lambda x, y, z: (-1.0,)),
-    "pow": (np.power, lambda x, p: _pow_range(x[0], x[1], p),
-            lambda x, p, z: (_pow_slope(x, p),)),
-    "sin": (lambda x, _: np.sin(x), lambda x, _: _sin_range(x[0], x[1]),
-            lambda x, y, z: (_cos_range(x[0], x[1]),)),
-    "cos": (lambda x, _: np.cos(x), lambda x, _: _cos_range(x[0], x[1]),
-            lambda x, y, z: (_neg_range(_sin_range(x[0], x[1])),)),
-    "exp": (lambda x, _: np.exp(x), lambda x, _: _pad_out(np.exp(x[0]), np.exp(x[1])),
-            lambda x, y, z: (z,)),
+    "add": _entry(operator.add, lambda x, y: (x[0] + y[0], x[1] + y[1]),
+                  lambda x, y, z: (1.0, 1.0)),
+    "sub": _entry(operator.sub, lambda x, y: (x[0] - y[1], x[1] - y[0]),
+                  lambda x, y, z: (1.0, -1.0)),
+    "sub_self": _entry(operator.sub, lambda x, _: (0.0, 0.0), lambda x, y, z: (0.0,)),
+    "mul": _entry(operator.mul, _box_mul, lambda x, y, z: (y, x)),
+    "mul_self": _entry(operator.mul, lambda x, _: _pow_range(x[0], x[1], 2),
+                       lambda x, y, z: (_pow_slope(x, 2),)),
+    "scale": _entry(operator.mul, _box_scale, lambda c, x, z: (x, c[0])),
+    "neg": _entry(lambda x, _: -x, lambda x, _: _neg_range(x), lambda x, y, z: (-1.0,)),
+    "pow": _entry(np.power, lambda x, p: _pow_range(x[0], x[1], p),
+                  lambda x, p, z: (_pow_slope(x, p),)),
+    "sin": (lambda x, _: np.sin(x), lambda x, _: _sin_range(x[0], x[1]), _sin_centred),
+    "cos": (lambda x, _: np.cos(x), lambda x, _: _cos_range(x[0], x[1]), _cos_centred),
+    "exp": _entry(lambda x, _: np.exp(x), lambda x, _: _pad_out(np.exp(x[0]), np.exp(x[1])),
+                  lambda x, y, z: (z,)),
 }
 
 
@@ -691,9 +711,9 @@ def _centred_step(rules, x, y):
     """
     xb = x[0]
     yb = y[0] if type(y) is tuple else y   # pow's second register is its exponent
-    z = rules[1](xb, yb)
+    z, partials = rules[2](xb, yb)
     grad, err = None, _OP_ERROR * _magnitude(z)
-    for partial, (_, g, e) in zip(rules[2](xb, yb, z), (x, y)):
+    for partial, (_, g, e) in zip(partials, (x, y)):
         exact = type(partial) is float
         if exact and partial == 0.0:
             continue
@@ -707,7 +727,11 @@ def _centred_step(rules, x, y):
                         else (partial * g[1], partial * g[0]))
             grad = term if grad is None else (grad[0] + term[0], grad[1] + term[1])
         if type(e) is not float:
-            err = err + (abs(partial) if exact else _magnitude(partial)) * e
+            if not exact:
+                e = _magnitude(partial) * e
+            elif abs(partial) != 1.0:    # a +-1 partial passes e on exactly
+                e = abs(partial) * e
+            err = err + e
     return z, grad, err
 
 
@@ -827,7 +851,7 @@ class Tape:
         Per root: f(mid) + sum_j G_j * [-r_j, r_j], where mid is the box's
         midpoint 0.5 * (lo + hi), f(mid) its point value, r_j the larger of
         hi_j - mid_j and mid_j - lo_j, and G_j an enclosure of df/dx_j over
-        the box, formed by the partials rules along the same run that forms
+        the box, formed by the centred rules along the same run that forms
         the enclosures.  The form is widened by twice the error bound (the
         centre's value and a point's value each lie within it of the real
         function) and by _SPREAD_ERROR of its spread, then intersected with

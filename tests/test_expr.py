@@ -332,6 +332,46 @@ def reference_pad_out(lo, hi):
     return lo, hi
 
 
+# A trig op's centred enclosure and partial from two separate range helpers,
+# as `Tape.eval_centred` formed them before sin and cos shared one analysis.
+REFERENCE_TRIG = {
+    "sin": lambda lo, hi: (kbarrier.expr._sin_range(lo, hi),
+                           (kbarrier.expr._cos_range(lo, hi),)),
+    "cos": lambda lo, hi: (kbarrier.expr._cos_range(lo, hi),
+                           (kbarrier.expr._neg_range(kbarrier.expr._sin_range(lo, hi)),)),
+}
+
+
+def reference_centred_step(rules, x, y):
+    """The centred step with unfused trig ops and every error bound scaled by
+    |partial|, 1.0 included."""
+    name = next(name for name, entry in _RULES.items() if entry is rules)
+    xb = x[0]
+    yb = y[0] if type(y) is tuple else y
+    if name in REFERENCE_TRIG:
+        z, partials = REFERENCE_TRIG[name](xb[0], xb[1])
+    else:
+        z, partials = rules[2](xb, yb)
+    magnitude = kbarrier.expr._magnitude
+    grad, err = None, kbarrier.expr._OP_ERROR * magnitude(z)
+    for partial, (_, g, e) in zip(partials, (x, y)):
+        exact = type(partial) is float
+        if exact and partial == 0.0:
+            continue
+        if g is not None:
+            if not exact:
+                term = kbarrier.expr._box_mul(partial, g)
+            elif partial == 1.0:
+                term = g
+            else:
+                term = ((partial * g[0], partial * g[1]) if partial > 0.0
+                        else (partial * g[1], partial * g[0]))
+            grad = term if grad is None else (grad[0] + term[0], grad[1] + term[1])
+        if type(e) is not float:
+            err = err + (abs(partial) if exact else magnitude(partial)) * e
+    return z, grad, err
+
+
 def reference_ops(roots):
     """Compile as Tape did before "scale": one ("mul", a, b) per product."""
     ops, memo = [], {}
@@ -537,7 +577,7 @@ class TestTapeParity:
 
 
 class TestOpTable:
-    """`_RULES` holds one (point rule, box rule, partials rule) triple for each op
+    """`_RULES` holds one (point rule, box rule, centred rule) triple for each op
     a Tape can emit."""
 
     # one expression per table entry; its last op is the entry
@@ -579,7 +619,7 @@ class TestPartialsRules:
     @pytest.mark.parametrize("name", sorted(POINT_PARTIALS))
     def test_enclose_the_point_partials(self, name):
         assert set(POINT_PARTIALS) == set(_RULES)
-        _, box_rule, partials_rule = _RULES[name]
+        _, _, centred_rule = _RULES[name]
         rng = np.random.default_rng(sorted(POINT_PARTIALS).index(name))
         for _ in range(200):
             x_lo = rng.uniform(-4.0, 4.0, 64)
@@ -593,7 +633,7 @@ class TestPartialsRules:
                 x = (c, c)
             elif name in ("sub_self", "mul_self"):
                 y = x
-            partials = partials_rule(x, y, box_rule(x, y))
+            _, partials = centred_rule(x, y)
             u, v = rng.uniform(size=(2, 64))
             px = x[0] + u * (x[1] - x[0])
             py = y if name == "pow" else y[0] + v * (y[1] - y[0])
@@ -738,6 +778,61 @@ class TestCentredForm:
         e = Mul(Const(0.0), Exp(Add(Mul(X1, X1), Const(710.0))))
         _, c_lo, c_hi = self.centred_and_naive(e, np.array([[0.0]]), np.array([[1.0]]))
         assert np.isnan(c_lo[0]) and np.isnan(c_hi[0])
+
+
+class TestCentredTrigParity:
+    """A centred sin or cos takes its enclosure and its partial from one
+    quadrant analysis, and a +-1 partial passes its operand's error bound on
+    unscaled: `eval_centred` gives what the unfused step gives, bit for bit."""
+
+    X3 = Var(2)
+    ROOTS = {
+        1: [Sin(X1), Cos(X1), Sin(Cos(X1)), Cos(Sin(Cos(X1))), Neg(Cos(X1)),
+            Add(Sin(Const(0.7)), X1), Mul(Cos(Const(-2.0)), Sin(X1)), Sin(Const(1e6)),
+            Sub(Sin(Mul(Const(2.0), X1)), Cos(Mul(X1, X1))), Exp(Sin(X1)), Pow(Cos(X1), 3)],
+        2: [Add(Sin(X1), Cos(X2)), Sin(Sub(X1, X2)), Mul(Sin(X1), Cos(Sin(X2))),
+            Cos(Add(Mul(X1, X2), Sin(Const(0.3))))],
+        3: [Add(Sin(Cos(X1)), Mul(Cos(X2), Sin(X3))), Cos(Add(Add(X1, X2), X3)),
+            Sub(Sin(X3), Neg(Cos(Sub(X1, X3))))],
+    }
+    # box centres at the extrema and where the sign of a bound matters
+    CENTRES = [0.5 * math.pi, -0.5 * math.pi, 0.0, math.pi, -math.pi, 2.5 * math.pi,
+               0.3, -1.7, 1e6, -1e6 + 0.4]
+    # degenerate, narrow, straddling an extremum, and wider than 2 pi
+    WIDTHS = [0.0, 1e-12, 1e-3, 0.5, 2.0, 7.0, 20.0]
+
+    def boxes(self, n, rng):
+        pairs = [(c - w / 2, c + w / 2) for c in self.CENTRES for w in self.WIDTHS]
+        pairs += [(-0.0, 0.0), (0.0, 0.0), (-0.0, -0.0), (-1.0, -0.0), (0.0, 1.0),
+                  (-0.0, 2.0 * math.pi), (1e6, 1e6 + 1e-9)]
+        pairs = np.array(pairs)
+        rows = rng.integers(len(pairs), size=(200, n))
+        # column 0 runs through every pair, the other columns draw at random
+        rows[:len(pairs), 0] = np.arange(len(pairs))
+        return pairs[rows, 0], pairs[rows, 1]
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_matches_the_unfused_step(self, n, monkeypatch):
+        rng = np.random.default_rng(n)
+        lo, hi = self.boxes(n, rng)
+        for rows in (slice(0, 1), slice(0, 2), slice(None)):
+            tape = Tape(self.ROOTS[n])
+            got = tape.eval_centred(lo[rows], hi[rows])
+            with monkeypatch.context() as patch:
+                patch.setattr(kbarrier.expr, "_centred_step", reference_centred_step)
+                want = tape.eval_centred(lo[rows], hi[rows])
+            for got_pair, want_pair in zip(got, want):
+                for g, w in zip(got_pair, want_pair):
+                    assert_bitwise_equal(g, w)
+
+    def test_fused_ranges_are_the_box_rules(self):
+        rng = np.random.default_rng(4)
+        lo, hi = self.boxes(1, rng)
+        lo, hi = lo[:, 0], hi[:, 0]
+        want = (kbarrier.expr._sin_range(lo, hi), kbarrier.expr._cos_range(lo, hi))
+        for got_pair, want_pair in zip(kbarrier.expr._sin_cos_ranges(lo, hi), want):
+            for g, w in zip(got_pair, want_pair):
+                assert_bitwise_equal(g, w)
 
 
 class TestBatchIndependence:

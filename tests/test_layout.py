@@ -141,6 +141,27 @@ def test_trainer_state_has_one_shape_each():
     assert not {"X_I", "X_U"} & literals
 
 
+@pytest.mark.parametrize("op", ["Sin", "Cos"])
+def test_one_quadrant_analysis_per_trig_op(monkeypatch, op):
+    # a centred sin or cos takes its enclosure and its partial (the other
+    # function's range) from one extremum test, as its box rule does
+    expr = kbarrier.expr
+    calls = [0]
+    real = expr._contains_centers
+
+    def counted(*args):
+        calls[0] += 1
+        return real(*args)
+
+    monkeypatch.setattr(expr, "_contains_centers", counted)
+    tape = expr.Tape([getattr(expr, op)(expr.Var(0))])
+    lo = np.array([[0.0], [1.0], [3.0]])
+    tape.eval_boxes(lo, lo + 0.5)
+    assert calls[0] == 1
+    tape.eval_centred(lo, lo + 0.5)
+    assert calls[0] == 2
+
+
 def test_verify_compiles_one_tape_per_condition_and_counts_each_frontier_box_once(monkeypatch):
     # the traced run maps the n-th Tape compiled inside `verify` to the n-th
     # condition, and counts a condition's boxes as the rows given to
