@@ -4,7 +4,8 @@ Exit codes are part of the interface so CI scripts can assert outcomes:
 
     0  success (synthesize: certificate verified; verify: valid)
     1  verify found a counterexample or a delta-sat box
-    2  configuration, input or output error, or a simulated rollout that diverges
+    2  configuration, input or output error, a simulated rollout that diverges,
+       or a certificate that is not finite on the grid
     3  rank failure while building the data-driven model
     4  verifier exhausted its box budget
     5  synthesis terminated without a verified certificate, or training diverged
@@ -131,6 +132,10 @@ def cmd_verify(args) -> int:
                             fk_sym=model.symbolic_k_step(config.k),
                             spec=config.safety_spec(), kbc=config.kbc(),
                             delta=config.delta, max_boxes=config.max_boxes)
+    if args.output:
+        # an unwritable output path fails here, not after the whole search has run
+        with open(args.output, "a"):
+            pass
     verdict = verify(task)
     payload = verdict.to_json()
     if args.output:
@@ -156,7 +161,13 @@ def cmd_grid(args) -> int:
     axes = [np.linspace(lo, hi, res) for lo, hi in spec.X.bounds()]
     g1, g2 = np.meshgrid(axes[0], axes[1], indexing="ij")
     points = np.column_stack([g1.ravel(), g2.ravel()])
-    values = Tape([certificate]).eval_points(points)[0]
+    with np.errstate(over="ignore", invalid="ignore"):
+        values = Tape([certificate]).eval_points(points)[0]
+    bad = np.flatnonzero(~np.isfinite(values))
+    if bad.size:
+        x = points[bad[0]].tolist()
+        print(f"certificate is not finite at grid point {x}; no CSV written", file=sys.stderr)
+        return EXIT_CONFIG
     band = (values.max() - values.min()) / (2.0 * res) if values.max() > values.min() else 1e-9
     in_init = spec.X_I.contains(points)
     in_unsafe = spec.X_U.contains(points)

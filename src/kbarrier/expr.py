@@ -19,34 +19,34 @@ limit.  `collect_polynomial` expands a polynomial exactly, in integers over
 a power of two, and emits it as a sum of monomials with coefficients
 rounded to nearest.
 
-Three evaluation modes are provided:
+Two evaluation modes are provided:
 
 * point evaluation (`eval_point`, `Tape.eval_points`) -- ordinary float
   arithmetic, vectorised over sample batches;
-* interval evaluation (`eval_interval`, `Tape.eval_boxes`) -- returns an
-  enclosure of the expression's range over a box, as a (lo, hi) pair of
-  floats (arrays of them over a batch of boxes).  Results of sin, cos, exp
-  and pow are widened by two ulps (`_pad_out`, two `np.nextafter` steps
-  per bound) so the enclosure holds despite last-bit rounding differences
-  between code paths.
-  add, sub, mul and scale (a product with a constant) still round to
-  nearest, so an enclosure can miss the exact real range by an ulp.
-  These enclosures are isotonic: a sub-box never gets a wider one.
-* centred evaluation (`Tape.eval_centred`) -- the interval enclosure
-  intersected with the mean-value form f(mid) + grad f(box) . (box - mid)
-  (Moore, Kearfott & Cloud, *Introduction to Interval Analysis*, 2009).
-  The interval gradient is carried forward through the same run as the
-  enclosures.  The form is widened by a rounding allowance: a first-order
-  bound on the point evaluator's rounding error over the box, carried
-  along the run as well.  It is never wider than `eval_boxes`, and much
-  tighter on narrow boxes, but it is not isotonic.
+* box evaluation (`eval_interval`, `Tape.eval_boxes`) -- an enclosure of
+  the expression's range over a box, as a (lo, hi) pair of floats (arrays
+  of them over a batch of boxes).  It is the naive enclosure of the box
+  rules intersected with the mean-value form f(mid) + grad f(box) . (box -
+  mid) (Moore, Kearfott & Cloud, *Introduction to Interval Analysis*,
+  2009), whose interval gradient is carried forward through the same run
+  as the naive enclosures.  The form is widened by a rounding allowance: a
+  first-order bound on the point evaluator's rounding error over the box,
+  carried along the run as well.  Results of sin, cos, exp and pow are
+  widened by two ulps (`_pad_out`, two `np.nextafter` steps per bound) so
+  the enclosure holds despite last-bit rounding differences between code
+  paths.  add, sub, mul and scale (a product with a constant) still round
+  to nearest, so an enclosure can miss the exact real range by an ulp.
+  The naive enclosures are isotonic, a sub-box never gets a wider one, but
+  the intersection is not: it is never wider than the box's own naive
+  enclosure, and much tighter on narrow boxes, yet a sub-box can get a
+  wider one than its parent.
 
-Each op's point rule, box rule and centred rule (its enclosure with its
-partial derivatives) sit side by side in one table, `_RULES`, and `Tape`
-runs every mode through one loop over it.  The constructors (`add`, `sub`,
-`mul`, `neg`, `power`, `sin`, `cos`, `exp`) are the node classes themselves
-and fold nothing, so a constant subtree such as `sin(Const(c))` is
-evaluated by `_RULES` too, with the same padded enclosure as any other
+Each op's point rule, box rule and centred rule (its box rule's enclosure
+with its partial derivatives) sit side by side in one table, `_RULES`, and
+`Tape` runs both modes through one loop over it.  The constructors (`add`,
+`sub`, `mul`, `neg`, `power`, `sin`, `cos`, `exp`) are the node classes
+themselves and fold nothing, so a constant subtree such as `sin(Const(c))`
+is evaluated by `_RULES` too, with the same padded enclosure as any other
 `sin`.
 
 A `Box` is two read-only float arrays, `lower` and `upper`: the form that
@@ -683,10 +683,6 @@ def _point_step(rules, x, y):
     return rules[0](x, y)
 
 
-def _box_step(rules, x, y):
-    return rules[1](x, y)
-
-
 def _magnitude(enclosure):
     """max |v| over a (lo, hi) pair with lo <= hi."""
     return np.maximum(enclosure[1], -enclosure[0])
@@ -746,10 +742,11 @@ class Tape:
     compiles to "scale" (c, register).
 
     Each op's rules live in the one table `_RULES`.  Compiling resolves
-    every op to its rules and two operand registers, once, and every mode
-    runs the one loop `_run`, which places the leaves (variables, constants,
-    pow's exponents) and then applies each op's rules through the mode's
-    step: `_point_step`, `_box_step` or `_centred_step`.
+    every op to its rules and two operand registers, once, and both modes
+    run the one loop `_run`, which places the leaves (variables, constants,
+    pow's exponents) and then applies each op's rules through a step:
+    `_point_step` for points, and for boxes `_point_step` at the midpoints
+    and `_centred_step` over the boxes.
 
     Registers are released as soon as they are dead: `release[i]` lists the
     registers whose last reader is op i (the constant folded into a "scale"
@@ -829,38 +826,26 @@ class Tape:
         m = points.shape[0]
         return [_column(r, m) for r in self._run(_point_step, lambda j: points[:, j], lambda c: c)]
 
-    def _checked_boxes(self, lo, hi) -> tuple[np.ndarray, np.ndarray]:
+    def eval_boxes(self, lo: np.ndarray, hi: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
+        """Enclosures of every root over each box (rows of lo/hi, shape (m, n)).
+
+        Per root: the box rules' naive enclosure intersected with the
+        centred (mean-value) form f(mid) + sum_j G_j * [-r_j, r_j], where
+        mid is the box's midpoint 0.5 * (lo + hi), f(mid) its point value,
+        r_j the larger of hi_j - mid_j and mid_j - lo_j, and G_j an
+        enclosure of df/dx_j over the box, formed by the centred rules
+        along the run that forms the naive enclosures.  The form is widened
+        by twice the error bound (the centre's value and a point's value
+        each lie within it of the real function) and by _SPREAD_ERROR of
+        its spread.  A NaN bound of the form leaves the naive one, and a
+        zero bound is always +0.0, whatever the batch width.
+        """
         lo = np.asarray(lo, dtype=float)
         hi = np.asarray(hi, dtype=float)
         if lo.shape != hi.shape or lo.ndim != 2:
             raise ValueError("lo/hi must be matching 2-D arrays")
         if lo.shape[1] < self.n_vars:
             raise ValueError("variable index out of range")
-        return lo, hi
-
-    def eval_boxes(self, lo: np.ndarray, hi: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
-        """Enclosures of every root over each box (rows of lo/hi, shape (m, n))."""
-        lo, hi = self._checked_boxes(lo, hi)
-        m = lo.shape[0]
-        return [(_column(r[0], m), _column(r[1], m))
-                for r in self._run(_box_step, lambda j: (lo[:, j], hi[:, j]), lambda c: (c, c))]
-
-    def eval_centred(self, lo: np.ndarray, hi: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
-        """`eval_boxes`' enclosures intersected with the centred (mean-value) form.
-
-        Per root: f(mid) + sum_j G_j * [-r_j, r_j], where mid is the box's
-        midpoint 0.5 * (lo + hi), f(mid) its point value, r_j the larger of
-        hi_j - mid_j and mid_j - lo_j, and G_j an enclosure of df/dx_j over
-        the box, formed by the centred rules along the same run that forms
-        the enclosures.  The form is widened by twice the error bound (the
-        centre's value and a point's value each lie within it of the real
-        function) and by _SPREAD_ERROR of its spread, then intersected with
-        the naive enclosure.  So it is never wider than `eval_boxes`, and on
-        narrow boxes it is tighter, but it is not isotonic: a sub-box can
-        get a wider enclosure than its parent.  A NaN bound of the form
-        leaves the naive one.
-        """
-        lo, hi = self._checked_boxes(lo, hi)
         m, n = lo.shape
         mid = 0.5 * (lo + hi)
         centre = self._run(_point_step, lambda j: mid[:, j], lambda c: c)
@@ -873,7 +858,9 @@ class Tape:
         for f, ((z_lo, z_hi), grad, err) in zip(centre, roots):
             spread = 0.0 if grad is None else (_magnitude(grad) * radius).sum(axis=0)
             half = spread + _SPREAD_ERROR * spread + 2.0 * err
-            out.append((_column(np.fmax(z_lo, f - half), m), _column(np.fmin(z_hi, f + half), m)))
+            # + 0.0: fmax and fmin pick between -0.0 and +0.0 by batch width
+            out.append((_column(np.fmax(z_lo, f - half) + 0.0, m),
+                        _column(np.fmin(z_hi, f + half) + 0.0, m)))
         return out
 
 
@@ -888,6 +875,9 @@ def eval_point(e: Expr, x: Sequence[float]) -> float:
 
 def eval_interval(e: Expr, box: Box) -> tuple[float, float]:
     """Sound enclosure (lo, hi) of the expression's range over the box.
+
+    It is `Tape.eval_boxes`' enclosure: the naive one intersected with the
+    centred form, so a sub-box can get a wider enclosure than its parent.
 
     Raises ValueError if a bound is not finite (an overflow is possible with
     deeply nested exp over wide boxes); callers needing raw, possibly

@@ -18,13 +18,13 @@ that can be neither discarded nor confirmed is delta-sat.  Exploration is
 deterministic, so verdicts are reproducible.  The margin, the violation
 amount, is read from the last constraint by `_margin`.
 
-A box is judged in two passes.  `Tape.eval_boxes` gives the naive
-enclosures of every frontier box; the boxes they keep get the tighter
-centred enclosures of `Tape.eval_centred`, which may discard more of them.
-So a frontier is always a subsequence of what the naive enclosures alone
-would keep: a counterexample keeps its point and margin, `valid` stays
-`valid`, and only a delta-sat verdict can become `valid` or move its box
-and margin.  A delta-sat margin is read from the centred enclosure.
+A box is judged once: `Tape.eval_boxes` gives each frontier box its naive
+enclosures intersected with the centred (mean-value) form, and a
+delta-sat margin is read from that enclosure.  The intersection is never
+wider than the naive enclosure, so it discards every box the naive one
+would: a counterexample keeps its point and margin, `valid` stays `valid`,
+and only a delta-sat verdict can become `valid` or move its box and margin
+against a search on the naive enclosures alone.
 
 `verify` searches B's collected polynomial (`expr.collect_polynomial`)
 where that form is smaller, as it is for any one-hidden-layer `square`
@@ -244,7 +244,8 @@ def _search(tag: str, constraints: list[Constraint], region: Box, delta: float,
 
     The verdict is for this condition alone: "valid" means every box was
     discarded.  `boxes_explored` counts this search's boxes, each given to
-    `eval_boxes` once; the centred pass re-judges only the boxes it keeps.
+    `eval_boxes` once.  Each level makes one `eval_boxes` call per chunk of
+    its boxes, then `eval_points` at the midpoints of the boxes it keeps.
     """
     kinds = [kind for _, kind in constraints]
     tape = Tape([e for e, _ in constraints])
@@ -264,12 +265,6 @@ def _search(tag: str, constraints: list[Constraint], region: Box, delta: float,
             enclosures = tape.eval_boxes(lo[sl], hi[sl])
             feasible[sl] = _may_hold(enclosures, kinds)
             margin_hi[sl] = _margin(kinds[-1], *enclosures[-1])
-            # the centred enclosures re-judge the boxes the naive ones keep
-            rows = sl.start + np.flatnonzero(feasible[sl])
-            if rows.size:
-                refined = tape.eval_centred(lo[rows], hi[rows])
-                feasible[rows] = _may_hold(refined, kinds)
-                margin_hi[rows] = _margin(kinds[-1], *refined[-1])
         lo, hi = lo[feasible], hi[feasible]
         margin_hi = margin_hi[feasible]
         if not lo.shape[0]:

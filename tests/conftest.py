@@ -10,7 +10,7 @@ from kbarrier import (
     NetworkParams,
 )
 from kbarrier.expr import (
-    Add, Const, Cos, Exp, Expr, Mul, Neg, Pow, Sin, Sub, Var,
+    Add, Const, Cos, Exp, Expr, Mul, Neg, Pow, Sin, Sub, Tape, Var, _column,
 )
 
 
@@ -149,3 +149,27 @@ def random_finite_pair(rng: np.random.Generator, n_vars: int = 2,
         except (ValueError, OverflowError):
             continue
         return e, b
+
+
+# ---------------------------------------------------------------------------
+# The naive enclosures: the box rules alone
+# ---------------------------------------------------------------------------
+
+def naive_eval_boxes(tape, lo, hi) -> list[tuple[np.ndarray, np.ndarray]]:
+    """The enclosures of `_RULES`' box rules alone, run through the Tape's own
+    loop: what `Tape.eval_boxes` intersects with the centred form."""
+    lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
+    m = lo.shape[0]
+    roots = tape._run(lambda rules, x, y: rules[1](x, y),
+                      lambda j: (lo[:, j], hi[:, j]), lambda c: (c, c))
+    return [(_column(z_lo, m), _column(z_hi, m)) for z_lo, z_hi in roots]
+
+
+def naive_interval(e: Expr, box: Box) -> tuple[float, float]:
+    """`eval_interval` on the naive enclosure: ValueError if a bound is not finite."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        (lo, hi), = naive_eval_boxes(Tape([e]), box.lo()[None, :], box.hi()[None, :])
+    lo, hi = float(lo[0]), float(hi[0])
+    if not (np.isfinite(lo) and np.isfinite(hi)):
+        raise ValueError(f"enclosure bounds must be finite: [{lo}, {hi}]")
+    return lo, hi

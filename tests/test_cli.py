@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 import kbarrier.cegis
+import kbarrier.cli
 from kbarrier import (
     BUILTIN_NAMES, CaseStudyConfig, ConfigError, build_model, builtin_config,
     trajectory_from_csv,
@@ -257,6 +258,28 @@ class TestSynthesizeAndVerify:
         verdict = json.loads(verdict_file.read_text())
         assert verdict["verdict"] == "counterexample"
 
+    @pytest.mark.parametrize("where", ["under a regular file", "an existing directory"])
+    def test_verify_unwritable_output_fails_before_the_search(self, tmp_path, capsys,
+                                                              monkeypatch, where):
+        cert = tmp_path / "b.expr"
+        cert.write_text("(var 0)\n")
+        blocker = tmp_path / "blocker"
+        if where == "an existing directory":
+            blocker.mkdir()
+            output = blocker
+        else:
+            blocker.write_text("")
+            output = blocker / "verdict.json"
+
+        def no_search(task):
+            raise AssertionError("the search ran although its output path is unwritable")
+
+        monkeypatch.setattr(kbarrier.cli, "verify", no_search)
+        assert main(["verify", "polynomial", str(cert), "--output", str(output)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("i/o error: ") and captured.err.count("\n") == 1
+        assert captured.out == ""
+
     def test_verify_unparseable_certificate(self, tmp_path):
         cert = tmp_path / "broken.expr"
         cert.write_text("(frobnicate (var 0))")
@@ -385,6 +408,20 @@ class TestGrid:
         assert len(rows) == 9
         for row in rows:
             assert float(row[2]) == float(row[0])
+
+    def test_non_finite_value_exits_2_without_csv(self, tmp_path, capsys):
+        # exp(exp(10 x0)) overflows for x0 > 0.66; a leaked RuntimeWarning
+        # would fail here, since warnings are errors
+        cert = tmp_path / "b.expr"
+        cert.write_text("(exp (exp (mul (const 10.0) (var 0))))\n")
+        out = tmp_path / "grid.csv"
+        assert main(["grid", "polynomial", str(cert), "--resolution", "101",
+                     "--output", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == ("certificate is not finite at grid point "
+                                "[0.6800000000000002, -2.0]; no CSV written\n")
+        assert captured.out == ""
+        assert not out.exists()
 
     def test_verified_certificate_respects_levels(self, toy_config, tmp_path):
         outdir = tmp_path / "run"

@@ -19,7 +19,7 @@ from kbarrier.expr import (
 )
 from kbarrier.learner import init_params, mixed_sin_cos
 
-from conftest import random_box, random_expr, random_finite_pair
+from conftest import naive_eval_boxes, naive_interval, random_box, random_expr, random_finite_pair
 
 X1, X2 = Var(0), Var(1)
 
@@ -57,7 +57,11 @@ class TestEvalInterval:
         e = X1 * X2 - X1
         box = Box.from_bounds([(0.0, 1.0), (0.0, 1.0)])
         lo, hi = eval_interval(e, box)
-        assert lo <= -1.0 + 1e-12 and hi >= 1.0 - 1e-12
+        # the range is [-1, 0]; the box rules alone reach hi = 1, since they
+        # bound x1 * x2 and x1 apart, and the centred form tightens that
+        naive_lo, naive_hi = naive_interval(e, box)
+        assert naive_lo <= -1.0 + 1e-12 and naive_hi >= 1.0 - 1e-12
+        assert naive_lo <= lo <= -1.0 + 1e-12 and -1e-12 <= hi < naive_hi
         rng = np.random.default_rng(7)
         for p in box.sample(rng, 100):
             assert lo <= eval_point(e, p) <= hi
@@ -137,10 +141,10 @@ class TestIntervalProperties:
             assert lo <= v <= hi
 
     def test_split_hull_never_widens(self):
+        # isotonicity belongs to the box rules; the centred form has none
         rng = np.random.default_rng(1)
         for _ in range(200):
             e, box = random_finite_pair(rng)
-            whole = eval_interval(e, box)
             dim = int(np.argmax(box.widths()))
             mid = box.midpoint()[dim]
             lo_b = box.bounds()
@@ -148,8 +152,9 @@ class TestIntervalProperties:
             lo_b[dim] = (lo_b[dim][0], mid)
             hi_b[dim] = (mid, hi_b[dim][1])
             try:
-                left = eval_interval(e, Box.from_bounds(lo_b))
-                right = eval_interval(e, Box.from_bounds(hi_b))
+                whole = naive_interval(e, box)
+                left = naive_interval(e, Box.from_bounds(lo_b))
+                right = naive_interval(e, Box.from_bounds(hi_b))
             except ValueError:
                 continue
             hull = (min(left[0], right[0]), max(left[1], right[1]))
@@ -333,7 +338,7 @@ def reference_pad_out(lo, hi):
 
 
 # A trig op's centred enclosure and partial from two separate range helpers,
-# as `Tape.eval_centred` formed them before sin and cos shared one analysis.
+# as the centred rules formed them before sin and cos shared one analysis.
 REFERENCE_TRIG = {
     "sin": lambda lo, hi: (kbarrier.expr._sin_range(lo, hi),
                            (kbarrier.expr._cos_range(lo, hi),)),
@@ -539,7 +544,7 @@ class TestTapeParity:
         tape = Tape(roots)
         assert sum(op == "scale" for op, _, _ in tape.ops) >= 8
         with np.errstate(all="ignore"):
-            got = tape.eval_boxes(lo, hi)
+            got = naive_eval_boxes(tape, lo, hi)
             want = reference_eval_boxes(roots, lo, hi, monkeypatch)
         for (gl, gh), (wl, wh) in zip(got, want):
             assert_bitwise_equal(gl, wl)
@@ -676,15 +681,15 @@ def exact_value(e, x):
 
 
 class TestCentredForm:
-    """`Tape.eval_centred`: never wider than `eval_boxes`, and every point
-    value in the box, floating or exact, lies inside."""
+    """`Tape.eval_boxes`: never wider than the naive enclosures of the box
+    rules, and every point value in the box, floating or exact, lies inside."""
 
     @staticmethod
     def centred_and_naive(e, lo, hi):
         tape = Tape([e])
         with np.errstate(all="ignore"):
-            (c_lo, c_hi), = tape.eval_centred(lo, hi)
-            (n_lo, n_hi), = tape.eval_boxes(lo, hi)
+            (c_lo, c_hi), = tape.eval_boxes(lo, hi)
+            (n_lo, n_hi), = naive_eval_boxes(tape, lo, hi)
         nan = np.isnan(n_lo) | np.isnan(n_hi)
         assert np.all((c_lo >= n_lo) & (c_hi <= n_hi) | nan)
         return tape, c_lo, c_hi
@@ -711,7 +716,7 @@ class TestCentredForm:
             inside = (c_lo[:, None] <= values) & (values <= c_hi[:, None])
             assert np.all(inside | ~np.isfinite(values)), draw
             with np.errstate(all="ignore"):
-                (n_lo, n_hi), = tape.eval_boxes(narrow.lo()[None, :], narrow.hi()[None, :])
+                (n_lo, n_hi), = naive_eval_boxes(tape, narrow.lo()[None, :], narrow.hi()[None, :])
             tightened += bool(c_hi[1] - c_lo[1] < 0.5 * (n_hi[0] - n_lo[0]))
         assert tightened > 100
 
@@ -720,7 +725,7 @@ class TestCentredForm:
         cases = [(parse_expr("(add (add (const -1.600948224151923) (sub (add (var 0) "
                              "(const -1.322915519281929)) (add (var 0) (var 1)))) (var 1))"),
                   random_box(rng, 2))]
-        # a root without variables is only a rounded constant to eval_boxes too
+        # a root without variables is only a rounded constant to the box rules too
         cases += [(e, random_box(rng, 2)) for e in (random_polynomial(rng, 4) for _ in range(500))
                   if max_var_index(e) >= 0]
         for e, box in cases:
@@ -734,7 +739,7 @@ class TestCentredForm:
     def test_constant_and_variable_roots(self):
         tape = Tape([Const(2.5), X2, Sub(X1, X1)])
         lo = np.array([[0.0, -1.0], [1.0, 2.0]])
-        (c_lo, c_hi), (x_lo, x_hi), (z_lo, z_hi) = tape.eval_centred(lo, lo + 0.5)
+        (c_lo, c_hi), (x_lo, x_hi), (z_lo, z_hi) = tape.eval_boxes(lo, lo + 0.5)
         np.testing.assert_array_equal(c_lo, [2.5, 2.5])
         np.testing.assert_array_equal(c_hi, [2.5, 2.5])
         np.testing.assert_array_equal(x_lo, [-1.0, 2.0])
@@ -761,8 +766,8 @@ class TestCentredForm:
             hi = lo + width
             points = lo[:, None, :] + width * rng.uniform(size=(100, 20, 2))
             with np.errstate(all="ignore"):
-                centred = tape.eval_centred(lo, hi)
-                naive = tape.eval_boxes(lo, hi)
+                centred = tape.eval_boxes(lo, hi)
+                naive = naive_eval_boxes(tape, lo, hi)
                 values = tape.eval_points(points.reshape(-1, 2))
             for (c_lo, c_hi), v in zip(centred, values):
                 v = v.reshape(100, 20)
@@ -783,7 +788,7 @@ class TestCentredForm:
 class TestCentredTrigParity:
     """A centred sin or cos takes its enclosure and its partial from one
     quadrant analysis, and a +-1 partial passes its operand's error bound on
-    unscaled: `eval_centred` gives what the unfused step gives, bit for bit."""
+    unscaled: `eval_boxes` gives what the unfused step gives, bit for bit."""
 
     X3 = Var(2)
     ROOTS = {
@@ -817,10 +822,10 @@ class TestCentredTrigParity:
         lo, hi = self.boxes(n, rng)
         for rows in (slice(0, 1), slice(0, 2), slice(None)):
             tape = Tape(self.ROOTS[n])
-            got = tape.eval_centred(lo[rows], hi[rows])
+            got = tape.eval_boxes(lo[rows], hi[rows])
             with monkeypatch.context() as patch:
                 patch.setattr(kbarrier.expr, "_centred_step", reference_centred_step)
-                want = tape.eval_centred(lo[rows], hi[rows])
+                want = tape.eval_boxes(lo[rows], hi[rows])
             for got_pair, want_pair in zip(got, want):
                 for g, w in zip(got_pair, want_pair):
                     assert_bitwise_equal(g, w)

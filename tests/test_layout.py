@@ -16,6 +16,8 @@ import kbarrier.expr
 import kbarrier.learner
 import kbarrier.verifier
 
+from conftest import naive_eval_boxes
+
 MODULES = ["kbarrier"] + [f"kbarrier.{m.name}" for m in pkgutil.iter_modules(kbarrier.__path__)]
 
 
@@ -158,14 +160,25 @@ def test_one_quadrant_analysis_per_trig_op(monkeypatch, op):
     lo = np.array([[0.0], [1.0], [3.0]])
     tape.eval_boxes(lo, lo + 0.5)
     assert calls[0] == 1
-    tape.eval_centred(lo, lo + 0.5)
+    naive_eval_boxes(tape, lo, lo + 0.5)
     assert calls[0] == 2
+
+
+def test_one_box_evaluator():
+    # eval_boxes gives the centred enclosure itself, so no second box pass
+    # or per-mode box step is left to call
+    assert not hasattr(kbarrier.expr.Tape, "eval_centred")
+    assert not hasattr(kbarrier.expr, "_box_step")
+    tree = ast.parse(Path(kbarrier.verifier.__file__).read_text())
+    called = [node.func.attr for node in ast.walk(tree)
+              if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)]
+    assert called.count("eval_boxes") == 1 and "eval_centred" not in called
 
 
 def test_verify_compiles_one_tape_per_condition_and_counts_each_frontier_box_once(monkeypatch):
     # the traced run maps the n-th Tape compiled inside `verify` to the n-th
     # condition, and counts a condition's boxes as the rows given to
-    # eval_boxes; the centred refinement must add neither
+    # eval_boxes; the centred form inside it must add neither
     expr = kbarrier.expr
     compiled, rows = [], []
     tape_cls = expr.Tape
@@ -197,13 +210,13 @@ def test_verify_compiles_one_tape_per_condition_and_counts_each_frontier_box_onc
     assert compiled == [1, 1, 2, 2]
     assert sum(rows) == verdict.boxes_explored
 
-    # the refinement evaluates its centres through the Tape's own loop
+    # eval_boxes evaluates its centres through the Tape's own loop
     rows.clear()
     tape = expr.Tape([B])
     with monkeypatch.context() as patch:
         patch.setattr(tape_cls, "eval_points", None)
-        tape.eval_centred(np.array([[0.0, 0.0]]), np.array([[0.5, 0.5]]))
-    assert rows == []
+        tape.eval_boxes(np.array([[0.0, 0.0]]), np.array([[0.5, 0.5]]))
+    assert rows == [1]
 
 
 def _toy_data():

@@ -1,9 +1,11 @@
 """Negated-condition encoding, point checks and branch-and-bound verdicts."""
 
+import json
 import math
 import re
-from dataclasses import replace
+from dataclasses import fields, replace
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,7 +20,7 @@ from kbarrier.expr import (
 )
 from kbarrier.learner import init_params, mixed_sin_cos
 
-from conftest import identity_dictionary, make_reference_polynomial
+from conftest import identity_dictionary, make_reference_polynomial, naive_eval_boxes
 
 X1, X2 = Var(0), Var(1)
 
@@ -424,16 +426,15 @@ class TestSearchSoundness:
                                                 reference_nonlinear_cert):
         """Every box the searches discard, point-sampled: none holds a violation.
 
-        A chunk's boxes are discarded in two passes, by `eval_boxes` and then,
-        among the boxes it keeps, by `eval_centred`; each `_may_hold` call
-        judges the boxes of the evaluation just before it.
+        A chunk's boxes are discarded in one pass, by `eval_boxes`; each
+        `_may_hold` call judges the boxes of the evaluation just before it.
         """
         tasks = [
             hn_task(highly_nonlinear, reference_nonlinear_cert, k=2, epsilon=0.1, delta=0.01),
             hn_task(highly_nonlinear, HARVESTED_NONLINEAR.to_expr(), k=2, epsilon=0.1),
             case_task(pendulum, init_params(2, 32, ("square",) * 32, seed=2).to_expr()),
         ]
-        eval_boxes, eval_centred, may_hold = Tape.eval_boxes, Tape.eval_centred, verifier._may_hold
+        eval_boxes, may_hold = Tape.eval_boxes, verifier._may_hold
         evaluated, pruned = [], []
 
         def recording(evaluate):
@@ -449,7 +450,6 @@ class TestSearchSoundness:
             return ok
 
         monkeypatch.setattr(Tape, "eval_boxes", recording(eval_boxes))
-        monkeypatch.setattr(Tape, "eval_centred", recording(eval_centred))
         monkeypatch.setattr(verifier, "_may_hold", recording_may_hold)
         rng = np.random.default_rng(0)
         audited = 0
@@ -512,9 +512,14 @@ class TestSearchSoundness:
                 x = A @ x
 
 
-def naive_search(tag, constraints, region, delta, budget):
+def naive_search(tag, constraints, region, delta, budget, refine=False):
     """The search as it was before the centred refinement: every box is
-    judged by its `eval_boxes` enclosure alone."""
+    judged by the naive enclosure of the box rules alone.
+
+    With `refine`, the search as it was before `eval_boxes` gave the centred
+    enclosure itself: the boxes the naive enclosures keep are judged again
+    by `eval_boxes`, which re-reads their margins too.
+    """
     kinds = [kind for _, kind in constraints]
     tape = Tape([e for e, _ in constraints])
     lo = region.lo()[None, :]
@@ -530,9 +535,14 @@ def naive_search(tag, constraints, region, delta, budget):
         feasible = np.empty(lo.shape[0], dtype=bool)
         margin_hi = np.empty(lo.shape[0])
         for sl in verifier._chunks(lo.shape[0]):
-            enclosures = tape.eval_boxes(lo[sl], hi[sl])
+            enclosures = naive_eval_boxes(tape, lo[sl], hi[sl])
             feasible[sl] = verifier._may_hold(enclosures, kinds)
             margin_hi[sl] = verifier._margin(kinds[-1], *enclosures[-1])
+            rows = sl.start + np.flatnonzero(feasible[sl]) if refine else []
+            if len(rows):
+                refined = tape.eval_boxes(lo[rows], hi[rows])
+                feasible[rows] = verifier._may_hold(refined, kinds)
+                margin_hi[rows] = verifier._margin(kinds[-1], *refined[-1])
         lo, hi = lo[feasible], hi[feasible]
         margin_hi = margin_hi[feasible]
         if not lo.shape[0]:
@@ -589,6 +599,22 @@ PARITY_CASES = [
 ]
 
 
+def parity_task(request, case, certificate, k, reference_nonlinear_cert):
+    """The task of one `PARITY_CASES` row."""
+    pipeline = request.getfixturevalue(case)
+    config = pipeline[0]
+    if certificate == "reference":
+        B = (reference_nonlinear_cert if case == "highly_nonlinear"
+             else make_reference_polynomial())
+    elif certificate == "harvested":
+        B = HARVESTED_NONLINEAR.to_expr()
+    else:
+        B = init_params(2, config.width, config.activations, seed=certificate).to_expr()
+    make_task = hn_task if case == "highly_nonlinear" else poly_task
+    return (make_task(pipeline, B, k=k, epsilon=0.0 if k == 1 else 0.1)
+            if case != "pendulum" else case_task(pipeline, B))
+
+
 class TestRefinedSearchParity:
     """The refined search against a copy of the naive one, condition by condition.
 
@@ -601,18 +627,7 @@ class TestRefinedSearchParity:
     @pytest.mark.parametrize("case, certificate, k, pinned", PARITY_CASES)
     def test_same_witnesses_and_never_more_boxes(self, case, certificate, k, pinned, request,
                                                  reference_nonlinear_cert):
-        pipeline = request.getfixturevalue(case)
-        config = pipeline[0]
-        if certificate == "reference":
-            B = (reference_nonlinear_cert if case == "highly_nonlinear"
-                 else make_reference_polynomial())
-        elif certificate == "harvested":
-            B = HARVESTED_NONLINEAR.to_expr()
-        else:
-            B = init_params(2, config.width, config.activations, seed=certificate).to_expr()
-        make_task = hn_task if case == "highly_nonlinear" else poly_task
-        task = (make_task(pipeline, B, k=k, epsilon=0.0 if k == 1 else 0.1)
-                if case != "pendulum" else case_task(pipeline, B))
+        task = parity_task(request, case, certificate, k, reference_nonlinear_cert)
         for tag, cons, region in condition_exprs(task):
             naive = naive_search(tag, cons, region, task.delta, task.max_boxes)
             refined = verifier._search(tag, cons, region, task.delta, task.max_boxes)
@@ -623,6 +638,60 @@ class TestRefinedSearchParity:
                 assert (refined.kind, refined.point, refined.margin) == (
                     naive.kind, naive.point, naive.margin), tag
             assert pinned.get(tag, (naive.kind, refined.kind)) == (naive.kind, refined.kind)
+
+
+def verdict_bits(v: verifier.Verdict) -> tuple:
+    """Every field of a verdict, each float as its hex text, so that -0.0 and
+    0.0 differ."""
+    assert [f.name for f in fields(v)] == ["kind", "condition", "point", "box", "margin",
+                                           "boxes_explored", "wall_time"]
+
+    def hexes(values):
+        return None if values is None else tuple(float(x).hex() for x in values)
+
+    return (v.kind, v.condition, hexes(v.point),
+            None if v.box is None else (hexes(v.box.lower), hexes(v.box.upper)),
+            None if v.margin is None else v.margin.hex(), v.boxes_explored, v.wall_time.hex())
+
+
+CORPUS = Path(__file__).resolve().parents[1] / "bench" / "corpus.jsonl"
+
+
+class TestOnePassSearchParity:
+    """One `eval_boxes` pass per level against the two-pass search it replaced.
+
+    The naive enclosure is the intersection's fallback, so whatever it
+    discards the intersection discards, and a row's centred enclosure does
+    not depend on the rows that share its batch.  So every condition's
+    verdict is the two-pass search's, bit for bit, zero signs included.
+    """
+
+    @staticmethod
+    def assert_same_verdicts(task):
+        for tag, cons, region in condition_exprs(task):
+            two_pass = naive_search(tag, cons, region, task.delta, task.max_boxes, refine=True)
+            one_pass = verifier._search(tag, cons, region, task.delta, task.max_boxes)
+            assert verdict_bits(one_pass) == verdict_bits(two_pass), tag
+
+    @pytest.mark.parametrize("case, certificate, k", [row[:3] for row in PARITY_CASES])
+    def test_parity_cases(self, case, certificate, k, request, reference_nonlinear_cert):
+        self.assert_same_verdicts(parity_task(request, case, certificate, k,
+                                              reference_nonlinear_cert))
+
+    @pytest.mark.parametrize("case", ["highly-nonlinear", "pendulum"])
+    def test_harvested_corpus(self, case, request):
+        # every benchmark candidate of the case, searched as `verify` searches it
+        config, _, _, _, model = request.getfixturevalue(case.replace("-", "_"))
+        f1 = model.symbolic_step()
+        fk = model.symbolic_k_step(config.k) if config.k > 1 else f1
+        entries = [json.loads(line) for line in CORPUS.read_text().splitlines()]
+        entries = [e for e in entries if e["case"] == case]
+        assert len(entries) > 10
+        for entry in entries:
+            B = collect_polynomial(expr.parse_expr(entry["candidate"]))
+            self.assert_same_verdicts(VerificationTask(
+                B=B, f1_sym=f1, fk_sym=fk, spec=config.safety_spec(), kbc=config.kbc(),
+                delta=config.delta, max_boxes=config.max_boxes))
 
 
 def exact_network_polynomial(params):
