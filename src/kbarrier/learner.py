@@ -10,27 +10,35 @@ exists.  Everything is deterministic given the seeds, which keeps
 counterexample-guided runs replayable.
 
 One training pass, `_evaluate`, computes the loss and its gradient: the
-forward pass at the sites S, S+ and Sk (`_forward`), the hinge terms, dL/dB
-at each site with the signs the table gives, and the backward pass.  `loss`
-and `gradient` both return its result, and a training epoch is one call to
-`gradient`.  The sites keep their own matmuls and reductions: stacking them
-changes the BLAS path and with it the last bits.  Training stops at the
-first epoch with a loss of exactly zero, which cannot change the parameters
-it returns (see `train`).
+forward pass at all rows of the sites S, S+ and Sk (`_forward`, with no
+derivatives), the hinge terms, dL/dB at each site with the signs the table
+gives, and the backward pass.  `loss` and `gradient` both return its
+result, and a training epoch is one call to `gradient`.  The sites keep
+their own matmuls and reductions: stacking them changes the BLAS path and
+with it the last bits.  Training stops at the first epoch with a loss of
+exactly zero, which cannot change the parameters it returns (see `train`).
+
+The backward pass runs only where a hinge is active: a term with a zero
+hinge sum adds no coefficients, a site no term reaches is skipped, and with
+a sin or cos unit g' and t = (coef * g') * v are formed only at the rows
+with a nonzero coefficient, scattered into +0.0 rows (all-`square` networks
+keep the dense 2 z, cheaper than a gather on their small arrays).  The row
+sums and t.T @ states stay full length: compacting them regroups the sums.
+What is skipped is signed zeros, which change no nonzero sum, every
+accumulator starts at +0.0, which adding +-0.0 keeps, and a site's first
+coefficients are 0.0 + d, the bits of np.zeros(m) + d, so with a finite
+loss the bits are the dense pass's.  A ufunc `where=` mask in place of the
+gather and scatter gave wrong values on column views under numpy 2.4.6.
 
 `NetworkParams` owns the flat parameter layout: `flat` writes it, `with_flat`
 reads it back and `_blocks` gives its views, the output bias c a 0-d one.
 Adam's state, the gradient and the parameters being trained all live in
 such vectors; `train` validates one `with_flat` view of its vector, once,
-and its arrays then track every update.  Biases and output
-weights are tiled to full (m, h) arrays once per epoch (`_rows`), so no
-element-wise step broadcasts a row at a time.  Each of these gives the same
-bits as the plain formulation; the tests compare against it.
-
-A `DatasetTriple` holds the row indices of its samples in each region of
-`CONDITIONS` other than X, keyed by region, and the `KBCSpec` its k-step
-rows were built for, whose constants the loss reads.  `TrainConfig.eta`
-holds the margins in `CONDITIONS` order.
+and its arrays then track every update.  Biases, and an all-`square`
+network's output weights, are tiled to full (m, h) arrays once per epoch
+(`_rows`), so no element-wise step broadcasts a row at a time.  Each of
+these gives the same bits as the plain formulation; the tests compare
+against it.
 """
 
 from __future__ import annotations
@@ -86,10 +94,8 @@ class NetworkParams:
     activations: tuple[str, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "weights", np.asarray(self.weights, dtype=float))
-        object.__setattr__(self, "biases", np.asarray(self.biases, dtype=float))
-        object.__setattr__(self, "out_weights", np.asarray(self.out_weights, dtype=float))
-        object.__setattr__(self, "out_bias", np.asarray(self.out_bias, dtype=float))
+        for name in ("weights", "biases", "out_weights", "out_bias"):
+            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float))
         object.__setattr__(self, "activations", tuple(self.activations))
         h, _ = self.weights.shape
         if (self.biases.shape != (h,) or self.out_weights.shape != (h,)
@@ -134,8 +140,7 @@ class NetworkParams:
             if v == 0.0:
                 continue
             z = lin_comb(self.weights[j], xs, constant=float(self.biases[j]))
-            g = _ACTIVATION_RULES[self.activations[j]][0](z)
-            acc = acc + Const(v) * g
+            acc = acc + Const(v) * _ACTIVATION_RULES[self.activations[j]][0](z)
         return acc
 
 
@@ -147,27 +152,21 @@ def _blocks(theta: np.ndarray, h: int, n: int):
     return theta[:w_end].reshape(h, n), theta[w_end:b_end], theta[b_end:-1], theta[-1:].reshape(())
 
 
-def _activate(z: np.ndarray, activations: tuple[str, ...]) -> tuple[np.ndarray, np.ndarray]:
-    """Activations of the columns of z and their derivatives.
+def _activate(z: np.ndarray, activations: tuple[str, ...], derivative: bool = False) -> np.ndarray:
+    """The activations of the columns of z, or with `derivative` their derivatives.
 
-    A network of one kind takes one call per function over the whole of z.
-    A mixed one goes a column at a time: sin and cos cost the same per
-    element either way, and numpy runs them more slowly on a block of a few
+    A network of one kind takes one call over the whole of z, a mixed one a
+    call per column: numpy runs sin and cos more slowly on a block of a few
     strided columns, where its inner loop is only as long as the block is
     wide.  Square, sin and cos give the same bits both ways.
     """
     kinds = set(activations)
     if len(kinds) == 1:
-        _, f, df = _ACTIVATION_RULES[kinds.pop()]
-        return f(z), df(z)
-    g = np.empty_like(z)
-    gp = np.empty_like(z)
+        return _ACTIVATION_RULES[kinds.pop()][1 + derivative](z)
+    out = np.empty_like(z)
     for j, a in enumerate(activations):
-        _, f, df = _ACTIVATION_RULES[a]
-        col = z[:, j]
-        g[:, j] = f(col)
-        gp[:, j] = df(col)
-    return g, gp
+        out[:, j] = _ACTIVATION_RULES[a][1 + derivative](z[:, j])
+    return out
 
 
 @functools.lru_cache(maxsize=8)
@@ -180,34 +179,26 @@ def _rows(x: np.ndarray, m: int) -> np.ndarray:
 
     Element-wise arithmetic with it gives the same bits as with x itself,
     and is faster than broadcasting x, which numpy does with one inner-loop
-    call of length h per row.  An epoch builds it once for the biases and
-    once for the output weights, and uses each at all three evaluation
-    sites.
+    call of length h per row.  An epoch builds each once and uses it at all
+    three evaluation sites.
     """
     return x[_tile_index(m, x.shape[0])]
 
 
 def _forward(params: NetworkParams, states: np.ndarray, bias: np.ndarray):
-    """Activations, their derivatives and B at a batch of states.
-
-    `bias` is params.biases, or `_rows` of it for len(states) rows.
-    """
+    """z, the activations g and B at states; `bias` is params.biases or its `_rows`."""
     z = states @ params.weights.T
     z += bias
-    g, gp = _activate(z, params.activations)
-    return g, gp, g @ params.out_weights + params.out_bias
+    g = _activate(z, params.activations)
+    return z, g, g @ params.out_weights + params.out_bias
 
 
 def init_params(n: int, width: int, activations: Sequence[str], seed: int) -> NetworkParams:
     """Standard-normal initial parameters, deterministic per seed."""
     rng = np.random.default_rng(seed)
-    return NetworkParams(
-        weights=rng.normal(0.0, 1.0, (width, n)),
-        biases=rng.normal(0.0, 1.0, width),
-        out_weights=rng.normal(0.0, 1.0, width),
-        out_bias=float(rng.normal(0.0, 1.0)),
-        activations=tuple(activations),
-    )
+    # W, b, v and c, drawn in this order
+    return NetworkParams(rng.normal(0.0, 1.0, (width, n)), rng.normal(0.0, 1.0, width),
+                         rng.normal(0.0, 1.0, width), rng.normal(0.0, 1.0), tuple(activations))
 
 
 @dataclass(frozen=True, eq=False)
@@ -244,9 +235,10 @@ class TrainConfig:
 class DatasetTriple:
     """Sampled states with their 1-step and k-step data-driven evolutions.
 
-    `S_kplus` is built for the horizon `kbc.k`.  `rows` maps each region of
-    `CONDITIONS` other than X to the indices of the samples in it, derived
-    from S and `spec` at construction (and so again by `dataclasses.replace`).
+    `S_kplus` is built for the horizon `kbc.k`, and the loss reads its
+    offsets from `kbc`.  `rows` maps each region of `CONDITIONS` other than X
+    to the indices of the samples in it, derived from S and `spec` at
+    construction (and so again by `dataclasses.replace`).
     """
 
     S: np.ndarray
@@ -284,11 +276,8 @@ def sample_dataset(spec: SafetySpec, model: DataDrivenModel, kbc: KBCSpec,
         raise ValueError("m must be >= 1")
     rng = np.random.default_rng(seed)
     quota = max(50, m // 20)
-    S = np.vstack([
-        spec.X.sample(rng, m),
-        spec.X_I.sample(rng, quota),
-        spec.X_U.sample(rng, quota),
-    ])
+    S = np.vstack([spec.X.sample(rng, m), spec.X_I.sample(rng, quota),
+                   spec.X_U.sample(rng, quota)])
     return DatasetTriple(S=S, S_plus=model.step_batch(S), S_kplus=model.k_step_batch(S, kbc.k),
                          spec=spec, kbc=kbc)
 
@@ -326,14 +315,18 @@ def _evaluate(params: NetworkParams, data: DatasetTriple, cfg: TrainConfig) -> N
         rows = data.rows.get(region)
         if rows is not None:
             value = value[rows]
-        terms.append(((site, minus, kind, rows), (value if kind == "gt0" else -value) + eta))
+        a = (value if kind == "gt0" else -value) + eta
+        terms.append(((site, minus, kind, rows), a, np.add.reduce(np.maximum(a, 0.0))))
     # a sum over the size, as ndarray.mean computes a 1-D mean
-    breakdown = tuple(float(np.add.reduce(np.maximum(a, 0.0)) / a.size) for _, a in terms)
+    breakdown = tuple(float(total / a.size) for _, a, total in terms)
 
-    # dL/dB at each site.  In reverse the terms sum the E1 and E2 coefficients
-    # at x before they add the I and U ones, an order the rounding depends on.
-    coefs = dict.fromkeys(sites, np.zeros(m))
-    for (site, minus, kind, rows), a in reversed(terms):
+    # dL/dB at each site; a site no active term reaches keeps the float 0.0.
+    # In reverse the terms sum the E1 and E2 coefficients at x before they
+    # add the I and U ones, an order the rounding depends on.
+    coefs = dict.fromkeys(sites, 0.0)
+    for (site, minus, kind, rows), a, total in reversed(terms):
+        if not total:       # no active row
+            continue
         # dL/d(violation amount): the bits of +-(a > 0) / a.size, faster
         d = (a > 0) * ((1.0 if kind == "gt0" else -1.0) / a.size)
         if rows is not None:
@@ -345,13 +338,21 @@ def _evaluate(params: NetworkParams, data: DatasetTriple, cfg: TrainConfig) -> N
     h, n = params.weights.shape
     flat = np.zeros(h * n + 2 * h + 1)
     gw, gb, gv, gc = _blocks(flat, h, n)
-    v = _rows(params.out_weights, m)
+    dense = set(params.activations) == {"square"}
+    v = _rows(params.out_weights, m) if dense else params.out_weights
     # one accumulation per site, in this order: merging them changes the rounding
-    for site, (g, gp, _) in passes.items():
-        coef = coefs[site]
+    for site, coef in coefs.items():
+        if isinstance(coef, float):
+            continue
+        z, g, _ = passes[site]
         gv += g.T @ coef
         gc[()] += np.add.reduce(coef)
-        t = (coef[:, None] * gp) * v
+        if dense:
+            t = (coef[:, None] * _activate(z, params.activations, True)) * v
+        else:   # the same at the active rows, +0.0 at the others
+            t = np.zeros_like(z)
+            act = np.flatnonzero(coef)
+            t[act] = (coef[act, None] * _activate(z[act], params.activations, True)) * v
         gb += _column_sums(t)
         gw += t.T @ sites[site]
     return NetworkGradient(flat=flat, loss=float(sum(breakdown)), breakdown=breakdown)
@@ -389,16 +390,15 @@ def train(p0: NetworkParams, data: DatasetTriple, cfg: TrainConfig) -> NetworkPa
     Only theta's start passes the finiteness check of the constructor, and
     no non-finite parameter can come back from a later update.  Under IEEE
     arithmetic, which numpy's matmul keeps by computing every product, a
-    non-finite weight or bias makes the affine term, and with it the
-    activation, non-finite at every state, and a non-finite activation,
-    output weight or output bias makes B non-finite there.  At a sample in
-    X_I (there is one, or the loss raises ValueError) the initial-region
-    hinge is then +inf or NaN, unless B there is -inf, and then the
-    one-step hinge B(S+) - B(S) is.  So the loss is non-finite and
-    TrainingDiverged is raised before such parameters can become the best
-    ones.  The parameters returned still go through the
-    validating constructor.  Floating-point warnings are silenced inside
-    the loop, since TrainingDiverged reports what they would.
+    non-finite weight or bias makes the affine term and the activation
+    non-finite at every state, and a non-finite activation, output weight or
+    output bias makes B non-finite there.  At a sample in X_I (there is one,
+    or the loss raises ValueError) the initial-region hinge is then +inf or
+    NaN, unless B there is -inf, and then the one-step hinge B(S+) - B(S)
+    is.  So the loss is non-finite, and TrainingDiverged is raised before
+    such parameters can become the best ones.  The parameters returned
+    still go through the validating constructor.  Floating-point warnings
+    are silenced inside the loop, since TrainingDiverged reports them.
 
     Training stops at the first epoch whose loss is exactly 0.0.  This
     changes no result: the best parameters are replaced only on a strict

@@ -229,3 +229,16 @@ class TestRunNonlinear:
         # the seed-0 report under numpy 2.4.6
         assert report_sha256(report) == (
             "15ae690d828ee1e804ae0725021fd5e1c741a92edc22d37d2e61393c0e57f7a8")
+
+
+class TestRunPolynomial:
+    def test_full_seed0_report(self, polynomial):
+        # all 20 iterations of the all-`square` network, whose training takes
+        # the dense backward pass; the seed-0 report under numpy 2.4.6
+        config, _, _, _, model = polynomial
+        report = run(config.safety_spec(), model, config.kbc(),
+                     init_params(2, config.width, config.activations, 0),
+                     config.cegis_config(0), delta=config.delta, max_boxes=config.max_boxes)
+        assert report.iterations == config.max_iterations == 20
+        assert report_sha256(report) == (
+            "0beb34253c5a3f92eece04f30f6c62c7e127518e949a7c6b7b3668aec1bf286c")

@@ -129,6 +129,90 @@ def test_train_calls_the_module_level_gradient_once_per_epoch(monkeypatch):
         assert not np.array_equal(w0, w1) and c0 != c1
 
 
+def _record_derivatives(monkeypatch, kinds=("sin", "cos")):
+    """Wrap the derivative rule of each of `kinds`; returns the arrays they are given."""
+    seen = []
+    for kind in kinds:
+        build, f, df = kbarrier.learner._ACTIVATION_RULES[kind]
+
+        def recording(z, df=df):
+            seen.append(np.array(z))
+            return df(z)
+
+        monkeypatch.setitem(kbarrier.learner._ACTIVATION_RULES, kind, (build, f, recording))
+    return seen
+
+
+def _sin_cos_case(S_kplus_scale):
+    # B = -sin(x0 + x1) + 0.1 cos(x0 + x1): below 0 at the X_I sample and
+    # above lambda at the X_U one of _toy_data, so with S+ = S the loss is
+    # the k-step term alone, and exactly 0 when Sk = S too
+    params = kbarrier.NetworkParams(weights=[[1.0, 1.0], [1.0, 1.0]], biases=[0.0, 0.0],
+                                    out_weights=[-1.0, 0.1], out_bias=0.0,
+                                    activations=("sin", "cos"))
+    data = _toy_data()
+    return params, replace(data, S_plus=data.S, S_kplus=S_kplus_scale * data.S)
+
+
+@pytest.mark.parametrize("activations", [("sin", "cos", "sin"), ("cos", "cos")])
+def test_sin_cos_derivatives_only_at_rows_with_a_nonzero_coefficient(monkeypatch, activations):
+    learner = kbarrier.learner
+    data = _toy_data()
+    params = learner.init_params(2, len(activations), activations, seed=3)
+    cfg = learner.TrainConfig()
+    sites = {"x": data.S, "f1": data.S_plus, "fk": data.S_kplus}
+    B = {site: params.forward_batch(states) for site, states in sites.items()}
+    kbc, in_i, in_u = data.kbc, data.rows["X_I"], data.rows["X_U"]
+    e1 = B["f1"] - B["x"] - kbc.epsilon > 0
+    e2 = B["fk"] - B["x"] > 0
+    active = {"x": e1 | e2, "f1": e1, "fk": e2}
+    active["x"][in_i[B["x"][in_i] > 0]] = True
+    active["x"][in_u[kbc.lam - B["x"][in_u] > 0]] = True
+    assert 0 < sum(map(np.count_nonzero, active.values())) < 3 * data.size
+    seen = _record_derivatives(monkeypatch)
+    learner.gradient(params, data, cfg)
+    z = {site: states @ params.weights.T + params.biases for site, states in sites.items()}
+    expected = np.concatenate([z[site][rows].ravel() for site, rows in active.items()])
+    got = np.concatenate([a.ravel() for a in seen])
+    assert np.array_equal(np.sort(got), np.sort(expected))
+
+
+class _MatmulLog(np.ndarray):
+    """An array that logs the operand positions it takes in each matmul."""
+
+    log: list = []
+
+    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+        if ufunc is np.matmul:
+            self.log.append(tuple(i for i, x in enumerate(inputs) if isinstance(x, _MatmulLog)))
+        inputs = tuple(x.view(np.ndarray) if isinstance(x, _MatmulLog) else x for x in inputs)
+        return getattr(ufunc, method)(*inputs, **kwargs)
+
+
+@pytest.mark.parametrize("scale,zero_loss", [(1.0, True), (0.5, False)])
+def test_zero_loss_epoch_makes_no_backward_matmul(monkeypatch, scale, zero_loss):
+    # the forward pass multiplies states @ W.T, the backward pass t.T @ states
+    learner = kbarrier.learner
+    params, data = _sin_cos_case(scale)
+    for name in ("S", "S_plus", "S_kplus"):
+        object.__setattr__(data, name, getattr(data, name).view(_MatmulLog))
+    monkeypatch.setattr(_MatmulLog, "log", [])
+    seen = _record_derivatives(monkeypatch)
+    g = learner.gradient(params, data, learner.TrainConfig())
+    assert (g.loss == 0.0) == zero_loss
+    assert _MatmulLog.log.count((0,)) == 3
+    assert (_MatmulLog.log.count((1,)) == 0) == zero_loss
+    assert (not seen) == zero_loss
+
+
+def test_forward_batch_evaluates_no_derivative(monkeypatch):
+    seen = _record_derivatives(monkeypatch, kbarrier.learner.ACTIVATIONS)
+    for activations in (("square", "sin", "cos"), ("sin",) * 3, ("square",) * 2):
+        params = kbarrier.learner.init_params(2, len(activations), activations, seed=0)
+        assert params.forward_batch(_toy_data().S).shape == (3,)
+    assert seen == []
+
+
 def test_trainer_state_has_one_shape_each():
     # parameters are views of Adam's vector, the margins one tuple and the
     # region rows keyed by the regions of verifier.CONDITIONS

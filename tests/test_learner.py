@@ -210,6 +210,45 @@ def region_triple(spec: SafetySpec, rng: np.random.Generator, others: int,
     return DatasetTriple(S=S, S_plus=S + drift, S_kplus=S + 3 * drift, spec=spec, kbc=kbc)
 
 
+def bits(a) -> np.ndarray:
+    """The int64 bit patterns of a float array, so -0.0 and +0.0 differ."""
+    return np.asarray(a, dtype=float).view(np.int64)
+
+
+def sparse_case(acts, moved, active, seed):
+    """A network and dataset on which only `moved` has active hinge rows.
+
+    The data start from a `region_triple` with S+ = Sk = S under k = 1, so
+    lambda is 0, and zero margins; the output weights and bias are set so
+    that B < 0 at the X_I sample and B > 0 at the X_U sample.  Then no hinge
+    is active and the loss is exactly 0.  `moved` "f1" or "fk" moves the
+    evolution of the `active` lowest-B samples onto the highest-B sample,
+    which activates exactly those rows of the E1 or E2 term; "I" raises the
+    bias until the X_I sample alone is active.
+    """
+    rng = np.random.default_rng(seed)
+    n = 2
+    kbc = KBCSpec(k=1, epsilon=0.05)
+    data = region_triple(cube_spec(n), rng, 40, kbc)
+    data = replace(data, S_plus=data.S, S_kplus=data.S)
+    net = init_params(n, len(acts), acts, seed=seed)
+    r_i, r_u = net.forward_batch(data.S[-2:]) - net.out_bias
+    sign = 1.0 if r_u > r_i else -1.0
+    c = -sign * (r_i + r_u) / 2 + (sign * (r_u - r_i) / 2 + 1e-3 if moved == "I" else 0.0)
+    net = replace(net, out_weights=sign * net.out_weights, out_bias=c)
+    B = net.forward_batch(data.S)
+    if moved in ("f1", "fk"):
+        evolved = data.S.copy()
+        evolved[np.argsort(B)[:active]] = data.S[np.argmax(B)]
+        data = replace(data, **{"S_plus" if moved == "f1" else "S_kplus": evolved})
+    return net, data
+
+
+# one sin/cos mixture, one of each single kind and square in a mixture
+SPARSE_ACTIVATIONS = [("sin", "cos", "sin"), ("sin",), ("cos", "cos"), ("square", "square"),
+                      ("square", "cos")]
+
+
 class TestForward:
     def test_constant_network(self):
         net = constant_net(-1.0)
@@ -434,9 +473,32 @@ class TestSinglePass:
             gw, gb, gv, gc, total = reference_gradient(net, data, cfg)
             g = gradient(net, data, cfg)
             reference = replace(net, weights=gw, biases=gb, out_weights=gv, out_bias=gc)
-            assert np.array_equal(g.flat, reference.flat())
+            assert np.array_equal(bits(g.flat), bits(reference.flat()))
             assert g.loss == total
             assert (g.loss, g.breakdown) == loss(net, data, cfg)
+
+    @pytest.mark.parametrize("acts", SPARSE_ACTIVATIONS)
+    @pytest.mark.parametrize("moved,active", [("none", 0), ("f1", 1), ("f1", 3), ("fk", 2),
+                                              ("I", 1)])
+    def test_gradient_bitwise_with_few_active_rows(self, acts, moved, active):
+        # the backward pass skips inactive terms and sites, and with a sin or
+        # cos unit forms derivatives only at the active rows
+        cfg = TrainConfig()
+        for seed in range(3):
+            net, data = sparse_case(acts, moved, active, seed)
+            B = net.forward_batch(data.S)
+            e1 = net.forward_batch(data.S_plus) - B - data.kbc.epsilon > 0
+            e2 = net.forward_batch(data.S_kplus) - B > 0
+            assert (e1.sum(), e2.sum()) == {"f1": (active, 0), "fk": (0, active)}.get(
+                moved, (0, 0))
+            gw, gb, gv, gc, total = reference_gradient(net, data, cfg)
+            g = gradient(net, data, cfg)
+            reference = replace(net, weights=gw, biases=gb, out_weights=gv, out_bias=gc)
+            assert np.array_equal(bits(g.flat), bits(reference.flat()))
+            assert g.loss == total
+            assert [b > 0 for b in g.breakdown] == [moved == t for t in ("I", "U", "f1", "fk")]
+            # a zero loss leaves every entry +0.0
+            assert np.any(bits(g.flat)) == (moved != "none")
 
     @pytest.mark.parametrize("width", [1, 4, 8])
     def test_activate_matches_per_column(self, width):
@@ -445,8 +507,8 @@ class TestSinglePass:
             z = rng.normal(0.0, 3.0, (m, width))
             acts = tuple(str(a) for a in rng.choice(ACTIVATIONS, width))
             g_ref, gp_ref = reference_activate(z, acts)
-            g, gp = _activate(z, acts)
-            assert np.array_equal(g, g_ref) and np.array_equal(gp, gp_ref)
+            assert np.array_equal(bits(_activate(z, acts)), bits(g_ref))
+            assert np.array_equal(bits(_activate(z, acts, derivative=True)), bits(gp_ref))
 
     @pytest.mark.parametrize("kind", ACTIVATIONS)
     def test_activate_single_kind_matches_per_column(self, kind):
@@ -454,8 +516,8 @@ class TestSinglePass:
         z = np.random.default_rng(7).normal(0.0, 3.0, (37, 5))
         acts = (kind,) * 5
         g_ref, gp_ref = reference_activate(z, acts)
-        g, gp = _activate(z, acts)
-        assert np.array_equal(g, g_ref) and np.array_equal(gp, gp_ref)
+        assert np.array_equal(bits(_activate(z, acts)), bits(g_ref))
+        assert np.array_equal(bits(_activate(z, acts, derivative=True)), bits(gp_ref))
 
 
 def _near_kink(net, data, cfg, tol):
