@@ -25,25 +25,26 @@ Two evaluation modes are provided:
   arithmetic, vectorised over sample batches;
 * box evaluation (`eval_interval`, `Tape.eval_boxes`) -- an enclosure of
   the expression's range over a box, as a (lo, hi) pair of floats (arrays
-  of them over a batch of boxes).  It is the naive enclosure of the box
-  rules intersected with the mean-value form f(mid) + grad f(box) . (box -
-  mid) (Moore, Kearfott & Cloud, *Introduction to Interval Analysis*,
-  2009), whose interval gradient is carried forward through the same run
-  as the naive enclosures.  The form is widened by a rounding allowance: a
-  first-order bound on the point evaluator's rounding error over the box,
-  carried along the run as well.  Results of sin, cos, exp and pow are
-  widened by two ulps (`_pad_out`, two `np.nextafter` steps per bound) so
-  the enclosure holds despite last-bit rounding differences between code
-  paths.  add, sub, mul and scale (a product with a constant) still round
-  to nearest, so an enclosure can miss the exact real range by an ulp.
-  The naive enclosures are isotonic, a sub-box never gets a wider one, but
-  the intersection is not: it is never wider than the box's own naive
-  enclosure, and much tighter on narrow boxes, yet a sub-box can get a
-  wider one than its parent.
+  of them over a batch of boxes).  It is the naive enclosure, interval
+  arithmetic op by op, intersected with the mean-value form f(mid) +
+  grad f(box) . (box - mid) (Moore, Kearfott & Cloud, *Introduction to
+  Interval Analysis*, 2009).  One run forms both: each register carries its point value at the
+  boxes' midpoints, its naive enclosure, its interval gradient and a
+  rounding allowance, a first-order bound on the point evaluator's
+  rounding error over the box.  `Tape.eval_boxes` returns the midpoint
+  values too, bit for bit what `Tape.eval_points` gives there.  Results of
+  sin, cos, exp and pow are widened by two ulps (`_pad_out`, two
+  `np.nextafter` steps per bound) so the enclosure holds despite last-bit
+  rounding differences between code paths.  add, sub, mul and scale (a
+  product with a constant) still round to nearest, so an enclosure can
+  miss the exact real range by an ulp.  The naive enclosures are isotonic,
+  a sub-box never gets a wider one, but the intersection is not: it is
+  never wider than the box's own naive enclosure, and much tighter on
+  narrow boxes, yet a sub-box can get a wider one than its parent.
 
-Each op's point rule, box rule and centred rule (its box rule's enclosure
-with its partial derivatives) sit side by side in one table, `_RULES`, and
-`Tape` runs both modes through one loop over it.  The constructors (`add`,
+Each op's point rule and centred rule (its naive enclosure with its
+partial derivatives) sit side by side in one table, `_RULES`, and `Tape`
+runs both modes through one loop over it.  The constructors (`add`,
 `sub`, `mul`, `neg`, `power`, `sin`, `cos`, `exp`) are the node classes
 themselves and fold nothing, so a constant subtree such as `sin(Const(c))`
 is evaluated by `_RULES` too, with the same padded enclosure as any other
@@ -531,15 +532,14 @@ def _contains_centers(lo, hi, centers: np.ndarray) -> np.ndarray:
     return np.floor(u, out=u) >= np.ceil(t, out=t)
 
 
-# where sin and cos reach their maximum (row 0) and minimum (row 1)
-_SIN_EXTREMA = np.array([[_HALF_PI], [-_HALF_PI]])
-_COS_EXTREMA = np.array([[0.0], [math.pi]])
-# sin's maximum and minimum, then cos's
-_SIN_COS_EXTREMA = np.concatenate((_SIN_EXTREMA, _COS_EXTREMA))
+# where sin reaches its maximum and its minimum, then where cos does
+_SIN_COS_EXTREMA = np.array([[_HALF_PI], [-_HALF_PI], [0.0], [math.pi]])
 
 
 def _trig_range(values_lo: np.ndarray, values_hi: np.ndarray,
                 has_max: np.ndarray, has_min: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The enclosure of sin or cos from its endpoint values: an interior
+    maximum or minimum forces that bound to +-1."""
     out_lo = np.minimum(values_lo, values_hi)
     out_hi = np.maximum(values_lo, values_hi)
     out_lo, out_hi = _pad_out(out_lo, out_hi)
@@ -548,30 +548,13 @@ def _trig_range(values_lo: np.ndarray, values_hi: np.ndarray,
     return out_lo, out_hi
 
 
-def _sin_range(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Sound enclosure of sin over [lo, hi] via quadrant analysis.
-
-    An interior extremum pi/2 + 2*pi*k (max) or -pi/2 + 2*pi*k (min) forces
-    the corresponding bound to +-1; otherwise the endpoint values bound the
-    range.
-    """
-    has_max, has_min = _contains_centers(lo, hi, _SIN_EXTREMA)
-    return _trig_range(np.sin(lo), np.sin(hi), has_max, has_min)
-
-
-def _cos_range(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Sound enclosure of cos; endpoints must come from cos itself, since a
-    sin(x + pi/2) rewrite would shift by an inexact constant the point
-    evaluator never sees."""
-    has_max, has_min = _contains_centers(lo, hi, _COS_EXTREMA)
-    return _trig_range(np.cos(lo), np.cos(hi), has_max, has_min)
-
-
 def _sin_cos_ranges(lo, hi) -> tuple[tuple, tuple]:
-    """`_sin_range(lo, hi)` and `_cos_range(lo, hi)`, bit for bit, from one
-    quadrant analysis: one extremum test for all four extrema, one sin and
-    one cos call over the stacked endpoints, and one `_trig_range` pass in
-    which row 0 is sin and row 1 is cos."""
+    """Sound enclosures of sin and of cos over [lo, hi], from one quadrant
+    analysis: one extremum test for all four extrema, one sin and one cos
+    call over the stacked endpoints, and one `_trig_range` pass in which
+    row 0 is sin and row 1 is cos.  The endpoints of cos come from cos
+    itself, since a sin(x + pi/2) rewrite would shift by an inexact
+    constant the point evaluator never sees."""
     has = _contains_centers(lo, hi, _SIN_COS_EXTREMA)
     ends = np.array((lo, hi))
     values = np.empty((2,) + ends.shape)     # values[f, end]: f = sin, cos
@@ -636,29 +619,30 @@ def _neg_range(x):
 
 
 def _entry(point, box, partials):
-    """An op's rules, its centred rule being `box` followed by `partials(x, y, z)`."""
+    """An op's rules: `point`, and the centred rule, the naive enclosure
+    `box(x, y)` followed by `partials(x, y, z)`."""
     def centred(x, y):
         z = box(x, y)
         return z, partials(x, y, z)
-    return point, box, centred
+    return point, centred
 
 
-# The op table: each op a Tape runs, with its point rule, its box rule and its
-# centred rule.  A rule takes the op's two operand registers (floats, or
-# (lo, hi) pairs on boxes); a unary op ignores the second, and pow's is its
-# exponent.  "scale" is a product with a constant first operand: c * [l, h]
-# needs min/max over {c*l, c*h} once, where the four-product rule takes them
-# twice over.  "sub_self" and "mul_self" have one register as both operands
-# and are resolved exactly on boxes (x - x = 0, x * x = x^2): composed
-# dynamics repeat subtrees, and this keeps those enclosures from collapsing
-# to the naive dependency-blind bound.
-# The centred rule takes the operands' enclosures and returns the op's own, z,
-# with its partials: an enclosure of the op's partial derivative by each
-# operand register in turn (one register for a unary op, pow, "sub_self" and
-# "mul_self"), a float where the partial is an exact constant, else a
-# (lo, hi) pair.  z is the box rule's enclosure, bit for bit.  Most ops form
-# their partials from z and the operands (`_entry`); sin and cos take both
-# from one quadrant analysis, since each one's partial is the other's range.
+# The op table: each op a Tape runs, with its point rule and its centred rule.
+# A rule takes the op's two operand registers (floats, or (lo, hi) pairs on
+# boxes); a unary op ignores the second, and pow's is its exponent.  "scale"
+# is a product with a constant first operand: c * [l, h] needs min/max over
+# {c*l, c*h} once, where the four-product rule takes them twice over.
+# "sub_self" and "mul_self" have one register as both operands and are
+# resolved exactly on boxes (x - x = 0, x * x = x^2): composed dynamics
+# repeat subtrees, and this keeps those enclosures from collapsing to the
+# naive dependency-blind bound.
+# The centred rule takes the operands' enclosures and returns the op's naive
+# enclosure, z, with its partials: an enclosure of the op's partial
+# derivative by each operand register in turn (one register for a unary op,
+# pow, "sub_self" and "mul_self"), a float where the partial is an exact
+# constant, else a (lo, hi) pair.  Most ops form their partials from z and
+# the operands (`_entry`); sin and cos take both from one quadrant analysis,
+# since each one's partial is the other's range.
 _RULES = {
     "add": _entry(operator.add, lambda x, y: (x[0] + y[0], x[1] + y[1]),
                   lambda x, y, z: (1.0, 1.0)),
@@ -672,8 +656,8 @@ _RULES = {
     "neg": _entry(lambda x, _: -x, lambda x, _: _neg_range(x), lambda x, y, z: (-1.0,)),
     "pow": _entry(np.power, lambda x, p: _pow_range(x[0], x[1], p),
                   lambda x, p, z: (_pow_slope(x, p),)),
-    "sin": (lambda x, _: np.sin(x), lambda x, _: _sin_range(x[0], x[1]), _sin_centred),
-    "cos": (lambda x, _: np.cos(x), lambda x, _: _cos_range(x[0], x[1]), _cos_centred),
+    "sin": (lambda x, _: np.sin(x), _sin_centred),
+    "cos": (lambda x, _: np.cos(x), _cos_centred),
     "exp": _entry(lambda x, _: np.exp(x), lambda x, _: _pad_out(np.exp(x[0]), np.exp(x[1])),
                   lambda x, y, z: (z,)),
 }
@@ -698,18 +682,20 @@ _SPREAD_ERROR = 2.0 ** -40
 
 
 def _centred_step(rules, x, y):
-    """One op on centred registers (enclosure, gradient enclosure, error bound).
+    """One op on centred registers (value, enclosure, gradient enclosure, error bound).
 
-    The gradient enclosure is a (lo, hi) pair of (n, m) arrays, or (n, 1)
-    columns while it is constant across the boxes, and None for a constant.
-    The error bound is a first-order bound on how far the point evaluator's
-    value is from the real one anywhere in the box: 0.0 where it is exact.
+    The value is the point rule's at the boxes' midpoints, the enclosure the
+    naive one.  The gradient enclosure is a (lo, hi) pair of (n, m) arrays,
+    or (n, 1) columns while it is constant across the boxes, and None for a
+    constant.  The error bound is a first-order bound on how far the point
+    evaluator's value is from the real one anywhere in the box: 0.0 where it
+    is exact.
     """
-    xb = x[0]
-    yb = y[0] if type(y) is tuple else y   # pow's second register is its exponent
-    z, partials = rules[2](xb, yb)
+    # pow's second register is its exponent, a point value and an enclosure alike
+    yv, yb = y[:2] if type(y) is tuple else (y, y)
+    z, partials = rules[1](x[1], yb)
     grad, err = None, _OP_ERROR * _magnitude(z)
-    for partial, (_, g, e) in zip(partials, (x, y)):
+    for partial, (_, _, g, e) in zip(partials, (x, y)):
         exact = type(partial) is float
         if exact and partial == 0.0:
             continue
@@ -728,7 +714,7 @@ def _centred_step(rules, x, y):
             elif abs(partial) != 1.0:    # a +-1 partial passes e on exactly
                 e = abs(partial) * e
             err = err + e
-    return z, grad, err
+    return rules[0](x[0], yv), z, grad, err
 
 
 class Tape:
@@ -745,8 +731,9 @@ class Tape:
     every op to its rules and two operand registers, once, and both modes
     run the one loop `_run`, which places the leaves (variables, constants,
     pow's exponents) and then applies each op's rules through a step:
-    `_point_step` for points, and for boxes `_point_step` at the midpoints
-    and `_centred_step` over the boxes.
+    `_point_step` for points, and `_centred_step` for boxes, which forms the
+    point values at the boxes' midpoints along with the enclosures.  So a
+    call of either mode is one run of the loop.
 
     Registers are released as soon as they are dead: `release[i]` lists the
     registers whose last reader is op i (the constant folded into a "scale"
@@ -826,19 +813,22 @@ class Tape:
         m = points.shape[0]
         return [_column(r, m) for r in self._run(_point_step, lambda j: points[:, j], lambda c: c)]
 
-    def eval_boxes(self, lo: np.ndarray, hi: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
-        """Enclosures of every root over each box (rows of lo/hi, shape (m, n)).
+    def eval_boxes(self, lo: np.ndarray, hi: np.ndarray
+                   ) -> tuple[list[tuple[np.ndarray, np.ndarray]], list[np.ndarray]]:
+        """Enclosures of every root over each box (rows of lo/hi, shape (m, n)),
+        and every root's value at each box's midpoint, from one run.
 
-        Per root: the box rules' naive enclosure intersected with the
-        centred (mean-value) form f(mid) + sum_j G_j * [-r_j, r_j], where
-        mid is the box's midpoint 0.5 * (lo + hi), f(mid) its point value,
-        r_j the larger of hi_j - mid_j and mid_j - lo_j, and G_j an
-        enclosure of df/dx_j over the box, formed by the centred rules
-        along the run that forms the naive enclosures.  The form is widened
-        by twice the error bound (the centre's value and a point's value
-        each lie within it of the real function) and by _SPREAD_ERROR of
-        its spread.  A NaN bound of the form leaves the naive one, and a
-        zero bound is always +0.0, whatever the batch width.
+        The midpoint is 0.5 * (lo + hi), and its values are bit for bit what
+        `eval_points` gives there.  Per root, the enclosure is the naive one,
+        interval arithmetic op by op, intersected with the centred
+        (mean-value) form f(mid) + sum_j G_j * [-r_j, r_j], where f(mid) is
+        the midpoint value, r_j the larger of hi_j - mid_j and mid_j - lo_j,
+        and G_j an enclosure of df/dx_j over the box, formed by the centred
+        rules along the same run.  The form is widened by twice the error
+        bound (the centre's value and a point's value each lie within it of
+        the real function) and by _SPREAD_ERROR of its spread.  A NaN bound
+        of the form leaves the naive one, and a zero bound is always +0.0,
+        whatever the batch width.
         """
         lo = np.asarray(lo, dtype=float)
         hi = np.asarray(hi, dtype=float)
@@ -848,20 +838,20 @@ class Tape:
             raise ValueError("variable index out of range")
         m, n = lo.shape
         mid = 0.5 * (lo + hi)
-        centre = self._run(_point_step, lambda j: mid[:, j], lambda c: c)
         unit = np.eye(n)[:, :, None]            # unit[j]: e_j as an (n, 1) column
         roots = self._run(_centred_step,
-                          lambda j: ((lo[:, j], hi[:, j]), (unit[j], unit[j]), 0.0),
-                          lambda c: ((c, c), None, 0.0))
+                          lambda j: (mid[:, j], (lo[:, j], hi[:, j]), (unit[j], unit[j]), 0.0),
+                          lambda c: (c, (c, c), None, 0.0))
         radius = np.maximum(hi - mid, mid - lo).T
-        out = []
-        for f, ((z_lo, z_hi), grad, err) in zip(centre, roots):
+        enclosures, centres = [], []
+        for f, (z_lo, z_hi), grad, err in roots:
             spread = 0.0 if grad is None else (_magnitude(grad) * radius).sum(axis=0)
             half = spread + _SPREAD_ERROR * spread + 2.0 * err
             # + 0.0: fmax and fmin pick between -0.0 and +0.0 by batch width
-            out.append((_column(np.fmax(z_lo, f - half) + 0.0, m),
-                        _column(np.fmin(z_hi, f + half) + 0.0, m)))
-        return out
+            enclosures.append((_column(np.fmax(z_lo, f - half) + 0.0, m),
+                               _column(np.fmin(z_hi, f + half) + 0.0, m)))
+            centres.append(_column(f, m))
+        return enclosures, centres
 
 
 def eval_point(e: Expr, x: Sequence[float]) -> float:
@@ -888,7 +878,7 @@ def eval_interval(e: Expr, box: Box) -> tuple[float, float]:
         raise ValueError("variable index out of range")
     # an overflow surfaces as the ValueError below, not as a numpy warning
     with np.errstate(over="ignore", invalid="ignore"):
-        (lo, hi), = tape.eval_boxes(box.lo()[None, :], box.hi()[None, :])
+        ((lo, hi),), _ = tape.eval_boxes(box.lo()[None, :], box.hi()[None, :])
     lo, hi = float(lo[0]), float(hi[0])
     if not (math.isfinite(lo) and math.isfinite(hi)):
         raise ValueError(f"enclosure bounds must be finite: [{lo}, {hi}]")

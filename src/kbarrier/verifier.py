@@ -18,13 +18,16 @@ that can be neither discarded nor confirmed is delta-sat.  Exploration is
 deterministic, so verdicts are reproducible.  The margin, the violation
 amount, is read from the last constraint by `_margin`.
 
-A box is judged once: `Tape.eval_boxes` gives each frontier box its naive
-enclosures intersected with the centred (mean-value) form, and a
-delta-sat margin is read from that enclosure.  The intersection is never
-wider than the naive enclosure, so it discards every box the naive one
-would: a counterexample keeps its point and margin, `valid` stays `valid`,
-and only a delta-sat verdict can become `valid` or move its box and margin
-against a search on the naive enclosures alone.
+A box is judged once: one `Tape.eval_boxes` run gives each frontier box
+its naive enclosures intersected with the centred (mean-value) form, and
+the constraints' values at its midpoint, which the centred form needs
+anyway.  A delta-sat margin is read from that enclosure, and a kept box's
+midpoint that satisfies every constraint is a candidate witness, re-checked
+alone before it is reported.  The intersection is never wider than the
+naive enclosure, so it discards every box the naive one would: a
+counterexample keeps its point and margin, `valid` stays `valid`, and only
+a delta-sat verdict can become `valid` or move its box and margin against
+a search on the naive enclosures alone.
 
 `verify` searches B's collected polynomial (`expr.collect_polynomial`)
 where that form is smaller, as it is for any one-hidden-layer `square`
@@ -127,8 +130,7 @@ class VerificationTask:
         object.__setattr__(self, "fk_sym", tuple(self.fk_sym))
         if not 0 < self.delta < math.inf:
             raise ValueError("delta must be > 0 and finite")
-        if not self.max_boxes >= 1:
-            raise ValueError("max_boxes must be >= 1")
+        object.__setattr__(self, "max_boxes", checked_int("max_boxes", self.max_boxes, 1))
         n = self.spec.n
         if len(self.f1_sym) != n or len(self.fk_sym) != n:
             raise ValueError("symbolic dynamics dimension mismatch")
@@ -245,7 +247,9 @@ def _search(tag: str, constraints: list[Constraint], region: Box, delta: float,
     The verdict is for this condition alone: "valid" means every box was
     discarded.  `boxes_explored` counts this search's boxes, each given to
     `eval_boxes` once.  Each level makes one `eval_boxes` call per chunk of
-    its boxes, then `eval_points` at the midpoints of the boxes it keeps.
+    its boxes, which gives the enclosures that decide which boxes it keeps
+    and the midpoint values that confirm a witness among those.  A confirmed
+    witness is re-checked alone by a one-row `eval_points` call.
     """
     kinds = [kind for _, kind in constraints]
     tape = Tape([e for e, _ in constraints])
@@ -260,20 +264,19 @@ def _search(tag: str, constraints: list[Constraint], region: Box, delta: float,
             return Verdict("exhausted", tag, boxes_explored=used)
 
         feasible = np.empty(lo.shape[0], dtype=bool)
+        confirmed = np.empty(lo.shape[0], dtype=bool)
         margin_hi = np.empty(lo.shape[0])
         for sl in _chunks(lo.shape[0]):
-            enclosures = tape.eval_boxes(lo[sl], hi[sl])
+            enclosures, centres = tape.eval_boxes(lo[sl], hi[sl])
             feasible[sl] = _may_hold(enclosures, kinds)
+            confirmed[sl] = _holds(centres, kinds)
             margin_hi[sl] = _margin(kinds[-1], *enclosures[-1])
         lo, hi = lo[feasible], hi[feasible]
-        margin_hi = margin_hi[feasible]
+        confirmed, margin_hi = confirmed[feasible], margin_hi[feasible]
         if not lo.shape[0]:
             break
 
         mid = 0.5 * (lo + hi)
-        confirmed = np.empty(mid.shape[0], dtype=bool)
-        for sl in _chunks(mid.shape[0]):
-            confirmed[sl] = _holds(tape.eval_points(mid[sl]), kinds)
         if confirmed.any():
             point = mid[int(np.argmax(confirmed))]
             # re-evaluate the single point: vector and scalar libm paths may
@@ -292,12 +295,11 @@ def _search(tag: str, constraints: list[Constraint], region: Box, delta: float,
             box = Box(lo[idx], hi[idx])
             first_delta = Verdict("delta_sat", tag, box=box, margin=float(margin_hi[idx]))
         keep = ~small
-        lo, hi = lo[keep], hi[keep]
+        lo, hi, mid = lo[keep], hi[keep], mid[keep]
         if not lo.shape[0]:
             break
 
         dim = np.argmax(hi - lo, axis=1)
-        mid = 0.5 * (lo + hi)
         rows = np.arange(lo.shape[0])
         hi_left = hi.copy()
         hi_left[rows, dim] = mid[rows, dim]

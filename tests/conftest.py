@@ -152,15 +152,16 @@ def random_finite_pair(rng: np.random.Generator, n_vars: int = 2,
 
 
 # ---------------------------------------------------------------------------
-# The naive enclosures: the box rules alone
+# The naive enclosures: interval arithmetic op by op, without the centred form
 # ---------------------------------------------------------------------------
 
 def naive_eval_boxes(tape, lo, hi) -> list[tuple[np.ndarray, np.ndarray]]:
-    """The enclosures of `_RULES`' box rules alone, run through the Tape's own
-    loop: what `Tape.eval_boxes` intersects with the centred form."""
+    """The naive enclosures alone, the z of `_RULES`' centred rules, run
+    through the Tape's own loop: what `Tape.eval_boxes` intersects with the
+    centred form."""
     lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
     m = lo.shape[0]
-    roots = tape._run(lambda rules, x, y: rules[1](x, y),
+    roots = tape._run(lambda rules, x, y: rules[1](x, y)[0],
                       lambda j: (lo[:, j], hi[:, j]), lambda c: (c, c))
     return [(_column(z_lo, m), _column(z_hi, m)) for z_lo, z_hi in roots]
 

@@ -337,13 +337,30 @@ def reference_pad_out(lo, hi):
     return lo, hi
 
 
+# where sin reaches its maximum and minimum (rows 0 and 1), and cos (rows 2 and 3)
+SIN_EXTREMA = kbarrier.expr._SIN_COS_EXTREMA[:2]
+COS_EXTREMA = kbarrier.expr._SIN_COS_EXTREMA[2:]
+
+
+def reference_sin_range(lo, hi):
+    """sin's enclosure from its own quadrant analysis, as the box rule formed it
+    before sin and cos shared one."""
+    has_max, has_min = kbarrier.expr._contains_centers(lo, hi, SIN_EXTREMA)
+    return kbarrier.expr._trig_range(np.sin(lo), np.sin(hi), has_max, has_min)
+
+
+def reference_cos_range(lo, hi):
+    """cos's enclosure from its own quadrant analysis."""
+    has_max, has_min = kbarrier.expr._contains_centers(lo, hi, COS_EXTREMA)
+    return kbarrier.expr._trig_range(np.cos(lo), np.cos(hi), has_max, has_min)
+
+
 # A trig op's centred enclosure and partial from two separate range helpers,
 # as the centred rules formed them before sin and cos shared one analysis.
 REFERENCE_TRIG = {
-    "sin": lambda lo, hi: (kbarrier.expr._sin_range(lo, hi),
-                           (kbarrier.expr._cos_range(lo, hi),)),
-    "cos": lambda lo, hi: (kbarrier.expr._cos_range(lo, hi),
-                           (kbarrier.expr._neg_range(kbarrier.expr._sin_range(lo, hi)),)),
+    "sin": lambda lo, hi: (reference_sin_range(lo, hi), (reference_cos_range(lo, hi),)),
+    "cos": lambda lo, hi: (reference_cos_range(lo, hi),
+                           (kbarrier.expr._neg_range(reference_sin_range(lo, hi)),)),
 }
 
 
@@ -351,15 +368,15 @@ def reference_centred_step(rules, x, y):
     """The centred step with unfused trig ops and every error bound scaled by
     |partial|, 1.0 included."""
     name = next(name for name, entry in _RULES.items() if entry is rules)
-    xb = x[0]
-    yb = y[0] if type(y) is tuple else y
+    yv, yb = y[:2] if type(y) is tuple else (y, y)
+    xb = x[1]
     if name in REFERENCE_TRIG:
         z, partials = REFERENCE_TRIG[name](xb[0], xb[1])
     else:
-        z, partials = rules[2](xb, yb)
+        z, partials = rules[1](xb, yb)
     magnitude = kbarrier.expr._magnitude
     grad, err = None, kbarrier.expr._OP_ERROR * magnitude(z)
-    for partial, (_, g, e) in zip(partials, (x, y)):
+    for partial, (_, _, g, e) in zip(partials, (x, y)):
         exact = type(partial) is float
         if exact and partial == 0.0:
             continue
@@ -374,7 +391,7 @@ def reference_centred_step(rules, x, y):
             grad = term if grad is None else (grad[0] + term[0], grad[1] + term[1])
         if type(e) is not float:
             err = err + (abs(partial) if exact else magnitude(partial)) * e
-    return z, grad, err
+    return rules[0](x[0], yv), z, grad, err
 
 
 def reference_ops(roots):
@@ -461,9 +478,9 @@ def reference_eval_boxes(roots, lo, hi, monkeypatch):
             elif op == "neg":
                 regs.append((-regs[a][1], -regs[a][0]))
             elif op == "sin":
-                regs.append(kbarrier.expr._sin_range(*regs[a]))
+                regs.append(reference_sin_range(*regs[a]))
             elif op == "cos":
-                regs.append(kbarrier.expr._cos_range(*regs[a]))
+                regs.append(reference_cos_range(*regs[a]))
             elif op == "exp":
                 regs.append(reference_pad_out(np.exp(regs[a][0]), np.exp(regs[a][1])))
             else:
@@ -567,13 +584,14 @@ class TestTapeParity:
         tape = Tape([Const(2.0), x, Sub(x, x)])
         lo = np.linspace(-1.0, 1.0, m)[:, None]
         hi = lo + 1.0
-        (c_lo, c_hi), (x_lo, x_hi), (z_lo, z_hi) = tape.eval_boxes(lo, hi)
+        ((c_lo, c_hi), (x_lo, x_hi), (z_lo, z_hi)), (c_mid, x_mid, z_mid) = tape.eval_boxes(lo, hi)
         c_pt, x_pt, _ = tape.eval_points(lo)
-        for v in (c_lo, c_hi, x_lo, x_hi, z_lo, z_hi, c_pt, x_pt):
+        values = (c_lo, c_hi, x_lo, x_hi, z_lo, z_hi, c_mid, x_mid, z_mid, c_pt, x_pt)
+        for v in values:
             assert isinstance(v, np.ndarray) and v.shape == (m,) and v.dtype == np.float64
             assert v.flags.writeable
-        for constant in (c_lo, c_hi, z_lo, z_hi, c_pt):
-            for other in (c_lo, c_hi, x_lo, x_hi, z_lo, z_hi, c_pt, x_pt, lo, hi):
+        for constant in (c_lo, c_hi, z_lo, z_hi, c_mid, z_mid, c_pt):
+            for other in values + (lo, hi):
                 assert other is constant or not np.shares_memory(constant, other)
         c_lo += 1.0
         z_lo -= 1.0
@@ -582,8 +600,8 @@ class TestTapeParity:
 
 
 class TestOpTable:
-    """`_RULES` holds one (point rule, box rule, centred rule) triple for each op
-    a Tape can emit."""
+    """`_RULES` holds one (point rule, centred rule) pair for each op a Tape
+    can emit."""
 
     # one expression per table entry; its last op is the entry
     EMITTED_BY = {
@@ -596,7 +614,7 @@ class TestOpTable:
         emittable = set(_NODES) - {"var", "const"} | {"scale", "sub_self", "mul_self"}
         assert set(_RULES) == set(self.EMITTED_BY) == emittable
         for rules in _RULES.values():
-            assert len(rules) == 3 and all(callable(rule) for rule in rules)
+            assert len(rules) == 2 and all(callable(rule) for rule in rules)
 
     @pytest.mark.parametrize("name", sorted(EMITTED_BY))
     def test_compiler_emits_each_entry(self, name):
@@ -624,7 +642,7 @@ class TestPartialsRules:
     @pytest.mark.parametrize("name", sorted(POINT_PARTIALS))
     def test_enclose_the_point_partials(self, name):
         assert set(POINT_PARTIALS) == set(_RULES)
-        _, _, centred_rule = _RULES[name]
+        _, centred_rule = _RULES[name]
         rng = np.random.default_rng(sorted(POINT_PARTIALS).index(name))
         for _ in range(200):
             x_lo = rng.uniform(-4.0, 4.0, 64)
@@ -688,7 +706,7 @@ class TestCentredForm:
     def centred_and_naive(e, lo, hi):
         tape = Tape([e])
         with np.errstate(all="ignore"):
-            (c_lo, c_hi), = tape.eval_boxes(lo, hi)
+            ((c_lo, c_hi),), _ = tape.eval_boxes(lo, hi)
             (n_lo, n_hi), = naive_eval_boxes(tape, lo, hi)
         nan = np.isnan(n_lo) | np.isnan(n_hi)
         assert np.all((c_lo >= n_lo) & (c_hi <= n_hi) | nan)
@@ -739,7 +757,7 @@ class TestCentredForm:
     def test_constant_and_variable_roots(self):
         tape = Tape([Const(2.5), X2, Sub(X1, X1)])
         lo = np.array([[0.0, -1.0], [1.0, 2.0]])
-        (c_lo, c_hi), (x_lo, x_hi), (z_lo, z_hi) = tape.eval_boxes(lo, lo + 0.5)
+        ((c_lo, c_hi), (x_lo, x_hi), (z_lo, z_hi)), _ = tape.eval_boxes(lo, lo + 0.5)
         np.testing.assert_array_equal(c_lo, [2.5, 2.5])
         np.testing.assert_array_equal(c_hi, [2.5, 2.5])
         np.testing.assert_array_equal(x_lo, [-1.0, 2.0])
@@ -766,7 +784,7 @@ class TestCentredForm:
             hi = lo + width
             points = lo[:, None, :] + width * rng.uniform(size=(100, 20, 2))
             with np.errstate(all="ignore"):
-                centred = tape.eval_boxes(lo, hi)
+                centred, _ = tape.eval_boxes(lo, hi)
                 naive = naive_eval_boxes(tape, lo, hi)
                 values = tape.eval_points(points.reshape(-1, 2))
             for (c_lo, c_hi), v in zip(centred, values):
@@ -822,19 +840,21 @@ class TestCentredTrigParity:
         lo, hi = self.boxes(n, rng)
         for rows in (slice(0, 1), slice(0, 2), slice(None)):
             tape = Tape(self.ROOTS[n])
-            got = tape.eval_boxes(lo[rows], hi[rows])
+            got, got_centres = tape.eval_boxes(lo[rows], hi[rows])
             with monkeypatch.context() as patch:
                 patch.setattr(kbarrier.expr, "_centred_step", reference_centred_step)
-                want = tape.eval_boxes(lo[rows], hi[rows])
+                want, want_centres = tape.eval_boxes(lo[rows], hi[rows])
             for got_pair, want_pair in zip(got, want):
                 for g, w in zip(got_pair, want_pair):
                     assert_bitwise_equal(g, w)
+            for g, w in zip(got_centres, want_centres):
+                assert_bitwise_equal(g, w)
 
     def test_fused_ranges_are_the_box_rules(self):
         rng = np.random.default_rng(4)
         lo, hi = self.boxes(1, rng)
         lo, hi = lo[:, 0], hi[:, 0]
-        want = (kbarrier.expr._sin_range(lo, hi), kbarrier.expr._cos_range(lo, hi))
+        want = (reference_sin_range(lo, hi), reference_cos_range(lo, hi))
         for got_pair, want_pair in zip(kbarrier.expr._sin_cos_ranges(lo, hi), want):
             for g, w in zip(got_pair, want_pair):
                 assert_bitwise_equal(g, w)
@@ -845,7 +865,10 @@ class TestBatchIndependence:
 
     This holds for the numpy build and CPU the suite runs on; vector and
     scalar libm paths may differ in the last bit elsewhere.  Any batching
-    of boxes other than one search level per call relies on it.
+    of boxes other than one search level per call relies on it, and so does
+    the search, which confirms a witness from the midpoint values of a
+    whole level's `eval_boxes` call: they must be `eval_points`' values at
+    those midpoints, on any subset of the rows.
     """
 
     ROWS = 40
@@ -866,14 +889,25 @@ class TestBatchIndependence:
         pick = np.random.default_rng(23).choice(len(lo), self.ROWS, replace=False)
         lo, hi = lo[pick], hi[pick]
 
-        def stacked(lo, hi):        # (2 * roots, rows): every lo bound, then every hi
-            bounds = tape.eval_boxes(lo, hi)
-            return np.array([b[0] for b in bounds] + [b[1] for b in bounds])
+        def stacked(lo, hi):        # (3 * roots, rows): every lo bound, every hi, every centre
+            bounds, centres = tape.eval_boxes(lo, hi)
+            return np.array([b[0] for b in bounds] + [b[1] for b in bounds] + centres)
 
         with np.errstate(all="ignore"):
             alone = np.hstack([stacked(lo[i:i + 1], hi[i:i + 1]) for i in range(self.ROWS)])
             for idx in self.batches(self.ROWS):
                 assert_bitwise_equal(stacked(lo[idx], hi[idx]), alone[:, idx])
+
+    def test_centres_are_the_midpoint_values(self, tape):
+        lo, hi = parity_boxes(np.random.default_rng(25))
+        kept = np.random.default_rng(26).random(len(lo)) < 0.3
+        with np.errstate(all="ignore"):
+            for rows in (slice(None), kept):
+                _, centres = tape.eval_boxes(lo[rows], hi[rows])
+                want = tape.eval_points(0.5 * (lo[rows] + hi[rows]))
+                assert len(centres) == len(want) == len(tape.outputs)
+                for got, w in zip(centres, want):
+                    assert_bitwise_equal(got, w)
 
     def test_eval_points_rows_independent(self, tape):
         rng = np.random.default_rng(24)
@@ -903,9 +937,13 @@ class TestReleaseSchedule:
         with np.errstate(all="ignore"):
             for got, want in zip(tape.eval_points(lo), keep_all.eval_points(lo)):
                 assert_bitwise_equal(got, want)
-            for got, want in zip(tape.eval_boxes(lo, hi), keep_all.eval_boxes(lo, hi)):
-                assert_bitwise_equal(got[0], want[0])
-                assert_bitwise_equal(got[1], want[1])
+            got, got_centres = tape.eval_boxes(lo, hi)
+            want, want_centres = keep_all.eval_boxes(lo, hi)
+            for (got_lo, got_hi), (want_lo, want_hi) in zip(got, want):
+                assert_bitwise_equal(got_lo, want_lo)
+                assert_bitwise_equal(got_hi, want_hi)
+            for g, w in zip(got_centres, want_centres):
+                assert_bitwise_equal(g, w)
 
     def test_released_by_last_reader(self):
         x, y = Var(0), Var(1)
@@ -922,10 +960,10 @@ class TestReleaseSchedule:
         lo, hi = points - 0.25, points + 0.25
         tape = Tape(roots)
         for root, got, (got_lo, got_hi) in zip(roots, tape.eval_points(points),
-                                               tape.eval_boxes(lo, hi)):
+                                               tape.eval_boxes(lo, hi)[0]):
             alone = Tape([root])
             assert_bitwise_equal(got, alone.eval_points(points)[0])
-            want_lo, want_hi = alone.eval_boxes(lo, hi)[0]
+            want_lo, want_hi = alone.eval_boxes(lo, hi)[0][0]
             assert_bitwise_equal(got_lo, want_lo)
             assert_bitwise_equal(got_hi, want_hi)
 
@@ -964,21 +1002,20 @@ class TestTrigRange:
         lo = np.concatenate([lo.ravel(), centre - width, near, near - 0.5, near])
         hi = np.concatenate([hi.ravel(), centre + width, near, near, near + 0.5])
         with np.errstate(all="ignore"):
-            got = (kbarrier.expr._sin_range(lo, hi), kbarrier.expr._cos_range(lo, hi))
+            got = kbarrier.expr._sin_cos_ranges(lo, hi)
             want = self.reference(lo, hi)
             # the padding hides most of the fuzz in the enclosures, so check the tests too
-            for name in ("_SIN_EXTREMA", "_COS_EXTREMA"):
-                centers = getattr(kbarrier.expr, name)
-                rows = kbarrier.expr._contains_centers(lo, hi, centers)
-                for row, c in zip(rows, centers.ravel()):
-                    np.testing.assert_array_equal(row, reference_contains_center(lo, hi, c))
+            centers = kbarrier.expr._SIN_COS_EXTREMA
+            rows = kbarrier.expr._contains_centers(lo, hi, centers)
+            for row, c in zip(rows, centers.ravel()):
+                np.testing.assert_array_equal(row, reference_contains_center(lo, hi, c))
         for got_pair, want_pair in zip(got, want):
             for g, w in zip(got_pair, want_pair):
                 assert_bitwise_equal(g, w)
 
     @pytest.mark.parametrize("lo, hi", [(0.3, 0.3), (-0.0, 0.0), (1.0, 2.0), (-4.0, 3.0)])
     def test_scalars_stay_scalar(self, lo, hi):
-        got = (kbarrier.expr._sin_range(lo, hi), kbarrier.expr._cos_range(lo, hi))
+        got = kbarrier.expr._sin_cos_ranges(lo, hi)
         for got_pair, want_pair in zip(got, self.reference(lo, hi)):
             for g, w in zip(got_pair, want_pair):
                 assert np.shape(g) == ()

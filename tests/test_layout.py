@@ -230,7 +230,7 @@ def test_trainer_state_has_one_shape_each():
 @pytest.mark.parametrize("op", ["Sin", "Cos"])
 def test_one_quadrant_analysis_per_trig_op(monkeypatch, op):
     # a centred sin or cos takes its enclosure and its partial (the other
-    # function's range) from one extremum test, as its box rule does
+    # function's range) from one extremum test, with or without the centred form
     expr = kbarrier.expr
     calls = [0]
     real = expr._contains_centers
@@ -262,11 +262,15 @@ def test_one_box_evaluator():
 def test_verify_compiles_one_tape_per_condition_and_counts_each_frontier_box_once(monkeypatch):
     # the traced run maps the n-th Tape compiled inside `verify` to the n-th
     # condition, and counts a condition's boxes as the rows given to
-    # eval_boxes; the centred form inside it must add neither
+    # eval_boxes; the centred form inside it must add neither.  Each
+    # eval_boxes call is one run of the Tape's loop, and the search's only
+    # eval_points call is the one-row re-check of a witness.
     expr = kbarrier.expr
-    compiled, rows = [], []
+    compiled, rows, box_runs, point_rows = [], [], [], []
+    runs = [0]
     tape_cls = expr.Tape
-    tape_init, eval_boxes = tape_cls.__init__, tape_cls.eval_boxes
+    tape_init, eval_boxes, eval_points, run = (
+        tape_cls.__init__, tape_cls.eval_boxes, tape_cls.eval_points, tape_cls._run)
 
     def recording_init(tape, roots):
         compiled.append(len(roots))
@@ -274,10 +278,23 @@ def test_verify_compiles_one_tape_per_condition_and_counts_each_frontier_box_onc
 
     def recording_eval_boxes(tape, lo, hi):
         rows.append(len(lo))
-        return eval_boxes(tape, lo, hi)
+        before = runs[0]
+        out = eval_boxes(tape, lo, hi)
+        box_runs.append(runs[0] - before)
+        return out
+
+    def recording_eval_points(tape, points):
+        point_rows.append(len(points))
+        return eval_points(tape, points)
+
+    def counted_run(tape, *args):
+        runs[0] += 1
+        return run(tape, *args)
 
     monkeypatch.setattr(tape_cls, "__init__", recording_init)
     monkeypatch.setattr(tape_cls, "eval_boxes", recording_eval_boxes)
+    monkeypatch.setattr(tape_cls, "eval_points", recording_eval_points)
+    monkeypatch.setattr(tape_cls, "_run", counted_run)
     # 0.5 (x0 + x1)^2 + 0.5 (x0 - x1)^2 - 1, searched as x0^2 + x1^2 - 1
     B = kbarrier.NetworkParams(weights=[[1.0, 1.0], [1.0, -1.0]], biases=[0.0, 0.0],
                                out_weights=[0.5, 0.5], out_bias=-1.0,
@@ -293,6 +310,14 @@ def test_verify_compiles_one_tape_per_condition_and_counts_each_frontier_box_onc
     assert verdict.kind == "valid"
     assert compiled == [1, 1, 2, 2]
     assert sum(rows) == verdict.boxes_explored
+    assert box_runs == [1] * len(rows) and runs[0] == len(rows)
+    assert point_rows == []
+
+    # 1 - x0^2 - x1^2 > 0 at X_I's midpoint: one level, and one one-row re-check
+    rows.clear()
+    verdict = kbarrier.verifier.verify(replace(task, B=expr.Neg(B)))
+    assert (verdict.kind, verdict.condition, verdict.point) == ("counterexample", "I", (0.0, 0.0))
+    assert rows == [1] and point_rows == [1] and runs[0] == len(box_runs) + 1
 
     # eval_boxes evaluates its centres through the Tape's own loop
     rows.clear()

@@ -91,12 +91,12 @@ class TestConditionExprs:
         cons_i, region_i = conditions["I"]
         expr, kind = cons_i[0]
         assert kind == "gt0"
-        enclosure = Tape([expr]).eval_boxes(region_i.lo()[None, :], region_i.hi()[None, :])[0]
+        enclosure = Tape([expr]).eval_boxes(region_i.lo()[None, :], region_i.hi()[None, :])[0][0]
         assert enclosure[1][0] <= 0.0  # infeasible everywhere: B > 0 cannot hold
         cons_u, region_u = conditions["U"]
         expr_u, kind_u = cons_u[0]
         assert kind_u == "le0"
-        enc_u = Tape([expr_u]).eval_boxes(region_u.lo()[None, :], region_u.hi()[None, :])[0]
+        enc_u = Tape([expr_u]).eval_boxes(region_u.lo()[None, :], region_u.hi()[None, :])[0][0]
         assert enc_u[1][0] <= 0.0  # satisfied everywhere in X_U
 
     def test_reference_conventional_counterexample_region(self, highly_nonlinear,
@@ -211,7 +211,7 @@ class TestVerify:
 
     @pytest.mark.parametrize("field, value", [
         ("delta", 0.0), ("delta", -1.0), ("delta", math.nan), ("delta", math.inf),
-        ("max_boxes", 0), ("max_boxes", math.nan),
+        ("max_boxes", 0), ("max_boxes", math.nan), ("max_boxes", 2.5), ("max_boxes", "3"),
     ])
     def test_invalid_search_parameters_rejected(self, field, value):
         with pytest.raises(ValueError, match=field):
@@ -252,6 +252,32 @@ class TestVerdictFlow:
         assert verdict.condition == "U"
         assert verdict.point == (0.75, 0.75)
         assert verdict.boxes_explored == 2
+
+    def test_witness_needs_its_one_row_recheck(self, monkeypatch):
+        # B = -1 violates U at every midpoint the box pass gives, but a witness
+        # is reported only once a one-row `eval_points` call confirms it too:
+        # a rejected one leaves the search splitting on to delta-sat
+        rechecks = []
+        eval_points = Tape.eval_points
+
+        def rejecting(tape, points):
+            values = eval_points(tape, points)
+            if len(points) == 1:
+                rechecks.append(tuple(points[0]))
+                values = [np.full(1, math.nan) for _ in values]   # NaN never holds
+            return values
+
+        monkeypatch.setattr(Tape, "eval_points", rejecting)
+        tag, cons, region = condition_exprs(self.square_task(Const(-1.0)))[1]
+        assert tag == "U"
+        verdict = verifier._search(tag, cons, region, 0.1, 1_000)
+        # X_U is 0.3 wide: five levels of 1, 2, 4, 8 and 16 boxes, one recheck each
+        assert rechecks[0] == (0.75, 0.75) and len(rechecks) == 5
+        assert (verdict.kind, verdict.point, verdict.boxes_explored) == ("delta_sat", None, 31)
+        monkeypatch.undo()
+        verdict = verifier._search(tag, cons, region, 0.1, 1_000)
+        assert (verdict.kind, verdict.point, verdict.boxes_explored) == (
+            "counterexample", (0.75, 0.75), 1)
 
 
 def straight_line_check_point(task, x):
@@ -514,11 +540,14 @@ class TestSearchSoundness:
 
 def naive_search(tag, constraints, region, delta, budget, refine=False):
     """The search as it was before the centred refinement: every box is
-    judged by the naive enclosure of the box rules alone.
+    judged by the naive enclosure of the box rules alone, and the kept
+    boxes' midpoints are evaluated again by `eval_points` to confirm a
+    witness.
 
     With `refine`, the search as it was before `eval_boxes` gave the centred
     enclosure itself: the boxes the naive enclosures keep are judged again
-    by `eval_boxes`, which re-reads their margins too.
+    by `eval_boxes`, which re-reads their margins too.  That makes three
+    Tape runs per level where `verifier._search` makes one.
     """
     kinds = [kind for _, kind in constraints]
     tape = Tape([e for e, _ in constraints])
@@ -540,7 +569,7 @@ def naive_search(tag, constraints, region, delta, budget, refine=False):
             margin_hi[sl] = verifier._margin(kinds[-1], *enclosures[-1])
             rows = sl.start + np.flatnonzero(feasible[sl]) if refine else []
             if len(rows):
-                refined = tape.eval_boxes(lo[rows], hi[rows])
+                refined, _ = tape.eval_boxes(lo[rows], hi[rows])
                 feasible[rows] = verifier._may_hold(refined, kinds)
                 margin_hi[rows] = verifier._margin(kinds[-1], *refined[-1])
         lo, hi = lo[feasible], hi[feasible]
@@ -658,20 +687,23 @@ CORPUS = Path(__file__).resolve().parents[1] / "bench" / "corpus.jsonl"
 
 
 class TestOnePassSearchParity:
-    """One `eval_boxes` pass per level against the two-pass search it replaced.
+    """One `eval_boxes` run per level against the three-run search it replaced:
+    a naive box pass, a centred pass over its survivors and an `eval_points`
+    pass at the kept midpoints.
 
     The naive enclosure is the intersection's fallback, so whatever it
-    discards the intersection discards, and a row's centred enclosure does
-    not depend on the rows that share its batch.  So every condition's
-    verdict is the two-pass search's, bit for bit, zero signs included.
+    discards the intersection discards, and a row's centred enclosure and
+    midpoint values do not depend on the rows that share its batch.  So
+    every condition's verdict is the three-run search's, bit for bit, zero
+    signs included.
     """
 
     @staticmethod
     def assert_same_verdicts(task):
         for tag, cons, region in condition_exprs(task):
-            two_pass = naive_search(tag, cons, region, task.delta, task.max_boxes, refine=True)
-            one_pass = verifier._search(tag, cons, region, task.delta, task.max_boxes)
-            assert verdict_bits(one_pass) == verdict_bits(two_pass), tag
+            three_run = naive_search(tag, cons, region, task.delta, task.max_boxes, refine=True)
+            one_run = verifier._search(tag, cons, region, task.delta, task.max_boxes)
+            assert verdict_bits(one_run) == verdict_bits(three_run), tag
 
     @pytest.mark.parametrize("case, certificate, k", [row[:3] for row in PARITY_CASES])
     def test_parity_cases(self, case, certificate, k, request, reference_nonlinear_cert):
